@@ -5,6 +5,11 @@ piecewise-exponential flow from a seeded random start, and inspects the
 disagreement decay, the per-topology energy traces, and the observed energy
 jumps at switches against their algebraic bounds.  Writes the trajectory to
 ``demo_out/trajectory.csv``.
+
+The flow runs in disagreement coordinates ``(e, x_N)``: the offsets
+``e_i = x_i - x_N`` and agent N's state.  The disagreement evolves on its
+own, so its norm stays exact while the agreement component grows; the run
+would abort only if the disagreement exceeded 1e12 or the state overflowed.
 """
 
 import os
@@ -39,8 +44,11 @@ signal = periodic_signal(2, vtol.DWELL, vtol.HORIZON)
 closed_loop = build_closed_loop(
     vtol.A, vtol.B, design.k, design.alpha, graphs, signal
 )
-print(f"closed-loop modes: {len(closed_loop.full_modes)} matrices of shape "
-      f"{closed_loop.full_modes[0].shape}")
+m = (closed_loop.node_count - 1) * closed_loop.state_dim
+print(f"closed-loop modes: {len(closed_loop.modes)} matrices of shape "
+      f"{closed_loop.modes[0].shape} in (e, x_N) coordinates; the e block is "
+      f"{closed_loop.modes[0][:m, :m].shape}, the x_N -> e block is zero: "
+      f"{not closed_loop.modes[0][:m, m:].any()}")
 print(f"switching: round robin every {vtol.DWELL} s over [0, {vtol.HORIZON}] s "
       f"(tau* = {design.dwell_threshold:.4f} s)")
 

@@ -25,7 +25,6 @@ from .simulator import (
     disagreement,
     lyapunov_monitor,
     simulate,
-    simulate_reduced,
     write_trajectory_csv,
 )
 from .synthesis import (
@@ -91,7 +90,6 @@ __all__ = [
     "reduce_laplacian",
     "save_graph",
     "simulate",
-    "simulate_reduced",
     "solve_care",
     "solve_gain_lmi",
     "solve_lyapunov",

@@ -1,33 +1,34 @@
 """Exact simulation of the switched closed-loop multi-agent system.
 
-Each topology contributes a constant closed-loop matrix, so the trajectory
-is a concatenation of linear flows: within an interval the state advances by
-the matrix exponential of the active mode, and switches hand the (continuous)
-state to the next mode.  No ODE stepping error enters; the sample grid only
-chooses where the exact flow is observed.
+The state is kept in disagreement coordinates ``z = (e, x_N)``: the offsets
+``e_i = x_i - x_N`` of agents 1..N-1 from agent N, then agent N's state.
+Each topology's closed loop is block lower triangular there,
+``e' = (I kron A - alpha * Lh kron BK) e`` and
+``x_N' = A x_N - alpha * (L[N, :N-1] kron BK) e``, so e evolves on its own.
+Within an interval the state advances by the matrix exponential of the
+active mode; switches hand the (continuous) state to the next mode.  No ODE
+stepping error enters; the sample grid only chooses where the flow is seen.
 
-The same propagation core also runs the reduced disagreement system, whose
-trajectory must reproduce the disagreement of the full system - a structural
-identity used as a cross-check throughout the test-suite.
+Norms, verdicts, energies and the divergence rule use e itself, never a
+difference of agent states, so they keep full precision while the agreement
+grows.  A run diverges at the first sample whose disagreement max-norm
+exceeds `DIVERGENCE_CUTOFF` or whose state is not finite (checked once per
+interval).  Agent states ``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, topology
+from . import linalg, synthesis, topology
 
-# Abort threshold for diverging trajectories (infeasible designs blow up in
+# Abort threshold for diverging disagreement (infeasible designs blow up in
 # finite time at double precision).
 DIVERGENCE_CUTOFF = 1e12
-# Acceptance threshold for the reduction-intertwining identity, relative to
-# the closed-loop matrix scale.
-INTERTWINE_RTOL = 1e-10
 
 __all__ = [
     "LyapunovMonitor",
-    "ReducedTrajectory",
     "SimulationDiverged",
     "SwitchedClosedLoop",
     "TrajectoryRecord",
@@ -36,7 +37,6 @@ __all__ = [
     "disagreement",
     "lyapunov_monitor",
     "simulate",
-    "simulate_reduced",
     "write_trajectory_csv",
 ]
 
@@ -46,8 +46,8 @@ class SimulationDiverged(RuntimeError):
 
     def __init__(self, t, norm):
         super().__init__(
-            f"trajectory diverged at t={t:.6g} (state max-norm {norm:.3e} exceeds "
-            f"{DIVERGENCE_CUTOFF:.1e})"
+            f"trajectory diverged at t={t:.6g} (disagreement max-norm {norm:.3e} "
+            f"exceeds {DIVERGENCE_CUTOFF:.1e} or the state is not finite)"
         )
         self.t = t
         self.norm = norm
@@ -55,19 +55,18 @@ class SimulationDiverged(RuntimeError):
 
 @dataclass
 class SwitchedClosedLoop:
-    """Per-topology closed-loop matrices plus the switching signal.
+    """Per-topology closed-loop matrices in ``(e, x_N)`` coordinates.
 
-    ``full_modes[i]`` drives the stacked state (size N*n), ``reduced_modes[i]``
-    the disagreement vector (size (N-1)*n).  The two are intertwined by the
-    disagreement map: ``Xi_n @ full == reduced @ Xi_n``.
+    ``modes[i]`` is the block lower-triangular ``[[Ah_i, 0], [C_i, A]]`` of
+    size N*n for topology i+1; its leading (N-1)*n block ``Ah_i`` drives the
+    disagreement.
     """
 
     a: np.ndarray
     b: np.ndarray
     k: np.ndarray
     alpha: float
-    full_modes: list
-    reduced_modes: list
+    modes: list
     signal: topology.SwitchingSignal
     node_count: int
     state_dim: int
@@ -80,8 +79,9 @@ class TrajectoryRecord:
     Sample times are strictly increasing and include every switch instant;
     the stored topology index is right-continuous (the new mode at a switch).
     `switches` lists ``(t, old_index, new_index)`` so writers can also emit
-    the left-sided limit.  The disagreement data is recomputable from the
-    states at every sample.
+    the left-sided limit.  `errors` is the propagated disagreement; `states`
+    are reconstructed from it as ``x_i = e_i + x_N`` and carry e only to the
+    round-off of the agreement component.
     """
 
     times: np.ndarray
@@ -96,16 +96,6 @@ class TrajectoryRecord:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-
-
-@dataclass
-class ReducedTrajectory:
-    """Run of the reduced disagreement system (diagnostic / oracle path)."""
-
-    times: np.ndarray
-    errors: np.ndarray
-    indices: np.ndarray
-    switches: list
 
 
 @dataclass
@@ -128,9 +118,10 @@ class LyapunovMonitor:
 def build_closed_loop(a, b, k_gain, alpha, graphs, signal):
     """Assemble the switched closed-loop matrices for a gain and graph set.
 
-    Builds ``I_N kron A - alpha * (L_i kron B K)`` per topology along with the
-    reduced counterparts using the reduced Laplacians, then verifies the
-    intertwining identity between the two families.
+    Per topology, builds the ``(e, x_N)`` mode from the reduced Laplacian
+    ``Lh`` and the last Laplacian row: ``Ah = I kron A - alpha * Lh kron BK``,
+    ``C = -alpha * (L[N, :N-1] kron BK)``.  It is similar to the stacked
+    ``I_N kron A - alpha * (L kron BK)`` through ``x -> (e, x_N)``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -149,30 +140,20 @@ def build_closed_loop(a, b, k_gain, alpha, graphs, signal):
     n_nodes = graphs.node_count
     signal.validate_against(len(graphs))
     bk = b @ k_gain
-    xi_n = np.kron(topology.xi_matrix(n_nodes), np.eye(n))
-    full_modes = []
-    reduced_modes = []
+    zero = np.zeros(((n_nodes - 1) * n, n))
+    modes = []
     for g in graphs:
         lap = topology.laplacian(g)
         reduced = topology.reduce_laplacian(lap)
-        full = np.kron(np.eye(n_nodes), a) - alpha * np.kron(lap, bk)
-        red = np.kron(np.eye(n_nodes - 1), a) - alpha * np.kron(reduced.matrix, bk)
-        residual = np.abs(xi_n @ full - red @ xi_n).max()
-        scale = max(1.0, np.abs(full).max())
-        if residual > INTERTWINE_RTOL * scale:
-            raise ValueError(
-                f"closed-loop assembly inconsistent: intertwining residual "
-                f"{residual:.3e} exceeds {INTERTWINE_RTOL:.1e} * {scale:.3e}"
-            )
-        full_modes.append(full)
-        reduced_modes.append(red)
+        ah = np.kron(np.eye(n_nodes - 1), a) - alpha * np.kron(reduced.matrix, bk)
+        c = -alpha * np.kron(lap[-1:, :-1], bk)
+        modes.append(np.block([[ah, zero], [c, a]]))
     return SwitchedClosedLoop(
         a=a,
         b=b,
         k=k_gain,
         alpha=float(alpha),
-        full_modes=full_modes,
-        reduced_modes=reduced_modes,
+        modes=modes,
         signal=signal,
         node_count=n_nodes,
         state_dim=n,
@@ -192,84 +173,75 @@ def _grid_targets(t_start, t_end, dt):
     return targets
 
 
-def _propagate(modes, signal, z0, dt):
-    """Piecewise-exact flow of ``z' = M_sigma(t) z`` sampled on the dt grid.
-
-    Returns ``(times, trajectory, indices, switches)``.  Transition matrices
-    are cached per (mode, step) pair; steps repeat heavily on a uniform grid.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    z = np.asarray(z0, dtype=float).ravel()
-    dim = modes[0].shape[0]
-    if z.shape != (dim,):
-        raise ValueError(f"initial state has length {z.size}, expected {dim}")
-    times = [0.0]
-    trajectory = [z.copy()]
-    indices = [int(signal.indices[0])]
-    switches = []
-    cache = {}
-    t = 0.0
-    bps = signal.breakpoints
-    for j in range(signal.interval_count):
-        mode = int(signal.indices[j])
-        is_last = j + 1 >= signal.interval_count
-        t_end = signal.horizon if is_last else float(bps[j + 1])
-        for target in _grid_targets(float(bps[j]), t_end, dt):
-            h = target - t
-            key = (mode, h)
-            phi = cache.get(key)
-            if phi is None:
-                phi = linalg.expm(modes[mode - 1] * h)
-                cache[key] = phi
-            z = phi @ z
-            t = target
-            peak = np.abs(z).max()
-            if not np.isfinite(peak) or peak > DIVERGENCE_CUTOFF:
-                raise SimulationDiverged(t, peak)
-            at_switch = (not is_last) and target == t_end
-            next_mode = int(signal.indices[j + 1]) if at_switch else mode
-            times.append(t)
-            trajectory.append(z.copy())
-            indices.append(next_mode)
-            if at_switch:
-                switches.append((t, mode, next_mode))
-    return (
-        np.array(times),
-        np.vstack(trajectory),
-        np.array(indices, dtype=int),
-        switches,
-    )
+def _check_divergence(block, times, m):
+    """Raise SimulationDiverged at the first sample of `block` that diverged."""
+    peaks = np.abs(block[:, :m]).max(axis=1)
+    peaks[~np.isfinite(block[:, m:]).all(axis=1)] = np.inf
+    bad = np.flatnonzero(~(peaks <= DIVERGENCE_CUTOFF))
+    if bad.size:
+        raise SimulationDiverged(float(times[bad[0]]), float(peaks[bad[0]]))
 
 
 def simulate(closed_loop, x0, dt):
-    """Run the full stacked system from x0 and record the disagreement data."""
+    """Run the switched system from x0, sampled on the global dt grid.
+
+    Propagates ``z = (e, x_N)`` with one mat-vec per sample.  Transition
+    matrices are cached per ``(mode, h)``; a step within 1e-9*dt of dt is
+    snapped to dt, so float jitter on the grid never misses the cache.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n_nodes = closed_loop.node_count
     n = closed_loop.state_dim
-    times, states, indices, switches = _propagate(
-        closed_loop.full_modes, closed_loop.signal, x0, dt
-    )
-    xi_n = np.kron(topology.xi_matrix(n_nodes), np.eye(n))
-    errors = states @ xi_n.T
-    norms = np.linalg.norm(errors, axis=1)
+    m = (n_nodes - 1) * n
+    e0, _ = disagreement(x0, n_nodes, n)
+    z = np.concatenate([e0, np.asarray(x0, dtype=float).ravel()[m:]])
+    signal = closed_loop.signal
+    edges = signal.breakpoints.tolist() + [signal.horizon]
+    grids = [_grid_targets(t0, t1, dt) for t0, t1 in zip(edges[:-1], edges[1:])]
+    times = np.array([0.0] + [t for grid in grids for t in grid])
+    # Sample position of each interval's end; the ends before the horizon are
+    # the switches, whose stored index is the incoming topology.
+    ends = np.cumsum([len(grid) for grid in grids])
+    indices = np.repeat(signal.indices, np.diff(ends, prepend=-1))
+    outgoing, incoming = signal.indices[:-1].tolist(), signal.indices[1:].tolist()
+    indices[ends[:-1]] = incoming
+    switches = list(zip(times[ends[:-1]].tolist(), outgoing, incoming))
+    samples = np.empty((times.size, z.size))
+    samples[0] = z
+    cache = {}
+    t = 0.0
+    s = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode, grid in zip(signal.indices.tolist(), grids):
+            first = s + 1
+            for target in grid:
+                h = target - t
+                if abs(h - dt) <= 1e-9 * dt:
+                    h = dt
+                key = (mode, h)
+                if key not in cache:
+                    # The flow is block lower triangular like the mode; clear
+                    # expm's round-off above it so x_N never leaks into e.
+                    cache[key] = linalg.expm(closed_loop.modes[mode - 1] * h)
+                    cache[key][:m, m:] = 0.0
+                s += 1
+                z = samples[s] = cache[key] @ z
+                t = target
+            _check_divergence(samples[first : s + 1], times[first : s + 1], m)
+    errors = samples[:, :m].copy()
+    states = np.tile(samples[:, m:], n_nodes)
+    states[:, :m] += errors
     return TrajectoryRecord(
         times=times,
         states=states,
         errors=errors,
-        error_norms=norms,
+        error_norms=np.linalg.norm(errors, axis=1),
         indices=indices,
         switches=switches,
         node_count=n_nodes,
         state_dim=n,
     )
-
-
-def simulate_reduced(closed_loop, e0, dt):
-    """Run the reduced disagreement system from e0 with the same scheme."""
-    times, errors, indices, switches = _propagate(
-        closed_loop.reduced_modes, closed_loop.signal, e0, dt
-    )
-    return ReducedTrajectory(times, errors, indices, switches)
 
 
 def disagreement(x, node_count, state_dim):
@@ -332,8 +304,9 @@ def lyapunov_monitor(record, certificates, p):
     p_inv = np.linalg.inv(np.asarray(p, dtype=float))
     p_inv = (p_inv + p_inv.T) / 2.0
     weights = [np.kron(by_index[i].q, p_inv) for i in order]
+    errors = record.errors
     values = np.column_stack(
-        [np.einsum("sj,jk,sk->s", record.errors, w, record.errors) for w in weights]
+        [np.einsum("sj,sj->s", errors @ w, errors) for w in weights]
     )
     col = {idx: pos for pos, idx in enumerate(order)}
 
@@ -342,22 +315,26 @@ def lyapunov_monitor(record, certificates, p):
     boundaries.append(record.times[-1])
     interval_rates = []
     for a_t, b_t in zip(boundaries[:-1], boundaries[1:]):
-        mask = (record.times >= a_t) & (record.times <= b_t)
-        active = int(record.indices[np.argmax(record.times >= a_t)])
-        v = values[mask, col[active]]
-        tt = record.times[mask]
+        lo = int(np.searchsorted(record.times, a_t))
+        hi = int(np.searchsorted(record.times, b_t, side="right"))
+        active = int(record.indices[lo])
+        v = values[lo:hi, col[active]]
+        tt = record.times[lo:hi]
         if v.size >= 2 and np.all(v > 0):
             rate = float(np.polyfit(tt, np.log(v), 1)[0])
         else:
             rate = None
         interval_rates.append((float(a_t), float(b_t), active, rate))
 
+    bounds = synthesis.pair_lambdas(
+        certificates, [(old, new) for _, old, new in record.switches]
+    )
     switch_jumps = []
     for t_s, old, new in record.switches:
         s = int(np.searchsorted(record.times, t_s))
         v_old = values[s, col[old]]
         v_new = values[s, col[new]]
-        bound = linalg.max_generalized_eigenvalue(by_index[old].q, by_index[new].q)
+        bound = bounds[old, new]
         ratio = float(v_new / v_old) if v_old > 0 else None
         if ratio is not None and ratio > bound * (1 + 1e-9):
             raise RuntimeError(
@@ -366,10 +343,6 @@ def lyapunov_monitor(record, certificates, p):
             )
         switch_jumps.append((float(t_s), old, new, ratio, float(bound)))
     return LyapunovMonitor(order, values, interval_rates, switch_jumps)
-
-
-def _fmt(value):
-    return repr(float(value))
 
 
 def write_trajectory_csv(record, path, monitor=None):
@@ -387,20 +360,21 @@ def write_trajectory_csv(record, path, monitor=None):
         for j in range(record.state_dim)
     ]
     header.append("e_norm")
+    columns = [record.states, record.error_norms[:, None]]
     if monitor is not None:
         header += [f"V_{i}" for i in monitor.topology_indices]
+        columns.append(monitor.values)
+    data = np.hstack(columns)
     switch_at = {t: (old, new) for t, old, new in record.switches}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s, t in enumerate(record.times):
-            tail = [_fmt(v) for v in record.states[s]]
-            tail.append(_fmt(record.error_norms[s]))
-            if monitor is not None:
-                tail += [_fmt(v) for v in monitor.values[s]]
+        # csv writes a Python float as its repr, the shortest round-trip form.
+        for t, index, row in zip(record.times.tolist(), record.indices.tolist(), data):
+            tail = row.tolist()
             if t in switch_at:
                 old, new = switch_at[t]
-                writer.writerow([_fmt(t), old] + tail)
-                writer.writerow([_fmt(t), new] + tail)
+                writer.writerow([t, old] + tail)
+                writer.writerow([t, new] + tail)
             else:
-                writer.writerow([_fmt(t), int(record.indices[s])] + tail)
+                writer.writerow([t, index] + tail)

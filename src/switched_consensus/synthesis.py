@@ -20,6 +20,7 @@ general-purpose SDP solver:
   ``K = (1/2) B^T inv(P) = (1/2) B^T X``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ __all__ = [
     "design_to_dict",
     "dwell_threshold",
     "max_feasible_beta",
+    "pair_lambdas",
     "solve_gain_lmi",
     "solve_topology_lmi",
     "synthesize",
@@ -219,6 +221,20 @@ def coupling_threshold(certificates):
     return 2.0 / min(cert.c for cert in certificates)
 
 
+def pair_lambdas(certificates, pairs):
+    """``{(i, j): lambda_ij}`` for the ordered topology pairs in `pairs`.
+
+    ``lambda_ij``, the largest generalized eigenvalue of ``(Q_i, Q_j)``,
+    bounds the energy jump ``V_j / V_i`` at a switch from topology i to j.
+    Each distinct pair is solved once, however often it occurs.
+    """
+    q = {cert.index: cert.q for cert in certificates}
+    return {
+        (i, j): linalg.max_generalized_eigenvalue(q[i], q[j])
+        for i, j in dict.fromkeys(pairs)
+    }
+
+
 def dwell_threshold(certificates, beta):
     """Dwell-time threshold from the worst certificate-pair eigenvalue ratio.
 
@@ -233,12 +249,8 @@ def dwell_threshold(certificates, beta):
         raise ValueError("need at least one topology certificate")
     if len(certificates) == 1:
         return 1.0, 0.0
-    lam = max(
-        linalg.max_generalized_eigenvalue(ci.q, cj.q)
-        for ci in certificates
-        for cj in certificates
-        if ci.index != cj.index
-    )
+    pairs = itertools.permutations([cert.index for cert in certificates], 2)
+    lam = max(pair_lambdas(certificates, pairs).values())
     # Identical certificates give lam = 1 up to round-off; no dwell bound.
     tau = math.log(lam) / beta if lam > 1.0 + 1e-12 else 0.0
     return float(lam), float(tau)
@@ -252,16 +264,16 @@ def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0):
     largest generalized eigenvalue of the outgoing/incoming certificate pair.
     The report passes iff every margin strictly exceeds kappa0.
     """
-    by_index = {cert.index: cert for cert in certificates}
+    known = {cert.index for cert in certificates}
     for idx in np.unique(signal.indices):
-        if int(idx) not in by_index:
+        if int(idx) not in known:
             raise ValueError(f"no certificate for topology index {int(idx)}")
+    pairs = list(zip(signal.indices[:-1].tolist(), signal.indices[1:].tolist()))
+    table = pair_lambdas(certificates, pairs)
     checks = []
     t = signal.breakpoints
-    for k in range(signal.interval_count - 1):
-        i_from = int(signal.indices[k])
-        i_to = int(signal.indices[k + 1])
-        lam = linalg.max_generalized_eigenvalue(by_index[i_from].q, by_index[i_to].q)
+    for k, (i_from, i_to) in enumerate(pairs):
+        lam = table[i_from, i_to]
         margin = beta * (t[k + 1] - t[k]) - math.log(lam)
         checks.append(
             ScheduleCheck(

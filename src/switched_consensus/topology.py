@@ -257,27 +257,41 @@ def reduce_laplacian(lap, source_index=0):
 
 
 def has_spanning_tree(g):
-    """Directed-spanning-tree test by reachability from each candidate root.
+    """Directed-spanning-tree test in three linear reachability passes.
 
-    Returns ``(verdict, root)`` where `root` is the 1-based witness root when
-    the verdict is True, else None.  Node j reaches node i directly when
-    ``weights[i, j] > 0``.
+    Returns ``(verdict, root)`` where `root` is the smallest 1-based witness
+    root when the verdict is True, else None.  Node j reaches node i directly
+    when ``weights[i, j] > 0``.  Searching from each node not yet reached
+    leaves a candidate, the last search start, which is a root if any node
+    is; the roots are then exactly the nodes that reach the candidate.
     """
-    w = g.weights
     n = g.node_count
-    for root in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[root] = True
-        stack = [root]
-        while stack:
-            j = stack.pop()
-            for i in np.nonzero(w[:, j] > 0)[0]:
-                if not seen[i]:
-                    seen[i] = True
-                    stack.append(int(i))
-        if seen.all():
-            return True, root + 1
-    return False, None
+    forward = [[] for _ in range(n)]
+    backward = [[] for _ in range(n)]
+    heads, tails = np.nonzero(g.weights > 0)
+    for i, j in zip(heads.tolist(), tails.tolist()):
+        forward[j].append(i)
+        backward[i].append(j)
+    seen = [False] * n
+    for start in range(n):
+        if not seen[start]:
+            _mark_reachable(forward, start, seen)
+            candidate = start
+    if not all(_mark_reachable(forward, candidate, [False] * n)):
+        return False, None
+    return True, _mark_reachable(backward, candidate, [False] * n).index(True) + 1
+
+
+def _mark_reachable(adjacency, start, seen):
+    """Mark the nodes reachable from `start` in the list `seen`; return it."""
+    seen[start] = True
+    stack = [start]
+    while stack:
+        for i in adjacency[stack.pop()]:
+            if not seen[i]:
+                seen[i] = True
+                stack.append(i)
+    return seen
 
 
 def antistability_margin(reduced):

@@ -17,9 +17,9 @@ lines.  Criteria:
  6. Oracle suites: Lyapunov vs vectorization (200 draws), spanning tree vs
     brute force (500 graphs), tree <=> antistability on the same corpus, and
     Riccati residuals on 100 stabilizable draws; all within 30 s.
- 7. Simulator properties: translation invariance, full/reduced equivalence,
-    consensus-subspace invariance, fourth-order convergence of the RK4
-    cross-check toward the exact flow.
+ 7. Simulator properties: translation invariance, agreement of the (e, x_N)
+    core with the dense full-state oracle, consensus-subspace invariance,
+    fourth-order convergence of the RK4 cross-check toward the exact flow.
  8. Switching-condition margins: all positive for the 0.5 s demo schedule
     with kappa0 = 1e-3; a 0.01 s schedule flips at least one negative.
 """
@@ -38,7 +38,13 @@ from switched_consensus import (
     vtol,
 )
 
-from conftest import LHAT_1, LHAT_2, draw_stabilizable, random_stable
+from conftest import (
+    LHAT_1,
+    LHAT_2,
+    dense_simulate,
+    draw_stabilizable,
+    random_stable,
+)
 from test_linalg import kron_lyapunov
 from test_topology import brute_force_spanning_tree, random_graph
 
@@ -215,8 +221,8 @@ def test_criterion_7_simulator_properties(vtol_design):
     scale = max(1.0, np.abs(base.errors).max())
     translation_ok = np.abs(base.errors - shifted.errors).max() <= 1e-9 * scale
 
-    reduced = simulator.simulate_reduced(closed_loop, base.errors[0], 0.02)
-    reduction_ok = np.abs(base.errors - reduced.errors).max() <= 1e-8 * scale
+    _, _, dense_errors = dense_simulate(closed_loop, graphs, x0, 0.02)
+    reduction_ok = np.abs(base.errors - dense_errors).max() <= 1e-8 * scale
 
     on_subspace = simulator.simulate(closed_loop, np.tile(x0[:4], 5), 0.02)
     subspace_ok = (

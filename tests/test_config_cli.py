@@ -200,6 +200,17 @@ class TestCommandExitCodes:
                          "--out", out]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_demo_passes_at_long_horizon(self, tmp_path, demo_doc, capsys):
+        # The agreement component grows (A is unstable); the verdict must
+        # still see the decaying disagreement.
+        demo_doc["switching"]["periodic"]["horizon"] = 30.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(demo_doc))
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", str(path), "--out", out]) == 0
+        assert cli.main(["simulate", "--config", str(path), "--out", out]) == 0
+        assert "consensus: PASS" in capsys.readouterr().out
+
     def test_simulate_without_report_is_input_error(self, demo_config_file,
                                                     tmp_path):
         code = cli.main(["simulate", "--config", demo_config_file,

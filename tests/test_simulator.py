@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from switched_consensus import simulator, synthesis, topology, vtol
+from switched_consensus import linalg, simulator, synthesis, topology, vtol
 from switched_consensus.simulator import (
     SimulationDiverged,
     TrajectoryRecord,
@@ -13,12 +13,17 @@ from switched_consensus.simulator import (
     disagreement,
     lyapunov_monitor,
     simulate,
-    simulate_reduced,
     write_trajectory_csv,
 )
 from switched_consensus.topology import periodic_signal
 
-from conftest import random_spd, random_stable
+from conftest import (
+    dense_modes,
+    dense_simulate,
+    disagreement_transform,
+    random_spd,
+    random_stable,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +62,7 @@ class TestBuildClosedLoop:
         signal = periodic_signal(2, 0.5, 2.0)
         k = np.zeros((2, 4))
         cl = build_closed_loop(vtol.A, vtol.B, k, 0.0, vtol_graphs, signal)
-        for mode in cl.full_modes:
+        for mode in cl.modes:
             assert np.array_equal(mode, np.kron(np.eye(5), vtol.A))
 
     def test_first_order_case_reduces_to_laplacian_flow(self):
@@ -67,15 +72,17 @@ class TestBuildClosedLoop:
         cl = build_closed_loop(
             np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), 2.5, graphs, signal
         )
-        assert np.array_equal(cl.full_modes[0], -2.5 * topology.laplacian(g))
+        t, t_inv = disagreement_transform(3, 1)
+        expected = t @ (-2.5 * topology.laplacian(g)) @ t_inv
+        assert np.array_equal(cl.modes[0], expected)
 
-    def test_demo_dimensions_and_intertwining(self, demo_closed_loop):
+    def test_demo_dimensions_and_intertwining(self, demo_closed_loop, vtol_graphs):
         cl = demo_closed_loop
-        assert all(m.shape == (20, 20) for m in cl.full_modes)
-        assert all(m.shape == (16, 16) for m in cl.reduced_modes)
-        xi_n = np.kron(topology.xi_matrix(5), np.eye(4))
-        for full, red in zip(cl.full_modes, cl.reduced_modes):
-            residual = np.abs(xi_n @ full - red @ xi_n).max()
+        assert all(m.shape == (20, 20) for m in cl.modes)
+        t, t_inv = disagreement_transform(5, 4)
+        for full, mode in zip(dense_modes(cl, vtol_graphs), cl.modes):
+            assert np.all(mode[:16, 16:] == 0.0)
+            residual = np.abs(t @ full @ t_inv - mode).max()
             assert residual <= 1e-10 * max(1.0, np.abs(full).max())
 
     def test_rejects_wrong_gain_shape(self, vtol_graphs):
@@ -179,15 +186,29 @@ class TestSimulate:
             vtol.A, vtol.B, vtol_design.k, vtol_design.alpha, vtol_graphs,
             signal,
         )
-        rng = np.random.default_rng(25)
-        record = simulate(cl, rng.uniform(-1, 1, size=20), 0.07)
+        x0 = np.random.default_rng(25).uniform(-1, 1, size=20)
+        record = simulate(cl, x0, 0.07)
         switch_times = [t for t, _, _ in record.switches]
         assert switch_times == pytest.approx([0.5, 1.0, 1.5, 2.0, 2.5])
         assert np.isin(switch_times, record.times).all()
-        e0, _ = disagreement(record.states[0], 5, 4)
-        reduced = simulate_reduced(cl, e0, 0.07)
+        _, _, dense_errors = dense_simulate(cl, vtol_graphs, x0, 0.07)
         scale = max(1.0, np.abs(record.errors).max())
-        assert np.abs(record.errors - reduced.errors).max() <= 1e-8 * scale
+        assert np.abs(record.errors - dense_errors).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("dt, dwell", [(2.0, 3.0), (1.5, 2.5)])
+    def test_whole_second_fragment_not_confused_with_grid_step(
+        self, small_setup, dt, dwell
+    ):
+        # The 1 s fragment before each switch must not reuse the dt-step flow.
+        a, b, graphs, design = small_setup
+        signal = periodic_signal(1, dwell, 2 * dwell)
+        cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
+        x0 = np.random.default_rng(28).uniform(-1, 1, size=6)
+        record = simulate(cl, x0, dt)
+        _, dense_states, dense_errors = dense_simulate(cl, graphs, x0, dt)
+        scale = max(1.0, np.abs(dense_states).max())
+        assert np.abs(record.errors - dense_errors).max() <= 1e-10 * scale
+        assert np.abs(record.states - dense_states).max() <= 1e-10 * scale
 
     def test_single_topology_synthesized_gain_decays(self, vtol_graphs):
         # One fixed spanning-tree topology with its synthesized design.
@@ -216,8 +237,50 @@ class TestSimulate:
             graphs, signal,
         )
         with pytest.raises(SimulationDiverged) as err:
-            simulate(cl, np.array([1.0, 1.0]), 0.5)
+            simulate(cl, np.array([1.0, 0.0]), 0.5)
         assert 27.0 < err.value.t < 30.0
+
+    def test_growing_agreement_does_not_abort(self):
+        # Same unstable agents, but from consensus: only x_N grows (to e^40).
+        g = topology.DirectedGraph.from_edges(2, [(1, 2)])
+        graphs = topology.GraphSet((g,))
+        signal = periodic_signal(1, 1.0, 40.0)
+        cl = build_closed_loop(
+            np.array([[1.0]]), np.array([[1.0]]), np.zeros((1, 1)), 0.0,
+            graphs, signal,
+        )
+        record = simulate(cl, np.array([1.0, 1.0]), 0.5)
+        assert record.times[-1] == 40.0
+        assert np.all(record.error_norms == 0.0)
+        assert record.states[-1, 1] == pytest.approx(np.exp(40.0), rel=1e-9)
+
+    def test_non_finite_agreement_is_reported_as_divergence(self):
+        # e stays exactly 0 while x_N = e^(800 t) overflows at t = 1.
+        g = topology.DirectedGraph.from_edges(2, [(1, 2)])
+        signal = periodic_signal(1, 1.0, 3.0)
+        cl = build_closed_loop(
+            np.array([[800.0]]), np.array([[1.0]]), np.zeros((1, 1)), 0.0,
+            topology.GraphSet((g,)), signal,
+        )
+        with pytest.raises(SimulationDiverged) as err:
+            simulate(cl, np.array([1.0, 1.0]), 0.5)
+        assert err.value.t == 1.0
+
+    def test_grid_aligned_schedule_needs_one_expm_per_mode(
+        self, demo_closed_loop, monkeypatch
+    ):
+        calls = []
+        expm = simulator.linalg.expm
+
+        def counting_expm(m):
+            calls.append(m)
+            return expm(m)
+
+        monkeypatch.setattr(simulator.linalg, "expm", counting_expm)
+        rng = np.random.default_rng(27)
+        record = simulate(demo_closed_loop, rng.uniform(-1, 1, size=20), vtol.DT)
+        assert len(record.switches) == 19
+        assert len(calls) == 2
 
     def test_rejects_wrong_initial_length(self, demo_closed_loop):
         with pytest.raises(ValueError, match="length"):
@@ -239,24 +302,26 @@ class TestTranslationInvariance:
 
 
 class TestReductionEquivalence:
+    """The (e, x_N) core against the dense full-state oracle."""
+
     def test_full_and_reduced_paths_agree(self, small_setup):
         a, b, graphs, design = small_setup
         signal = periodic_signal(2, 0.7, 5.0)
         cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
         rng = np.random.default_rng(23)
         x0 = rng.uniform(-1, 1, size=6)
-        full = simulate(cl, x0, 0.05)
-        e0, _ = disagreement(x0, 3, 2)
-        reduced = simulate_reduced(cl, e0, 0.05)
-        assert np.allclose(reduced.times, full.times)
-        scale = max(1.0, np.abs(full.errors).max())
-        assert np.abs(full.errors - reduced.errors).max() <= 1e-8 * scale
+        record = simulate(cl, x0, 0.05)
+        times, states, errors = dense_simulate(cl, graphs, x0, 0.05)
+        assert np.array_equal(record.times, times)
+        scale = max(1.0, np.abs(errors).max())
+        assert np.abs(record.errors - errors).max() <= 1e-8 * scale
+        assert np.abs(record.states - states).max() <= 1e-8 * np.abs(states).max()
 
-    def test_demo_system_agrees(self, demo_closed_loop, demo_record):
-        e0 = demo_record.errors[0]
-        reduced = simulate_reduced(demo_closed_loop, e0, vtol.DT)
+    def test_demo_system_agrees(self, demo_closed_loop, demo_record, vtol_graphs):
+        x0 = np.random.default_rng(vtol.SEED).uniform(-1, 1, size=20)
+        _, _, errors = dense_simulate(demo_closed_loop, vtol_graphs, x0, vtol.DT)
         scale = max(1.0, np.abs(demo_record.errors).max())
-        diff = np.abs(demo_record.errors - reduced.errors).max()
+        diff = np.abs(demo_record.errors - errors).max()
         assert diff <= 1e-8 * scale
 
 
@@ -360,9 +425,11 @@ class TestLyapunovMonitor:
             demo_record, vtol_design.certificates, vtol_design.p
         )
         assert len(monitor.switch_jumps) == len(demo_record.switches)
-        for _, _, _, ratio, bound in monitor.switch_jumps:
+        q = {c.index: c.q for c in vtol_design.certificates}
+        for _, old, new, ratio, bound in monitor.switch_jumps:
             assert ratio is not None
             assert ratio <= bound * (1 + 1e-9)
+            assert bound == linalg.max_generalized_eigenvalue(q[old], q[new])
 
     def test_jump_ratio_tight_for_extremal_disagreement(self, vtol_design):
         certs = vtol_design.certificates
@@ -431,6 +498,28 @@ class TestTrajectoryCsv:
             np.array([float(v) for v in first[2:22]]), demo_record.states[0]
         )
         assert float(first[22]) == demo_record.error_norms[0]
+
+    def test_bytes_match_per_value_repr(self, tmp_path, demo_record, vtol_design):
+        monitor = lyapunov_monitor(
+            demo_record, vtol_design.certificates, vtol_design.p
+        )
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(demo_record, path, monitor)
+
+        # Reference: every value formatted one by one with repr(float(v)).
+        def fmt(value):
+            return repr(float(value))
+
+        switch_at = {t: (old, new) for t, old, new in demo_record.switches}
+        lines = [path.read_text().splitlines()[0]]
+        for s, t in enumerate(demo_record.times):
+            tail = [fmt(v) for v in demo_record.states[s]]
+            tail.append(fmt(demo_record.error_norms[s]))
+            tail += [fmt(v) for v in monitor.values[s]]
+            pairs = switch_at.get(t, (int(demo_record.indices[s]),))
+            lines += [",".join([fmt(t), str(i)] + tail) for i in pairs]
+        assert len(switch_at) == 19
+        assert path.read_bytes() == "".join(f"{ln}\r\n" for ln in lines).encode()
 
     def test_deterministic_bytes(self, tmp_path, demo_record):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

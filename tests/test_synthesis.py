@@ -182,6 +182,54 @@ class TestDwellThreshold:
         assert tau_s == pytest.approx(tau, rel=1e-10)
 
 
+def three_certificates():
+    rng = np.random.default_rng(14)
+    return [TopologyCertificate(i, 0.5, random_spd(rng, 4), 1.0) for i in (1, 2, 3)]
+
+
+class TestPairLambdas:
+    def test_dwell_threshold_bit_identical_to_per_pair_solves(self):
+        certs = three_certificates()
+        lam = max(
+            linalg.max_generalized_eigenvalue(ci.q, cj.q)
+            for ci in certs
+            for cj in certs
+            if ci.index != cj.index
+        )
+        assert dwell_threshold(certs, 2.5) == (lam, math.log(lam) / 2.5)
+
+    def test_schedule_margins_bit_identical_with_one_solve_per_pair(
+        self, monkeypatch
+    ):
+        certs = three_certificates()
+        q = {c.index: c.q for c in certs}
+        # A repeated topology (2 -> 2) is a pair of its own.
+        signal = topology.SwitchingSignal(
+            np.array([0.0, 0.7, 1.3, 2.2, 2.9, 3.5, 4.4]),
+            np.array([1, 2, 2, 3, 1, 2, 3]),
+            5.0,
+        )
+        t = signal.breakpoints
+        expected = []
+        for k in range(signal.interval_count - 1):
+            i, j = int(signal.indices[k]), int(signal.indices[k + 1])
+            lam = linalg.max_generalized_eigenvalue(q[i], q[j])
+            expected.append((lam, 1.5 * (t[k + 1] - t[k]) - math.log(lam)))
+
+        calls = []
+        solve = linalg.max_generalized_eigenvalue
+
+        def counting(q1, q2):
+            calls.append(None)
+            return solve(q1, q2)
+
+        monkeypatch.setattr(linalg, "max_generalized_eigenvalue", counting)
+        report = check_schedule(signal, certs, beta=1.5)
+        assert [(c.lambda_max, c.margin) for c in report.checks] == expected
+        # (1,2), (2,2), (2,3), (3,1); (1,2) and (2,3) recur.
+        assert len(calls) == 4
+
+
 class TestCheckSchedule:
     def constant_signal(self, dwell=0.5, horizon=3.0):
         return topology.periodic_signal(1, dwell, horizon)

@@ -25,8 +25,11 @@ from switched_consensus.topology import (
 from conftest import LHAT_1, LHAT_2
 
 
-def brute_force_spanning_tree(weights):
-    """Oracle: independent reachability search from every node."""
+def brute_force_root(weights):
+    """Oracle: reachability search from every node in index order.
+
+    Returns the first 1-based node that reaches every node, or None.
+    """
     n = weights.shape[0]
     for root in range(n):
         seen = {root}
@@ -38,8 +41,12 @@ def brute_force_spanning_tree(weights):
                     seen.add(i)
                     frontier.append(i)
         if len(seen) == n:
-            return True
-    return False
+            return root + 1
+    return None
+
+
+def brute_force_spanning_tree(weights):
+    return brute_force_root(weights) is not None
 
 
 def random_graph(rng, max_n=8):
@@ -129,10 +136,18 @@ class TestSpanningTree:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            g = random_graph(rng)
+        graphs = [random_graph(rng) for _ in range(200)]
+        # Sparse graphs up to 40 nodes: many strongly connected components,
+        # roots anywhere in index order.
+        for _ in range(100):
+            n = int(rng.integers(2, 41))
+            w = (rng.random((n, n)) < 2.0 / n) * 1.0
+            np.fill_diagonal(w, 0.0)
+            graphs.append(DirectedGraph(w))
+        for g in graphs:
             ok, root = has_spanning_tree(g)
-            assert ok == brute_force_spanning_tree(g.weights)
+            expected = brute_force_root(g.weights)
+            assert (ok, root) == (expected is not None, expected)
             if ok:
                 # The witness root really reaches every node.
                 single = {root - 1}
@@ -144,6 +159,12 @@ class TestSpanningTree:
                             single.add(i)
                             frontier.append(i)
                 assert len(single) == g.node_count
+
+    def test_pinned_path_root_is_the_leader(self):
+        n = 30
+        edges = [(i, i + 1) for i in range(1, n - 1)]
+        edges += [(i + 1, i) for i in range(1, n - 1)] + [(n, 1)]
+        assert has_spanning_tree(DirectedGraph.from_edges(n, edges)) == (True, n)
 
 
 class TestReduction:
