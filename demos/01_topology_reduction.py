@@ -10,7 +10,6 @@ import numpy as np
 
 from switched_consensus import (
     antistability_margin,
-    eigenvalues,
     has_spanning_tree,
     laplacian,
     reduce_laplacian,
@@ -38,9 +37,8 @@ for pos, g in enumerate(graphs, start=1):
     print("reduced to the disagreement space:")
     print(red.matrix)
 
-    spectrum = eigenvalues(red.matrix)
     margin = antistability_margin(red)
-    print("reduced spectrum:", np.sort_complex(spectrum))
+    print("reduced spectrum:", np.sort_complex(red.spectrum))
     print(f"antistability margin: {margin:.6g}")
     print("any c in (0, margin) is admissible for the per-topology "
           f"inequality; the demo uses c = 0.25 < {margin:.6g}\n")

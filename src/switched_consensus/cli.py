@@ -30,9 +30,18 @@ ANALYSIS_NAME = "analysis.json"
 
 
 def _write_json(doc, path):
+    """Write a report object with one top-level key per line.
+
+    Each value is encoded by ``json.dumps`` without indentation, which runs
+    the C encoder; the document parses exactly as an indented dump would.
+    Values are written one at a time, so only one is held as text.
+    """
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{")
+        for pos, (key, value) in enumerate(doc.items()):
+            fh.write(f"{',' if pos else ''}\n{json.dumps(key)}: ")
+            fh.write(json.dumps(value))
+        fh.write("\n}\n")
 
 
 def _matrix_str(m):
@@ -55,13 +64,15 @@ def cmd_analyze(rc, out_dir):
         red = topology.reduce_laplacian(lap, pos)
         margin = topology.antistability_margin(red)
         ok, root = topology.has_spanning_tree(g)
-        spectrum = linalg.eigenvalues(lap)
+        # spec(L) = {0} U spec(Lh); see ReducedLaplacian.spectrum.
+        spectrum = [[0.0, 0.0]] + np.column_stack(
+            [red.spectrum.real, red.spectrum.imag]).tolist()
         entries.append(
             {
                 "index": pos,
                 "spanning_tree": bool(ok),
                 "root": root,
-                "laplacian_spectrum": [[z.real, z.imag] for z in spectrum],
+                "laplacian_spectrum": spectrum,
                 "reduced_laplacian": red.matrix.tolist(),
                 "antistability_margin": margin,
             }

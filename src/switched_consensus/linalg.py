@@ -16,9 +16,12 @@ import scipy.linalg as sla
 
 # Relative asymmetry accepted before an input is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-9
-# Tolerance for the eigenvalue-pair condition of the Lyapunov equation.
+# Relative tolerance for the eigenvalue-pair condition of the Lyapunov
+# equation: a pair is singular when |l_i + l_j| <= tol * (|l_i| + |l_j|).
 EIG_PAIR_TOL = 1e-8
-# Residual acceptance thresholds, relative to 1 + ||rhs||_max.
+# Residual acceptance thresholds.  The Lyapunov bound is the normwise
+# backward error, relative to 1 + ||c|| + 2 ||a|| ||x||; the Riccati bound is
+# relative to 1 + ||w||.  All norms are entrywise max norms.
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
 CARE_RESIDUAL_RTOL = 1e-7
 # PBH rank cutoff: smallest singular value below this fraction of the largest
@@ -102,31 +105,58 @@ def is_positive_definite(m):
     return verdict, certificate
 
 
+def _schur_eigenvalues(t):
+    """Eigenvalues of a real Schur factor, read from its diagonal blocks.
+
+    LAPACK leaves each complex pair as a standardized 2x2 block
+    ``[[p, q], [r, p]]`` with ``q * r < 0``, whose eigenvalues are
+    ``p +- i sqrt(-q r)``; every other diagonal entry is a real eigenvalue.
+    """
+    lam = t.diagonal().astype(complex)
+    k = np.flatnonzero(t.diagonal(-1))
+    im = np.sqrt(np.abs(t[k, k + 1] * t[k + 1, k]))
+    lam[k] += 1j * im
+    lam[k + 1] -= 1j * im
+    return lam
+
+
 def solve_lyapunov(a, c):
     """Solve the Lyapunov equation  a^T X + X a = c  for symmetric c.
 
-    The solution exists and is unique iff no two eigenvalues of `a` sum to
-    zero; that condition is checked up front.  The result is symmetrized and
-    its residual verified against ``LYAPUNOV_RESIDUAL_RTOL * (1 + ||c||)``
-    in the entrywise max norm.
+    Bartels-Stewart: with the real Schur form ``a^T = u t u^T``, LAPACK's
+    trsyl solves ``t y + y t^T = u^T c u`` and ``X = u y u^T``.  The solution
+    exists and is unique iff no two eigenvalues of `a` sum to zero; that
+    condition is checked on the diagonal blocks of ``t`` before the solve.
+    The result is symmetrized and its residual verified against the
+    normwise backward error bound
+    ``LYAPUNOV_RESIDUAL_RTOL * (1 + ||c|| + 2 ||a|| ||X||)``.
     """
     a = _as_square(a, "a")
     c = _symmetrize(c, "c")
     if a.shape != c.shape:
         raise ValueError(f"dimension mismatch: a is {a.shape}, c is {c.shape}")
-    lam = eigenvalues(a)
-    scale = 1.0 + np.abs(lam).max()
-    pair_sums = np.abs(lam[:, None] + lam[None, :])
-    if pair_sums.min() <= EIG_PAIR_TOL * scale:
+    t, u = sla.schur(a.T, output="real")
+    lam = _schur_eigenvalues(t)
+    mag = np.abs(lam)
+    if np.any(np.abs(lam[:, None] + lam) <= EIG_PAIR_TOL * (mag[:, None] + mag)):
         raise ValueError(
             "Lyapunov equation is singular: eigenvalues of `a` contain a pair "
             "summing to zero (solution not unique)"
         )
-    # scipy solves a x + x a^H = q; transpose to get a^T X + X a = c.
-    x = sla.solve_continuous_lyapunov(a.T, c)
+    f = u.T.dot(c.dot(u))
+    trsyl = sla.get_lapack_funcs("trsyl", (t, f))
+    # info == 1 means trsyl perturbed a near-singular pair; the residual
+    # check below judges the result.
+    y, scale, info = trsyl(t, t, f, tranb="T")
+    if info < 0:
+        raise ValueError(f"trsyl rejected argument {-info}")
+    y *= scale
+    x = u.dot(y).dot(u.T)
     x = (x + x.T) / 2.0
     residual = np.abs(a.T @ x + x @ a - c).max()
-    bound = LYAPUNOV_RESIDUAL_RTOL * (1.0 + np.abs(c).max())
+    bound = LYAPUNOV_RESIDUAL_RTOL * (
+        1.0 + np.abs(c).max() + 2.0 * np.abs(a).max() * np.abs(x).max()
+    )
     if residual > bound:
         raise ValueError(
             f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}; "

@@ -16,7 +16,6 @@ exceeds `DIVERGENCE_CUTOFF` or whose state is not finite (checked once per
 interval).  Agent states ``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,15 +365,11 @@ def write_trajectory_csv(record, path, monitor=None):
         columns.append(monitor.values)
     data = np.hstack(columns)
     switch_at = {t: (old, new) for t, old, new in record.switches}
+    # CRLF rows as csv.writer emits them; repr is the shortest round-trip
+    # float form.  Rows are formatted and written one at a time.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes a Python float as its repr, the shortest round-trip form.
+        fh.write(",".join(header) + "\r\n")
         for t, index, row in zip(record.times.tolist(), record.indices.tolist(), data):
-            tail = row.tolist()
-            if t in switch_at:
-                old, new = switch_at[t]
-                writer.writerow([t, old] + tail)
-                writer.writerow([t, new] + tail)
-            else:
-                writer.writerow([t, index] + tail)
+            body = ",".join(map(repr, row.tolist()))
+            for i in switch_at.get(t, (index,)):
+                fh.write(f"{t!r},{i},{body}\r\n")

@@ -12,6 +12,7 @@ from node `from` to node `to`, i.e. it contributes the adjacency weight
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,12 +85,10 @@ class DirectedGraph:
 
     def edges(self):
         """Edge list as 1-based ``(from, to, weight)`` tuples, sorted by (from, to)."""
-        out = []
-        for i in range(self.node_count):
-            for j in range(self.node_count):
-                if self.weights[i, j] > 0:
-                    out.append((j + 1, i + 1, float(self.weights[i, j])))
-        return sorted(out)
+        # Row-major order over weights.T is (from, to) order.
+        src, dst = np.nonzero(self.weights.T > 0)
+        weights = self.weights.T[src, dst]
+        return list(zip((src + 1).tolist(), (dst + 1).tolist(), weights.tolist()))
 
 
 @dataclass
@@ -198,16 +197,29 @@ class ReducedLaplacian:
     Equals ``Xi @ L @ Pi`` for the source Laplacian L, with Xi = [I, -1] and
     Pi = [I; 0].  Antistable (all eigenvalues in the open right half-plane)
     exactly when the source graph contains a directed spanning tree.
+
+    `matrix` is a read-only copy, so the spectrum, solved on first use and
+    then cached, cannot go stale.
     """
 
     matrix: np.ndarray
     source_index: int = field(default=0)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"reduced Laplacian must be square, got {m.shape}")
+        m.flags.writeable = False
         self.matrix = m
+
+    @cached_property
+    def spectrum(self):
+        """Eigenvalues of `matrix` (complex, with multiplicity, unordered).
+
+        The source Laplacian is similar to ``[[Lh, 0], [l, 0]]``, so its
+        spectrum is this one plus a single 0.
+        """
+        return linalg.eigenvalues(self.matrix)
 
 
 def laplacian(g):
@@ -302,7 +314,7 @@ def antistability_margin(reduced):
     """
     if reduced.matrix.size == 0:
         return np.inf
-    return float(linalg.eigenvalues(reduced.matrix).real.min())
+    return float(reduced.spectrum.real.min())
 
 
 def periodic_signal(graph_count, dwell, horizon):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from switched_consensus import cli, topology, vtol
+from switched_consensus import cli, linalg, topology, vtol
 from switched_consensus.config import (
     ConfigError,
     build_signal,
@@ -304,11 +304,10 @@ class TestDeterminism:
     def test_repeated_runs_byte_identical(self, demo_config_file, tmp_path):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         for out in (out1, out2):
-            assert cli.main(["synthesize", "--config", demo_config_file,
-                             "--out", out]) == 0
-            assert cli.main(["simulate", "--config", demo_config_file,
-                             "--out", out]) == 0
-        for name in ("synthesis.json", "trajectory.csv"):
+            for command in ("analyze", "synthesize", "simulate"):
+                assert cli.main([command, "--config", demo_config_file,
+                                 "--out", out]) == 0
+        for name in ("analysis.json", "synthesis.json", "trajectory.csv"):
             b1 = (tmp_path / "r1" / name).read_bytes()
             b2 = (tmp_path / "r2" / name).read_bytes()
             assert b1 == b2, name
@@ -343,3 +342,101 @@ class TestDemoCommand:
         red2 = topology.reduce_laplacian(topology.laplacian(g2))
         assert np.array_equal(red1.matrix, LHAT_1)
         assert np.array_equal(red2.matrix, LHAT_2)
+
+
+def _double_integrator_doc(graphs, dwell, horizon, dt=0.05, tolerance=1e-2):
+    return {
+        "schema_version": 1,
+        "system": {"a": [[0.0, 1.0], [0.0, 0.0]], "b": [[0.0], [1.0]]},
+        "graphs": graphs,
+        "switching": {"periodic": {"dwell": dwell, "horizon": horizon}},
+        "synthesis": {"beta": 1.0},
+        "simulation": {"seed": 1, "dt": dt, "tolerance": tolerance,
+                       "window": 2.0},
+    }
+
+
+def _edges_doc(n, edges):
+    return {"node_count": n,
+            "edges": [{"from": s, "to": d, "weight": w} for s, d, w in edges]}
+
+
+RING_6 = _edges_doc(6, [(i, i % 6 + 1, 1.0) for i in range(1, 7)])
+PINNED_PATH_6 = _edges_doc(
+    6, [(i, i + 1, 1.0) for i in range(1, 5)]
+    + [(i + 1, i, 1.0) for i in range(1, 5)] + [(6, 1, 1.0)])
+
+
+class TestSpectralFacts:
+    def test_one_eigensolve_per_topology(self, tmp_path, monkeypatch):
+        # N=6 agents with n=2 states: every solve larger than 2x2 is of a
+        # reduced (5x5) or full (6x6) Laplacian or a shifted copy of one.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            _double_integrator_doc([RING_6, PINNED_PATH_6], 40.0, 100.0)))
+        orders = []
+        solve = linalg.eigenvalues
+        monkeypatch.setattr(linalg, "eigenvalues",
+                            lambda m: orders.append(len(m)) or solve(m))
+        for command in ("analyze", "synthesize", "verify"):
+            orders.clear()
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 0, command
+            assert [k for k in orders if k > 2] == [5, 5], command
+
+    def test_analysis_spectrum_is_laplacian_spectrum(self, tmp_path):
+        rng = np.random.default_rng(11)
+        w = rng.uniform(0.1, 3.0, size=(6, 6)) * (rng.random((6, 6)) < 0.4)
+        np.fill_diagonal(w, 0.0)
+        graphs = [
+            RING_6,
+            _edges_doc(6, [(1, 2, 0.3), (3, 4, 2.0), (5, 6, 7.5)]),  # no tree
+            topology.graph_to_dict(topology.DirectedGraph(w)),
+        ]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_double_integrator_doc(graphs, 1.0, 4.0)))
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+        report = json.loads((out / "analysis.json").read_text())
+        for doc, entry in zip(graphs, report["graphs"]):
+            lap = topology.laplacian(topology.graph_from_dict(doc))
+            expected = np.linalg.eigvals(lap)
+            reported = np.array([complex(*z) for z in entry["laplacian_spectrum"]])
+            assert reported.size == expected.size
+            assert [0.0, 0.0] in entry["laplacian_spectrum"]
+            gaps = np.abs(reported[:, None] - expected[None, :])
+            tol = 1e-9 * max(1.0, np.abs(lap).max())
+            assert gaps.min(axis=0).max() <= tol
+            assert gaps.min(axis=1).max() <= tol
+        assert [e["spanning_tree"] for e in report["graphs"]][:2] == [True, False]
+
+    def test_extreme_weights_pass_end_to_end(self, tmp_path, capsys):
+        # Reduced spectra near 1e-6 and 1e6: the shifted matrices are
+        # antistable, so the Lyapunov solves are regular.
+        graphs = [
+            _edges_doc(3, [(1, 2, 1e-6), (2, 3, 1e6)]),
+            _edges_doc(3, [(3, 2, 1e6), (2, 1, 1e-6)]),
+        ]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            _double_integrator_doc(graphs, 40.0, 100.0, dt=0.5, tolerance=0.5)))
+        out = str(tmp_path / "out")
+        for command in ("analyze", "synthesize", "simulate", "verify"):
+            assert cli.main([command, "--config", str(path), "--out", out]) == 0, \
+                command
+        text = capsys.readouterr().out
+        assert "antistability margin 1e-06" in text
+        assert "consensus: PASS" in text and "all checks passed" in text
+
+    def test_report_layout(self, tmp_path):
+        # One top-level key per line; values compact, floats as repr.
+        doc = {"a": [0.1, -0.0, 1e-300, 2.0 ** 0.5], "b": None,
+               "c": {"nested": [True, "s"]}, "d": 3}
+        path = tmp_path / "report.json"
+        cli._write_json(doc, path)
+        text = path.read_text()
+        assert json.loads(text) == doc
+        assert text == (
+            '{\n"a": [0.1, -0.0, 1e-300, 1.4142135623730951],\n"b": null,\n'
+            '"c": {"nested": [true, "s"]},\n"d": 3\n}\n'
+        )

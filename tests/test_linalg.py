@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from switched_consensus import linalg
 
@@ -141,6 +142,48 @@ class TestSolveLyapunov:
     def test_rejects_mirrored_spectrum(self):
         with pytest.raises(ValueError, match="singular"):
             linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_schur_eigenvalues_match_eig(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            a = rng.normal(size=(int(rng.integers(1, 9)),) * 2)
+            t, _ = sla.schur(a, output="real")
+            lam = np.sort_complex(linalg._schur_eigenvalues(t))
+            ref = np.sort_complex(np.linalg.eigvals(a))
+            assert np.abs(lam - ref).max() <= 1e-10 * (1 + np.abs(ref).max())
+
+    def test_spectrum_spanning_many_decades(self):
+        # Pairs are judged against their own size, not against max |lambda|.
+        a = np.diag([1e-7, 2e-7, 1e6])
+        a[0, 2] = 5e5
+        x = linalg.solve_lyapunov(a, np.eye(3))
+        ref = kron_lyapunov(a, np.eye(3))
+        assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
+        with pytest.raises(ValueError, match="singular"):
+            linalg.solve_lyapunov(np.diag([1e-7, -1e-7, 1e6]), np.eye(3))
+
+    def test_rejects_perturbed_solution(self, monkeypatch):
+        # A backward-stable solve passes; the same solve off by 1e-6
+        # relative must not.
+        rng = np.random.default_rng(9)
+        a = random_stable(rng, 5)
+        c = rng.normal(size=(5, 5))
+        c = (c + c.T) / 2
+        linalg.solve_lyapunov(a, c)
+        lapack = sla.get_lapack_funcs
+
+        def perturbed(names, arrays):
+            trsyl = lapack(names, arrays)
+
+            def solve(*args, **kwargs):
+                y, scale, info = trsyl(*args, **kwargs)
+                return y * (1 + 1e-6), scale, info
+
+            return solve
+
+        monkeypatch.setattr(linalg.sla, "get_lapack_funcs", perturbed)
+        with pytest.raises(ValueError, match="residual"):
+            linalg.solve_lyapunov(a, c)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -81,6 +81,19 @@ class TestDirectedGraph:
         g = random_graph(rng)
         rebuilt = DirectedGraph.from_edges(g.node_count, g.edges())
         assert np.array_equal(rebuilt.weights, g.weights)
+        # Same list as a scan of every entry, sorted by (from, to).
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            w = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+            np.fill_diagonal(w, 0.0)
+            g = DirectedGraph(w)
+            loop = sorted(
+                (j + 1, i + 1, float(w[i, j]))
+                for i in range(n) for j in range(n) if w[i, j] > 0
+            )
+            edges = g.edges()
+            assert edges == loop
+            assert all(type(v) is t for e in edges for v, t in zip(e, (int, int, float)))
 
 
 class TestGraphSet:
@@ -226,6 +239,24 @@ class TestAntistabilityMargin:
     def test_demo_values(self, lhat):
         red = topology.ReducedLaplacian(lhat)
         assert antistability_margin(red) == pytest.approx(1.0, abs=1e-8)
+
+    def test_spectrum_solved_once(self, monkeypatch):
+        calls = []
+        solve = topology.linalg.eigenvalues
+        monkeypatch.setattr(topology.linalg, "eigenvalues",
+                            lambda m: calls.append(m.shape) or solve(m))
+        source = LHAT_1.copy()
+        red = topology.ReducedLaplacian(source)
+        assert calls == []
+        margin = antistability_margin(red)
+        assert antistability_margin(red) == margin
+        assert red.spectrum.real.min() == margin
+        assert calls == [(4, 4)]
+        # The cached spectrum belongs to a private, read-only matrix.
+        source[0, 0] = 99.0
+        assert np.array_equal(red.matrix, LHAT_1)
+        with pytest.raises(ValueError):
+            red.matrix[0, 0] = 99.0
 
 
 class TestPeriodicSignal:
