@@ -12,8 +12,11 @@ stepping error enters; the sample grid only chooses where the flow is seen.
 Norms, verdicts, energies and the divergence rule use e itself, never a
 difference of agent states, so they keep full precision while the agreement
 grows.  A run diverges at the first sample whose disagreement max-norm
-exceeds `DIVERGENCE_CUTOFF` or whose state is not finite (checked once per
-interval).  Agent states ``x_i = e_i + x_N`` are rebuilt for output only.
+exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
+run in blocks of switching intervals: each block's new transition matrices
+are exponentiated in stacked calls, a few per mode, before it is propagated,
+and its samples are checked for divergence at once.  Agent states
+``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,9 @@ from . import linalg, synthesis, topology
 # Abort threshold for diverging disagreement (infeasible designs blow up in
 # finite time at double precision).
 DIVERGENCE_CUTOFF = 1e12
+# Switching intervals whose transition matrices are exponentiated together;
+# bounds the fragment flows held at once.
+BLOCK_INTERVALS = 256
 
 __all__ = [
     "LyapunovMonitor",
@@ -181,12 +187,69 @@ def _check_divergence(block, times, m):
         raise SimulationDiverged(float(times[bad[0]]), float(peaks[bad[0]]))
 
 
+def _flows(mode, steps, m):
+    """``expm(mode * h)`` for every h in `steps`, in one stacked call.
+
+    The flow is block lower triangular like the mode; expm's round-off above
+    it is cleared so x_N never leaks into e.
+    """
+    flows = linalg.expm(mode * np.array(steps)[:, None, None])
+    flows[:, :m, m:] = 0.0
+    return flows
+
+
+def _propagate(modes, samples, times, indices, steps, ends, dt, m):
+    """Fill ``samples[1:]`` from ``samples[0]``, one block of intervals at a time.
+
+    Step s advances sample s by ``steps[s]`` under mode ``indices[s]``;
+    ``ends[j]`` is the sample that ends interval j.  See `simulate`.
+    """
+    z = samples[0]
+    held = {}
+    first = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, ends.size, BLOCK_INTERVALS):
+            last = int(ends[min(lo + BLOCK_INTERVALS, ends.size) - 1])
+            block_modes = indices[first - 1 : last].tolist()
+            hs = steps[first - 1 : last].tolist()
+            flows = dict(held)
+            new = [k for k in dict.fromkeys(zip(block_modes, hs)) if k not in held]
+            # Full steps get a stack of their own, so holding them does not
+            # keep a block's fragments alive.
+            for mode, full in dict.fromkeys((md, h == dt) for md, h in new):
+                keys = [k for k in new if k[0] == mode and (k[1] == dt) == full]
+                try:
+                    hs_new = [h for _, h in keys]
+                    flows.update(zip(keys, _flows(modes[mode - 1], hs_new, m)))
+                except OverflowError:
+                    pass  # exponentiated one by one below, when first reached
+            held.update((key, flows[key]) for key in new
+                        if key[1] == dt and key in flows)
+            for s, key in enumerate(zip(block_modes, hs), start=first):
+                flow = flows.get(key)
+                if flow is None:
+                    # Report an earlier divergence before this flow overflows.
+                    _check_divergence(samples[first:s], times[first:s], m)
+                    flow = flows[key] = _flows(modes[key[0] - 1], [key[1]], m)[0]
+                z = np.dot(flow, z, out=samples[s])
+            _check_divergence(samples[first : last + 1], times[first : last + 1], m)
+            first = last + 1
+
+
 def simulate(closed_loop, x0, dt):
     """Run the switched system from x0, sampled on the global dt grid.
 
-    Propagates ``z = (e, x_N)`` with one mat-vec per sample.  Transition
-    matrices are cached per ``(mode, h)``; a step within 1e-9*dt of dt is
-    snapped to dt, so float jitter on the grid never misses the cache.
+    Propagates ``z = (e, x_N)`` with one mat-vec per sample, working through
+    the schedule in blocks of `BLOCK_INTERVALS` switching intervals.  Each
+    step is keyed ``(mode, h)``, with a step within 1e-9*dt of dt snapped to
+    dt so float jitter on the grid never splits a key.  Per block, the keys
+    not yet held are exponentiated in one stacked call per mode for the
+    off-grid fragments next to switches, plus one for the full step ``(mode,
+    dt)`` the first time it occurs; then the block is propagated and its
+    samples are checked for divergence at once.  Full steps are kept for the
+    whole run; fragments are dropped with their block, so memory stays
+    bounded.  A step whose flow overflows raises OverflowError, unless an
+    earlier sample diverged.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -206,28 +269,13 @@ def simulate(closed_loop, x0, dt):
     outgoing, incoming = signal.indices[:-1].tolist(), signal.indices[1:].tolist()
     indices[ends[:-1]] = incoming
     switches = list(zip(times[ends[:-1]].tolist(), outgoing, incoming))
+    # Step s takes sample s to s + 1 under the mode stored at sample s (the
+    # stored index is right-continuous).
+    steps = np.diff(times)
+    steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
     samples = np.empty((times.size, z.size))
     samples[0] = z
-    cache = {}
-    t = 0.0
-    s = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for mode, grid in zip(signal.indices.tolist(), grids):
-            first = s + 1
-            for target in grid:
-                h = target - t
-                if abs(h - dt) <= 1e-9 * dt:
-                    h = dt
-                key = (mode, h)
-                if key not in cache:
-                    # The flow is block lower triangular like the mode; clear
-                    # expm's round-off above it so x_N never leaks into e.
-                    cache[key] = linalg.expm(closed_loop.modes[mode - 1] * h)
-                    cache[key][:m, m:] = 0.0
-                s += 1
-                z = samples[s] = cache[key] @ z
-                t = target
-            _check_divergence(samples[first : s + 1], times[first : s + 1], m)
+    _propagate(closed_loop.modes, samples, times, indices, steps, ends, dt, m)
     errors = samples[:, :m].copy()
     states = np.tile(samples[:, m:], n_nodes)
     states[:, :m] += errors
@@ -288,6 +336,30 @@ def consensus_verdict(record, tol, window):
     return bool(ratio <= tol and persistent), ratio
 
 
+def _interval_rates(times, values, lo, counts, cols):
+    """Least-squares slope of ``log values[:, cols[j]]`` over each interval.
+
+    Interval j holds the `counts[j]` samples from `lo[j]`; the slope is that
+    of ``np.polyfit(t, log v, 1)``, taken in two centered passes per interval
+    (means first, then the centered moments), so no long running sum
+    cancels.  None when an interval has fewer than two samples or a value is
+    not positive.
+    """
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    owner = np.repeat(np.arange(counts.size), counts)
+    rows = np.arange(owner.size) + (lo - starts)[owner]
+    t = times[rows] - times[lo][owner]
+    v = values[rows, cols[owner]]
+    positive = v > 0
+    y = np.log(np.where(positive, v, 1.0))
+    t -= (np.add.reduceat(t, starts) / counts)[owner]
+    y -= (np.add.reduceat(y, starts) / counts)[owner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.add.reduceat(t * y, starts) / np.add.reduceat(t * t, starts)
+    fitted = (counts >= 2) & np.logical_and.reduceat(positive, starts)
+    return [float(r) if ok else None for r, ok in zip(slopes.tolist(), fitted.tolist())]
+
+
 def lyapunov_monitor(record, certificates, p):
     """Per-topology energy traces with decay rates and switch-jump ratios.
 
@@ -309,28 +381,23 @@ def lyapunov_monitor(record, certificates, p):
     )
     col = {idx: pos for pos, idx in enumerate(order)}
 
-    # Fitted exponential rate of the active trace on each switching interval.
-    boundaries = [record.times[0]] + [t for t, _, _ in record.switches]
-    boundaries.append(record.times[-1])
-    interval_rates = []
-    for a_t, b_t in zip(boundaries[:-1], boundaries[1:]):
-        lo = int(np.searchsorted(record.times, a_t))
-        hi = int(np.searchsorted(record.times, b_t, side="right"))
-        active = int(record.indices[lo])
-        v = values[lo:hi, col[active]]
-        tt = record.times[lo:hi]
-        if v.size >= 2 and np.all(v > 0):
-            rate = float(np.polyfit(tt, np.log(v), 1)[0])
-        else:
-            rate = None
-        interval_rates.append((float(a_t), float(b_t), active, rate))
+    # Interval j spans samples pos[j] .. pos[j + 1] (both ends); every
+    # boundary is a sample time, and the inner ones are the switches.
+    boundaries = [float(record.times[0])] + [float(t) for t, _, _ in record.switches]
+    boundaries.append(float(record.times[-1]))
+    pos = np.searchsorted(record.times, boundaries)
+    lo, counts = pos[:-1], np.diff(pos) + 1
+    active = record.indices[lo].tolist()
+    rates = _interval_rates(
+        record.times, values, lo, counts, np.array([col[i] for i in active])
+    )
+    interval_rates = list(zip(boundaries[:-1], boundaries[1:], active, rates))
 
     bounds = synthesis.pair_lambdas(
         certificates, [(old, new) for _, old, new in record.switches]
     )
     switch_jumps = []
-    for t_s, old, new in record.switches:
-        s = int(np.searchsorted(record.times, t_s))
+    for s, (t_s, old, new) in zip(pos[1:-1].tolist(), record.switches):
         v_old = values[s, col[old]]
         v_new = values[s, col[new]]
         bound = bounds[old, new]

@@ -329,16 +329,19 @@ def periodic_signal(graph_count, dwell, horizon):
         raise ValueError(f"horizon {horizon} must exceed the dwell {dwell}")
     if graph_count < 1:
         raise ValueError("need at least one topology")
-    breakpoints = []
-    k = 0
-    # Multiply rather than accumulate so breakpoints are reproducible; the
-    # guard keeps float noise from creating a near-empty trailing interval.
-    while k * dwell < horizon - 1e-9 * dwell:
-        breakpoints.append(k * dwell)
-        k += 1
-    indices = [(k % graph_count) + 1 for k in range(len(breakpoints))]
+    # Breakpoints are k * dwell for every k with k * dwell below the guard,
+    # which keeps float noise from creating a near-empty trailing interval.
+    # Multiplying rather than accumulating makes them reproducible; k * dwell
+    # is monotone in k, so the count is fixed up from its quotient estimate.
+    end = horizon - 1e-9 * dwell
+    count = int(np.ceil(end / dwell))
+    while count * dwell < end:
+        count += 1
+    while (count - 1) * dwell >= end:
+        count -= 1
+    k = np.arange(count)
     return SwitchingSignal(
-        np.array(breakpoints), np.array(indices), float(horizon), tau0=dwell
+        k * float(dwell), k % graph_count + 1, float(horizon), tau0=dwell
     )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from switched_consensus import simulator, topology, vtol
+from switched_consensus import linalg, simulator, topology, vtol
 
 # Reduced Laplacians of the two demo topologies, known in closed form
 # (graph 1 is lower triangular after reduction, graph 2 block triangular).
@@ -72,8 +72,6 @@ def draw_stabilizable(rng, max_n=5, pbh_floor=0.3):
     its double-precision residual floor exceeds any fixed tolerance, so draws
     are filtered by the smallest PBH singular value.
     """
-    from switched_consensus import linalg
-
     while True:
         n = int(rng.integers(2, max_n + 1))
         m = int(rng.integers(1, 3))
@@ -146,3 +144,63 @@ def dense_simulate(closed_loop, graphs, x0, dt):
         topology.xi_matrix(closed_loop.node_count), np.eye(closed_loop.state_dim)
     )
     return np.array(times), states, states @ xi_n.T
+
+
+def cached_simulate(closed_loop, x0, dt):
+    """Oracle: the one-matrix-at-a-time simulator the blocked one replaced.
+
+    Propagates ``z = (e, x_N)`` sample by sample, exponentiating each
+    ``(mode, h)`` step once, on first use, into a cache kept for the whole
+    run, and checks divergence at the end of every interval.
+    """
+    n_nodes = closed_loop.node_count
+    n = closed_loop.state_dim
+    m = (n_nodes - 1) * n
+    e0, _ = simulator.disagreement(x0, n_nodes, n)
+    z = np.concatenate([e0, np.asarray(x0, dtype=float).ravel()[m:]])
+    signal = closed_loop.signal
+    edges = signal.breakpoints.tolist() + [signal.horizon]
+    grids = [
+        simulator._grid_targets(t0, t1, dt) for t0, t1 in zip(edges[:-1], edges[1:])
+    ]
+    times = np.array([0.0] + [t for grid in grids for t in grid])
+    ends = np.cumsum([len(grid) for grid in grids])
+    indices = np.repeat(signal.indices, np.diff(ends, prepend=-1))
+    outgoing, incoming = signal.indices[:-1].tolist(), signal.indices[1:].tolist()
+    indices[ends[:-1]] = incoming
+    switches = list(zip(times[ends[:-1]].tolist(), outgoing, incoming))
+    samples = np.empty((times.size, z.size))
+    samples[0] = z
+    cache = {}
+    t = 0.0
+    s = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode, grid in zip(signal.indices.tolist(), grids):
+            first = s + 1
+            for target in grid:
+                h = target - t
+                if abs(h - dt) <= 1e-9 * dt:
+                    h = dt
+                key = (mode, h)
+                if key not in cache:
+                    cache[key] = linalg.expm(closed_loop.modes[mode - 1] * h)
+                    cache[key][:m, m:] = 0.0
+                s += 1
+                z = samples[s] = cache[key] @ z
+                t = target
+            simulator._check_divergence(
+                samples[first : s + 1], times[first : s + 1], m
+            )
+    errors = samples[:, :m].copy()
+    states = np.tile(samples[:, m:], n_nodes)
+    states[:, :m] += errors
+    return simulator.TrajectoryRecord(
+        times=times,
+        states=states,
+        errors=errors,
+        error_norms=np.linalg.norm(errors, axis=1),
+        indices=indices,
+        switches=switches,
+        node_count=n_nodes,
+        state_dim=n,
+    )

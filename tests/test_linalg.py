@@ -102,6 +102,27 @@ class TestIsPositiveDefinite:
             assert verdict and cert > 0
 
 
+    def test_verdict_is_sign_of_certificate(self):
+        # Smallest eigenvalue within a few ulps of zero, of either sign:
+        # a Cholesky verdict and the eigenvalue disagree on about a quarter.
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+            smallest = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-18, -13)
+            q = u @ np.diag([smallest, 1e-3, 0.1, 1.0, 10.0, 100.0]) @ u.T
+            verdict, cert = linalg.is_positive_definite((q + q.T) / 2)
+            assert verdict is (cert > 0)
+
+    @pytest.mark.parametrize("smallest", [1e-9, -1e-9])
+    def test_near_singular_verdict(self, smallest):
+        rng = np.random.default_rng(35)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        q = u @ np.diag([smallest, 1e-3, 0.1, 1.0, 10.0, 100.0]) @ u.T
+        verdict, cert = linalg.is_positive_definite((q + q.T) / 2)
+        assert verdict is (smallest > 0)
+        assert cert == pytest.approx(smallest, rel=1e-4)
+
+
 class TestSolveLyapunov:
     def test_scaled_identity_case(self):
         # a = -I/2 gives a^T X + X a = -X, so X = -c.
@@ -263,6 +284,30 @@ class TestExpm:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             linalg.expm(np.diag([800.0, 800.0]))
+
+    def test_stack_equals_per_slice_calls(self):
+        rng = np.random.default_rng(35)
+        stack = rng.normal(size=(9, 5, 5)) * rng.uniform(0.01, 20.0, (9, 1, 1))
+        stack[1] = np.diag(rng.normal(size=5))  # diagonal shortcut
+        stack[2] = np.tril(stack[2])  # triangular squaring
+        stack[3] = 0.0
+        out = linalg.expm(stack)
+        assert out.shape == stack.shape
+        for got, m in zip(out, stack):
+            assert got.tobytes() == linalg.expm(m).tobytes()
+        nested = linalg.expm(stack[:8].reshape(2, 4, 5, 5))
+        assert nested.tobytes() == out[:8].tobytes()
+
+    def test_overflow_of_one_slice_reported(self):
+        stack = np.stack([np.eye(2), np.diag([800.0, 1.0]), np.zeros((2, 2))])
+        with pytest.raises(OverflowError, match="8.000e\\+02"):
+            linalg.expm(stack)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.expm(np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.expm(np.full((2, 2, 2), np.nan))
 
 
 class TestMaxGeneralizedEigenvalue:

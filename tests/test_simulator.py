@@ -18,6 +18,7 @@ from switched_consensus.simulator import (
 from switched_consensus.topology import periodic_signal
 
 from conftest import (
+    cached_simulate,
     dense_modes,
     dense_simulate,
     disagreement_transform,
@@ -287,6 +288,121 @@ class TestSimulate:
             simulate(demo_closed_loop, np.zeros(19), 0.1)
 
 
+def irregular_loop(small_setup, intervals, seed):
+    """Closed loop of `small_setup` under a random explicit schedule."""
+    a, b, graphs, design = small_setup
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.3, 0.9, intervals)
+    signal = topology.SwitchingSignal(
+        np.concatenate([[0.0], np.cumsum(gaps[:-1])]),
+        rng.integers(1, 3, intervals),
+        float(gaps.sum()),
+    )
+    return build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
+
+
+def record_fields(record):
+    return (record.times, record.states, record.errors, record.error_norms,
+            record.indices)
+
+
+class TestBlockedPropagation:
+    """Blocks of intervals, their step matrices in stacked expm calls."""
+
+    INTERVALS = 2 * simulator.BLOCK_INTERVALS + 100  # three blocks
+
+    @pytest.mark.parametrize("case", ["demo", "irregular", "incommensurate",
+                                      "dt-above-dwell"])
+    def test_matches_per_key_cache_reference(
+        self, case, demo_closed_loop, small_setup, vtol_graphs, vtol_design
+    ):
+        a, b, graphs, design = small_setup
+        rng = np.random.default_rng(29)
+        if case == "demo":
+            cl, dt = demo_closed_loop, vtol.DT
+        elif case == "irregular":
+            cl, dt = irregular_loop(small_setup, self.INTERVALS, 30), 0.1
+        elif case == "incommensurate":
+            signal = periodic_signal(2, 0.5, 350.0)
+            cl = build_closed_loop(vtol.A, vtol.B, vtol_design.k,
+                                   vtol_design.alpha, vtol_graphs, signal)
+            dt = 0.07
+        else:
+            signal = periodic_signal(2, 3.0, 1000.0)
+            cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
+            dt = 4.5
+        x0 = rng.uniform(-1, 1, size=cl.node_count * cl.state_dim)
+        record = simulate(cl, x0, dt)
+        reference = cached_simulate(cl, x0, dt)
+        for got, want in zip(record_fields(record), record_fields(reference)):
+            assert np.array_equal(got, want)
+        assert record.switches == reference.switches
+
+    def test_each_distinct_step_exponentiated_once(self, small_setup, monkeypatch):
+        calls = []
+        expm = simulator.linalg.expm
+
+        def counting_expm(m):
+            calls.append(m.reshape(-1, *m.shape[-2:]))
+            return expm(m)
+
+        monkeypatch.setattr(simulator.linalg, "expm", counting_expm)
+        cl = irregular_loop(small_setup, self.INTERVALS, 31)
+        dt = 0.1
+        record = simulate(cl, np.random.default_rng(31).uniform(-1, 1, 6), dt)
+        steps = np.diff(record.times)
+        steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
+        # The stored index is right-continuous: the mode of the next step.
+        keys = set(zip(record.indices[:-1].tolist(), steps.tolist()))
+        slices = [m.tobytes() for call in calls for m in call]
+        assert len(set(slices)) == len(slices) == len(keys)
+        # A full step has a call of its own, so holding it for the run does
+        # not keep a block's fragments alive.
+        full = {(mode * dt).tobytes() for mode in cl.modes}
+        assert sum(len(call) == 1 and call[0].tobytes() in full
+                   for call in calls) == 2
+
+    def test_divergence_in_late_block_reports_first_bad_sample(self):
+        # e(t) = e^(4t) first exceeds the cutoff at the sample t = 6.91, in
+        # the third block of 0.01 s intervals.
+        g = topology.DirectedGraph.from_edges(2, [(1, 2)])
+        signal = periodic_signal(1, 0.01, 10.0)
+        cl = build_closed_loop(
+            np.array([[4.0]]), np.array([[1.0]]), np.zeros((1, 1)), 0.0,
+            topology.GraphSet((g,)), signal,
+        )
+        with pytest.raises(SimulationDiverged) as err:
+            simulate(cl, np.array([1.0, 0.0]), 0.005)
+        with pytest.raises(SimulationDiverged) as want:
+            cached_simulate(cl, np.array([1.0, 0.0]), 0.005)
+        assert err.value.t == want.value.t
+        assert err.value.t == pytest.approx(6.91)
+        assert err.value.t > 2 * simulator.BLOCK_INTERVALS * 0.01
+
+    @pytest.mark.parametrize("indices, error", [
+        ([1, 2], SimulationDiverged), ([2, 1], OverflowError),
+    ])
+    def test_overflowing_flow_after_divergence(self, indices, error):
+        # Topology 1 grows e like e^(2t) and passes the cutoff at t = 14;
+        # a step of topology 2 grows it by e^1001 and overflows.  The error
+        # that comes first along the run is raised, as per-key expm did.
+        graphs = topology.GraphSet((
+            topology.DirectedGraph.from_edges(2, [(1, 2, 1.0)]),
+            topology.DirectedGraph.from_edges(2, [(2, 1, 1000.0)]),
+        ))
+        signal = topology.SwitchingSignal(np.array([0.0, 20.0]),
+                                          np.array(indices), 21.0)
+        cl = build_closed_loop(np.array([[1.0]]), np.array([[1.0]]),
+                               np.array([[-1.0]]), 1.0, graphs, signal)
+        x0 = np.array([1.0, 0.0])
+        with pytest.raises(error) as err:
+            simulate(cl, x0, 1.0)
+        with pytest.raises(error) as want:
+            cached_simulate(cl, x0, 1.0)
+        if error is SimulationDiverged:
+            assert err.value.t == want.value.t == 14.0
+
+
 class TestTranslationInvariance:
     def test_error_traces_agree(self, small_setup):
         a, b, graphs, design = small_setup
@@ -461,6 +577,50 @@ class TestLyapunovMonitor:
         assert len(rates) == len(monitor.interval_rates)
         # The switched loop contracts on average; most intervals decay.
         assert np.median(rates) < 0
+
+    @pytest.mark.parametrize("case", ["demo", "irregular"])
+    def test_rates_match_polyfit(self, case, demo_record, vtol_design, small_setup):
+        if case == "demo":
+            record, design = demo_record, vtol_design
+        else:
+            design = small_setup[3]
+            cl = irregular_loop(small_setup, TestBlockedPropagation.INTERVALS, 32)
+            record = simulate(cl, np.random.default_rng(32).uniform(-1, 1, 6), 0.1)
+        monitor = lyapunov_monitor(record, design.certificates, design.p)
+        col = {i: k for k, i in enumerate(monitor.topology_indices)}
+        assert len(monitor.interval_rates) == len(record.switches) + 1
+        for t0, t1, index, rate in monitor.interval_rates:
+            lo = np.searchsorted(record.times, t0)
+            hi = np.searchsorted(record.times, t1, side="right")
+            t, v = record.times[lo:hi], monitor.values[lo:hi, col[index]]
+            assert index == record.indices[lo]
+            want = np.polyfit(t - t[0], np.log(v), 1)[0]
+            assert rate == pytest.approx(want, rel=1e-9)
+
+    def test_rates_none_without_a_positive_trace(self, demo_closed_loop,
+                                                 vtol_design):
+        record = simulate(demo_closed_loop, np.tile([1.0, 0.5, -0.25, 2.0], 5), 0.1)
+        record.errors[:] = 0.0
+        monitor = lyapunov_monitor(record, vtol_design.certificates, vtol_design.p)
+        assert [r for *_, r in monitor.interval_rates] == [None] * 20
+        single = TrajectoryRecord(
+            times=np.array([0.0]), states=np.zeros((1, 20)),
+            errors=np.ones((1, 16)), error_norms=np.array([4.0]),
+            indices=np.array([1]), switches=[], node_count=5, state_dim=4,
+        )
+        monitor = lyapunov_monitor(single, vtol_design.certificates, vtol_design.p)
+        assert monitor.interval_rates == [(0.0, 0.0, 1, None)]
+
+    def test_jump_above_its_bound_raises(self, demo_record, vtol_design,
+                                         monkeypatch):
+        pair_lambdas = simulator.synthesis.pair_lambdas
+        monkeypatch.setattr(
+            simulator.synthesis, "pair_lambdas",
+            lambda certs, pairs: {k: 0.5 * v
+                                  for k, v in pair_lambdas(certs, pairs).items()},
+        )
+        with pytest.raises(RuntimeError, match="exceeds its algebraic bound"):
+            lyapunov_monitor(demo_record, vtol_design.certificates, vtol_design.p)
 
     def test_missing_certificate_rejected(self, demo_record, vtol_design):
         with pytest.raises(ValueError, match="certificate"):

@@ -276,6 +276,39 @@ class TestPeriodicSignal:
         assert np.allclose(s.breakpoints, [0.0, 0.2, 0.4])
         assert list(s.indices) == [1, 2, 3]
 
+    @staticmethod
+    def loop_breakpoints(graph_count, dwell, horizon):
+        """Reference: one multiple of the dwell at a time, in Python."""
+        breakpoints = []
+        k = 0
+        while k * dwell < horizon - 1e-9 * dwell:
+            breakpoints.append(k * dwell)
+            k += 1
+        indices = [k % graph_count + 1 for k in range(len(breakpoints))]
+        return np.array(breakpoints), np.array(indices)
+
+    def test_breakpoints_match_loop(self):
+        rng = np.random.default_rng(33)
+        cases = [(0.1, 0.3), (0.1, 0.7), (1 / 3, 1.0), (0.7, 7.0), (0.01, 1.0)]
+        for _ in range(300):
+            dwell = float(rng.uniform(0.001, 5.0))
+            k = int(rng.integers(2, 500))
+            jitter = float(rng.uniform(-2e-9, 2e-9))
+            cases += [(dwell, k * dwell), (dwell, (k + jitter) * dwell),
+                      (dwell, float(rng.uniform(1.001, 500.0)) * dwell)]
+        for dwell, horizon in cases:
+            s = periodic_signal(3, dwell, horizon)
+            breakpoints, indices = self.loop_breakpoints(3, dwell, horizon)
+            assert s.breakpoints.tobytes() == breakpoints.tobytes()
+            assert np.array_equal(s.indices, indices)
+
+    def test_million_intervals(self):
+        s = periodic_signal(2, 1e-3, 1000.0)
+        breakpoints, indices = self.loop_breakpoints(2, 1e-3, 1000.0)
+        assert s.interval_count == 10**6
+        assert s.breakpoints.tobytes() == breakpoints.tobytes()
+        assert np.array_equal(s.indices, indices)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             periodic_signal(2, 0.0, 1.0)
