@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from . import linalg, simulator, synthesis, topology, vtol
+from . import simulator, synthesis, topology, vtol
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -59,9 +59,7 @@ def cmd_analyze(rc, out_dir):
     """Check every topology against the spanning-tree assumption."""
     entries = []
     all_ok = True
-    for pos, g in enumerate(rc.graphs, start=1):
-        lap = topology.laplacian(g)
-        red = topology.reduce_laplacian(lap, pos)
+    for pos, (g, red) in enumerate(zip(rc.graphs, _reduced(rc)), start=1):
         margin = topology.antistability_margin(red)
         ok, root = topology.has_spanning_tree(g)
         # spec(L) = {0} U spec(Lh); see ReducedLaplacian.spectrum.
@@ -160,7 +158,7 @@ def cmd_simulate(rc, out_dir):
     x0 = cfg.make_x0(rc)
     try:
         record = simulator.simulate(closed_loop, x0, rc.dt)
-    except simulator.SimulationDiverged as exc:
+    except (simulator.SimulationDiverged, OverflowError) as exc:
         print(f"simulation aborted: {exc}")
         return EXIT_VERDICT
     monitor = None
@@ -178,66 +176,21 @@ def cmd_simulate(rc, out_dir):
 def cmd_verify(rc, out_dir):
     """Re-validate a synthesis report from raw data, item by item."""
     design, _ = _load_report(rc, out_dir)
-    reduced = {r.source_index: r for r in _reduced(rc)}
-    checks = []
-
-    for cert in design.certificates:
-        red = reduced.get(cert.index)
-        if red is None:
-            checks.append((f"certificate {cert.index}: topology exists", False,
-                           "index not in config"))
-            continue
-        margin = topology.antistability_margin(red)
-        checks.append(
-            (f"certificate {cert.index}: c below antistability margin",
-             cert.c < margin, f"c={cert.c:.6g}, margin={margin:.6g}")
-        )
-        spd, smallest = linalg.is_positive_definite(cert.q)
-        checks.append(
-            (f"certificate {cert.index}: Q positive definite", spd,
-             f"smallest eigenvalue {smallest:.3e}")
-        )
-        gram = red.matrix.T @ cert.q + cert.q @ red.matrix - 2 * cert.c * cert.q
-        recomputed = float(np.linalg.eigvalsh((gram + gram.T) / 2)[0])
-        consistent = (
-            recomputed > 0
-            and abs(recomputed - cert.lmi_margin) <= 1e-6 * (1 + abs(cert.lmi_margin))
-        )
-        checks.append(
-            (f"certificate {cert.index}: inequality margin", consistent,
-             f"recomputed {recomputed:.6g}, stored {cert.lmi_margin:.6g}")
-        )
-
-    k_expected = 0.5 * rc.b.T @ np.linalg.inv(design.p)
-    k_err = np.abs(design.k - k_expected).max()
-    checks.append(
-        ("gain identity K = (1/2) B^T inv(P)",
-         k_err <= 1e-6 * (1 + np.abs(k_expected).max()),
-         f"max deviation {k_err:.3e}")
-    )
-    expr = (rc.a @ design.p + design.p @ rc.a.T - rc.b @ rc.b.T
-            + design.beta * design.p)
-    top = float(np.linalg.eigvalsh((expr + expr.T) / 2)[-1])
-    checks.append(
-        ("gain inequality A P + P A^T - B B^T + beta P < 0", top < 0,
-         f"largest eigenvalue {top:.3e}")
-    )
-    alpha_min = synthesis.coupling_threshold(design.certificates)
-    checks.append(
-        ("coupling strength alpha > 2/c0", design.alpha > alpha_min,
-         f"alpha={design.alpha:.6g}, threshold={alpha_min:.6g}")
-    )
-
+    checks = synthesis.design_checks(design, rc.a, rc.b, _reduced(rc))
     signal = cfg.build_signal(rc)
-    schedule = synthesis.check_schedule(
-        signal, design.certificates, design.beta, rc.kappa0
-    )
-    for chk in schedule.checks:
-        checks.append(
+    try:
+        schedule = synthesis.check_schedule(
+            signal, design.certificates, design.beta, rc.kappa0
+        )
+    except ValueError as exc:  # certificates that cannot be paired
+        checks.append(("switching condition", False, str(exc)))
+    else:
+        checks += [
             (f"switch margin on [{chk.t_start:g}, {chk.t_end:g}) "
              f"({chk.from_index}->{chk.to_index})",
              chk.passed, f"margin {chk.margin:.6g} vs kappa0 {schedule.kappa0:g}")
-        )
+            for chk in schedule.checks
+        ]
 
     all_ok = True
     for name, ok, detail in checks:
@@ -247,23 +200,9 @@ def cmd_verify(rc, out_dir):
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
-def cmd_demo_vtol(out_dir, overrides=None):
+def cmd_demo_vtol(rc, out_dir):
     """Full pipeline on the built-in VTOL benchmark."""
-    doc = vtol.demo_config()
-    overrides = overrides or {}
-    if "seed" in overrides:
-        doc["simulation"]["seed"] = overrides["seed"]
-    if "dwell" in overrides:
-        doc["switching"]["periodic"]["dwell"] = overrides["dwell"]
-    if "beta" in overrides:
-        doc["synthesis"]["beta"] = overrides["beta"]
-    if "alpha" in overrides:
-        doc["synthesis"]["alpha"] = overrides["alpha"]
-    if "kappa0" in overrides:
-        doc["synthesis"]["kappa0"] = overrides["kappa0"]
-    rc = cfg.parse_config(doc)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(doc, os.path.join(out_dir, "config.json"))
+    _write_json(cfg.config_to_dict(rc), os.path.join(out_dir, "config.json"))
     for pos, g in enumerate(rc.graphs, start=1):
         topology.save_graph(g, os.path.join(out_dir, f"vtol_graph_{pos}.json"))
 
@@ -337,15 +276,6 @@ def _apply_overrides(rc, args):
         rc.kappa0 = args.kappa0
 
 
-def _collect_overrides(args):
-    overrides = {}
-    for name in ("seed", "dwell", "beta", "alpha", "kappa0"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    return overrides
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="switched-consensus",
@@ -368,8 +298,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "demo-vtol":
-            return cmd_demo_vtol(args.out or "out", _collect_overrides(args))
-        rc = cfg.load_config(args.config)
+            rc = cfg.parse_config(vtol.demo_config())
+        else:
+            rc = cfg.load_config(args.config)
         _apply_overrides(rc, args)
         out_dir = args.out or rc.out_dir or "out"
         os.makedirs(out_dir, exist_ok=True)
@@ -378,6 +309,7 @@ def main(argv=None):
             "synthesize": cmd_synthesize,
             "simulate": cmd_simulate,
             "verify": cmd_verify,
+            "demo-vtol": cmd_demo_vtol,
         }
         return dispatch[args.command](rc, out_dir)
     except cfg.ConfigError as exc:

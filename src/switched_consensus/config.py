@@ -128,6 +128,9 @@ def parse_config(doc, base_dir="."):
                 raise ConfigError(f"{where}: expected a path or an inline graph")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        if graphs[-1].node_count < 2:
+            raise ConfigError(f"{where}: consensus needs at least two nodes, "
+                              f"got {graphs[-1].node_count}")
     graph_set = topology.GraphSet(tuple(graphs))
 
     switching = _require(doc, "switching", "top level")

@@ -18,6 +18,9 @@ general-purpose SDP solver:
   with ``Abar = A + (beta/2) I``; substituting back gives the left side
   exactly ``-P^2``, which is negative definite.  The gain is then
   ``K = (1/2) B^T inv(P) = (1/2) B^T X``.
+
+Each design check is defined once, in the ``*_checks`` functions: synthesis
+raises on the first failed check and the CLI's ``verify`` reports them all.
 """
 
 import itertools
@@ -31,6 +34,8 @@ from . import linalg, topology
 DEFAULT_C_FRACTION = 0.9
 DEFAULT_ALPHA_MARGIN = 1.05
 DEFAULT_KAPPA0 = 1e-3
+# Relative tolerance of a stored value (K, an inequality margin) vs its recomputation.
+CHECK_RTOL = 1e-6
 
 __all__ = [
     "GainDesign",
@@ -38,12 +43,15 @@ __all__ = [
     "ScheduleCheck",
     "ScheduleReport",
     "TopologyCertificate",
+    "certificate_checks",
     "check_schedule",
     "choose_c",
     "coupling_threshold",
+    "design_checks",
     "design_from_dict",
     "design_to_dict",
     "dwell_threshold",
+    "gain_checks",
     "max_feasible_beta",
     "pair_lambdas",
     "solve_gain_lmi",
@@ -77,9 +85,9 @@ class GainDesign:
 
     Satisfies ``k == 0.5 * b.T @ inv(p)``, ``alpha > 2 / c0`` with
     ``c0 = min_i c_i``, and ``dwell_threshold == ln(lambda_max) / beta``
-    whenever ``lambda_max > 1`` (0 otherwise).  `beta_bound` is the largest
-    admissible beta for the gain inequality (infinite for controllable
-    pairs).
+    whenever ``lambda_max > 1`` (0 otherwise).  `beta_bound` is the supremum
+    of the admissible beta for the gain inequality (infinite for
+    controllable pairs).
     """
 
     beta: float
@@ -130,74 +138,95 @@ def choose_c(margin, fraction=DEFAULT_C_FRACTION):
     return fraction * margin
 
 
+def _require(checks):
+    """Raise InfeasibleError naming the first failed ``(name, passed, detail)``."""
+    for name, passed, detail in checks:
+        if not passed:
+            raise InfeasibleError(f"{name} failed [{detail}]")
+
+
+def certificate_checks(reduced, c, q):
+    """``(checks, lmi_margin)`` for one topology's certificate Q.
+
+    `checks` holds ``(name, passed, detail)`` for c below the antistability
+    margin and for ``Q > 0``; `lmi_margin` is the smallest eigenvalue of
+    ``Lh^T Q + Q Lh - 2 c Q``, positive iff the inequality holds.
+    """
+    index = reduced.source_index
+    margin = topology.antistability_margin(reduced)
+    spd, smallest = linalg.is_positive_definite(q)
+    gram = reduced.matrix.T @ q + q @ reduced.matrix - 2.0 * c * q
+    lmi_margin = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[0])
+    checks = [
+        (f"certificate {index}: c below antistability margin", c < margin,
+         f"c={c:.6g}, margin={margin:.6g}"),
+        (f"certificate {index}: Q positive definite", spd,
+         f"smallest eigenvalue {smallest:.3e}"),
+    ]
+    return checks, lmi_margin
+
+
 def solve_topology_lmi(reduced, c):
     """Certificate Q for one topology: ``Lh^T Q + Q Lh > 2 c Q``.
 
     Q is the canonical solution of ``(Lh - c I)^T Q + Q (Lh - c I) = I``,
-    positive definite by antistable Lyapunov theory.  The inequality margin
-    is recomputed from Q and must come out strictly positive (it equals 1 up
-    to solver residual).
+    positive definite by antistable Lyapunov theory.  The solved Q must pass
+    :func:`certificate_checks` with a strictly positive inequality margin
+    (it equals 1 up to solver residual).
     """
-    lh = reduced.matrix
-    margin = topology.antistability_margin(reduced)
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
+    # At or above the margin the shifted equation can be singular.
+    margin = topology.antistability_margin(reduced)
     if c >= margin:
         raise InfeasibleError(
             f"c={c:.6g} is not below the antistability margin {margin:.6g} of "
             f"topology {reduced.source_index}; the shifted matrix is not antistable"
         )
-    n = lh.shape[0]
-    shifted = lh - c * np.eye(n)
-    q = linalg.solve_lyapunov(shifted, np.eye(n))
-    ok, cert = linalg.is_positive_definite(q)
-    if not ok:
-        raise InfeasibleError(
-            f"certificate for topology {reduced.source_index} is not positive "
-            f"definite (smallest eigenvalue {cert:.3e})"
-        )
-    gram = lh.T @ q + q @ lh - 2.0 * c * q
-    lmi_margin = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[0])
-    if lmi_margin <= 0:
-        raise InfeasibleError(
-            f"inequality margin {lmi_margin:.3e} is not positive for topology "
-            f"{reduced.source_index}"
-        )
+    n = reduced.matrix.shape[0]
+    q = linalg.solve_lyapunov(reduced.matrix - c * np.eye(n), np.eye(n))
+    checks, lmi_margin = certificate_checks(reduced, c, q)
+    _require(checks + [(f"certificate {reduced.source_index}: inequality margin",
+                        lmi_margin > 0, f"margin {lmi_margin:.3e}")])
     return TopologyCertificate(reduced.source_index, float(c), q, lmi_margin)
 
 
 def max_feasible_beta(a, b):
-    """Largest beta for which the gain inequality is feasible.
+    """Supremum of the beta for which the gain inequality is feasible.
 
-    PBH test: eigenvalues of `a` where ``[lambda I - a, b]`` loses rank are
-    uncontrollable; the bound is ``min Re(-mode)`` over them.  Controllable
-    pairs return ``inf`` (any beta > 0 is feasible).
+    PBH test: eigenvalues m of `a` where ``[m I - a, b]`` loses rank are
+    uncontrollable.  On a left eigenvector w of such an m (``w^* b = 0``)
+    the inequality reads ``(2 Re m + beta) w^* P w < 0``, and the Riccati
+    shift ``A + (beta/2) I`` keeps ``m + beta/2`` stable only below the same
+    bound.  Returns ``2 min(-Re m)`` over those modes, ``inf`` for
+    controllable pairs (any beta > 0 is feasible).
     """
     modes = linalg.uncontrollable_modes(a, b)
     if not modes:
         return math.inf
-    return min(-m.real for m in modes)
+    return 2.0 * min(-m.real for m in modes)
 
 
-def solve_gain_lmi(a, b, beta):
+def solve_gain_lmi(a, b, beta, bound=None):
     """Solve ``A P + P A^T - B B^T + beta P < 0`` for P > 0 and the gain K.
 
     Riccati reduction: with ``Abar = A + (beta/2) I``, the stabilizing
     solution X of ``Abar^T X + X Abar - X B B^T X + I = 0`` gives
     ``P = inv(X)`` and ``K = (1/2) B^T X``; the inequality's left side then
-    equals ``-P^2``.  The largest eigenvalue of the left side is re-verified
-    to be strictly negative before returning.
+    equals ``-P^2``.  `bound` is :func:`max_feasible_beta` of the pair,
+    computed here unless the caller has it; beta must lie below it.
+    :func:`gain_checks` verifies the result.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    bound = max_feasible_beta(a, b)
+    if bound is None:
+        bound = max_feasible_beta(a, b)
     if beta >= bound:
-        modes = linalg.uncontrollable_modes(a, b)
         raise InfeasibleError(
-            f"beta={beta:.6g} is infeasible: uncontrollable modes {modes} limit "
-            f"beta to values below {bound:.6g}"
+            f"beta={beta:.6g} is infeasible: an uncontrollable mode with real "
+            f"part {-bound / 2.0:.6g} limits beta to values below {bound:.6g}"
         )
     n = a.shape[0]
     abar = a + (beta / 2.0) * np.eye(n)
@@ -205,13 +234,55 @@ def solve_gain_lmi(a, b, beta):
     p = np.linalg.inv(x)
     p = (p + p.T) / 2.0
     k = 0.5 * b.T @ x
-    expr = a @ p + p @ a.T - b @ b.T + beta * p
-    top = float(np.linalg.eigvalsh((expr + expr.T) / 2.0)[-1])
-    if top >= 0:
-        raise InfeasibleError(
-            f"gain inequality violated after solve: largest eigenvalue {top:.3e}"
-        )
     return p, k
+
+
+def gain_checks(design, a, b):
+    """``(name, passed, detail)`` checks of ``K = (1/2) B^T inv(P)``, the gain
+    inequality ``A P + P A^T - B B^T + beta P < 0`` and ``alpha > 2/c0``.
+    """
+    p = design.p
+    k_expected = 0.5 * b.T @ np.linalg.inv(p)
+    k_err = np.abs(design.k - k_expected).max()
+    expr = a @ p + p @ a.T - b @ b.T + design.beta * p
+    top = float(np.linalg.eigvalsh((expr + expr.T) / 2.0)[-1])
+    alpha_min = coupling_threshold(design.certificates)
+    return [
+        ("gain identity K = (1/2) B^T inv(P)",
+         k_err <= CHECK_RTOL * (1 + np.abs(k_expected).max()),
+         f"max deviation {k_err:.3e}"),
+        ("gain inequality A P + P A^T - B B^T + beta P < 0", top < 0,
+         f"largest eigenvalue {top:.3e}"),
+        ("coupling strength alpha > 2/c0", design.alpha > alpha_min,
+         f"alpha={design.alpha:.6g}, threshold={alpha_min:.6g}"),
+    ]
+
+
+def design_checks(design, a, b, reduced):
+    """Every ``(name, passed, detail)`` check of a design against raw data.
+
+    Per certificate, :func:`certificate_checks` on its topology in `reduced`
+    and the stored `lmi_margin` matching the recomputed, positive one; then
+    :func:`gain_checks`.  A certificate of no known topology fails one check.
+    """
+    by_index = {r.source_index: r for r in reduced}
+    checks = []
+    for cert in design.certificates:
+        red = by_index.get(cert.index)
+        if red is None:
+            checks.append((f"certificate {cert.index}: topology exists", False,
+                           "index not in config"))
+            continue
+        cert_checks, recomputed = certificate_checks(red, cert.c, cert.q)
+        stored = cert.lmi_margin
+        checks += cert_checks
+        checks.append(
+            (f"certificate {cert.index}: inequality margin",
+             recomputed > 0
+             and abs(recomputed - stored) <= CHECK_RTOL * (1 + abs(stored)),
+             f"recomputed {recomputed:.6g}, stored {stored:.6g}")
+        )
+    return checks + gain_checks(design, a, b)
 
 
 def coupling_threshold(certificates):
@@ -305,44 +376,36 @@ def synthesize(
     `c_values` overrides the per-topology scalars (one per graph, or a single
     value applied to all); otherwise each is `c_fraction` of that topology's
     antistability margin.  `alpha` overrides the coupling strength; otherwise
-    it is `alpha_margin` times the threshold ``2/c0``.
+    it is `alpha_margin` times the threshold ``2/c0``.  The first failed
+    certificate or gain check raises InfeasibleError.
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     reduced = list(reduced_laplacians)
     if not reduced:
         raise ValueError("need at least one reduced Laplacian")
-    margins = [topology.antistability_margin(r) for r in reduced]
-    for r, margin in zip(reduced, margins):
-        if margin <= 0:
-            raise InfeasibleError(
-                f"topology {r.source_index} has no directed spanning tree "
-                f"(antistability margin {margin:.6g})"
-            )
     if c_values is None:
-        cs = [choose_c(m, c_fraction) for m in margins]
+        cs = [choose_c(topology.antistability_margin(r), c_fraction)
+              for r in reduced]
     else:
         cs = [float(c) for c in np.broadcast_to(c_values, (len(reduced),))]
     certificates = [solve_topology_lmi(r, c) for r, c in zip(reduced, cs)]
-    alpha_min = coupling_threshold(certificates)
     if alpha is None:
-        alpha = alpha_margin * alpha_min
-    if alpha <= alpha_min:
-        raise InfeasibleError(
-            f"coupling strength alpha={alpha:.6g} must strictly exceed "
-            f"2/c0 = {alpha_min:.6g}"
-        )
-    p, k = solve_gain_lmi(a, b, beta)
-    lam, tau = dwell_threshold(certificates, beta)
-    return GainDesign(
+        alpha = alpha_margin * coupling_threshold(certificates)
+    bound = max_feasible_beta(a, b)
+    p, k = solve_gain_lmi(a, b, beta, bound)
+    design = GainDesign(
         beta=float(beta),
         p=p,
         k=k,
         alpha=float(alpha),
         c0=min(cs),
         certificates=certificates,
-        lambda_max=lam,
-        dwell_threshold=tau,
-        beta_bound=max_feasible_beta(a, b),
+        beta_bound=bound,
     )
+    _require(gain_checks(design, a, b))
+    design.lambda_max, design.dwell_threshold = dwell_threshold(certificates, beta)
+    return design
 
 
 def design_to_dict(design, config_digest=None, reference=None):

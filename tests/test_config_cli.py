@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from switched_consensus import cli, linalg, topology, vtol
+from switched_consensus import cli, linalg, synthesis, topology, vtol
 from switched_consensus.config import (
     ConfigError,
     build_signal,
@@ -104,6 +104,17 @@ class TestConfigParsing:
         demo_doc["graphs"][0] = "does_not_exist.json"
         with pytest.raises(ConfigError, match="graphs"):
             parse_config(demo_doc, base_dir="/nonexistent")
+
+    def test_rejects_single_node_graph(self, tmp_path, demo_doc, capsys):
+        demo_doc["graphs"] = [{"node_count": 1, "edges": []}]
+        with pytest.raises(ConfigError, match=r"graphs\[0\].*two nodes"):
+            parse_config(demo_doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(demo_doc))
+        for command in ("analyze", "synthesize"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 3
+            assert "graphs[0]" in capsys.readouterr().err
 
     def test_explicit_gain_accepted(self, demo_doc):
         demo_doc["gain"] = {"k": vtol.K_PUBLISHED.tolist(), "alpha": 8.1}
@@ -219,17 +230,30 @@ class TestCommandExitCodes:
 
     def test_verify_detects_tampered_gain(self, demo_config_file, tmp_path,
                                           capsys):
-        out = tmp_path / "out"
-        assert cli.main(["synthesize", "--config", demo_config_file,
-                         "--out", str(out)]) == 0
-        report_path = out / "synthesis.json"
-        report = json.loads(report_path.read_text())
-        report["gain"]["k"] = (2 * np.array(report["gain"]["k"])).tolist()
-        report_path.write_text(json.dumps(report))
-        code = cli.main(["verify", "--config", demo_config_file,
-                         "--out", str(out)])
-        assert code == 1
-        assert "FAIL  gain identity" in capsys.readouterr().out
+        def double_k(report):
+            report["gain"]["k"] = (2 * np.array(report["gain"]["k"])).tolist()
+
+        out = _verify_tampered(demo_config_file, tmp_path, capsys, double_k)
+        assert "FAIL  gain identity" in out
+
+    @pytest.mark.parametrize("tamper, failed", [
+        (lambda r: r["certificates"][0].update(c=10.0),
+         "certificate 1: c below antistability margin"),
+        (lambda r: r["certificates"][0].update(
+            q=(-np.array(r["certificates"][0]["q"])).tolist()),
+         "certificate 1: Q positive definite"),
+        (lambda r: r["certificates"][1].update(lmi_margin=2.0),
+         "certificate 2: inequality margin"),
+        (lambda r: r.update(alpha=7.9), "coupling strength alpha > 2/c0"),
+        (lambda r: r["certificates"][1].update(index=3),
+         "certificate 3: topology exists"),
+    ], ids=["c-above-margin", "q-negated", "lmi-margin", "alpha-low",
+            "unknown-index"])
+    def test_verify_fails_the_tampered_check(self, demo_config_file, tmp_path,
+                                             capsys, tamper, failed):
+        out = _verify_tampered(demo_config_file, tmp_path, capsys, tamper)
+        assert f"FAIL  {failed}  [" in out
+        assert "verification: FAILURES present" in out
 
     def test_verify_detects_stale_report(self, tmp_path, demo_doc):
         path = tmp_path / "config.json"
@@ -288,6 +312,30 @@ class TestCommandExitCodes:
         assert code == 0
         assert "0.000e+00" in capsys.readouterr().out
 
+    def test_overflowing_flow_aborts_simulation(self, tmp_path, capsys):
+        # The flow over the 1 s interval on graph 2 overflows before any
+        # sample diverges.
+        doc = {
+            "schema_version": 1,
+            "system": {"a": [[1.0]], "b": [[1.0]]},
+            "graphs": [
+                {"node_count": 2, "edges": [{"from": 1, "to": 2, "weight": w}]}
+                for w in (1.0, 1000.0)
+            ],
+            "switching": {"explicit": {"breakpoints": [0.0, 1.0],
+                                       "indices": [2, 1], "horizon": 3.0}},
+            "synthesis": {"beta": 1.0},
+            "simulation": {"x0": [1.0, 0.0], "dt": 1.0},
+            "gain": {"k": [[-1.0]], "alpha": 1.0},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "simulation aborted: matrix exponential overflowed" in \
+            capsys.readouterr().out
+
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -298,6 +346,19 @@ class TestCommandExitCodes:
     def test_flag_overrides_validated(self, demo_config_file, tmp_path):
         assert cli.main(["analyze", "--config", demo_config_file,
                          "--out", str(tmp_path / "o"), "--beta", "-3"]) == 3
+
+
+def _verify_tampered(config, tmp_path, capsys, tamper):
+    """Synthesize, edit the report with `tamper`, verify; return its stdout."""
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
+    report_path = out / "synthesis.json"
+    report = json.loads(report_path.read_text())
+    tamper(report)
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", config, "--out", str(out)]) == 1
+    return capsys.readouterr().out
 
 
 class TestDeterminism:
@@ -330,6 +391,15 @@ class TestDemoCommand:
             "trajectory.csv",
         ):
             assert (out / name).exists(), name
+
+    def test_demo_config_reproduces_its_design(self, tmp_path, demo_doc):
+        out = tmp_path / "demo"
+        assert cli.main(["demo-vtol", "--beta", "2.5", "--out", str(out)]) == 0
+        config = str(out / "config.json")
+        assert cli.main(["verify", "--config", config, "--out", str(out)]) == 0
+        demo_doc["synthesis"]["beta"] = 2.5
+        emitted = parse_config(json.loads((out / "config.json").read_text()))
+        assert config_to_dict(emitted) == config_to_dict(parse_config(demo_doc))
 
     def test_demo_emitted_graphs_reduce_to_known_matrices(self, tmp_path):
         from conftest import LHAT_1, LHAT_2
@@ -383,6 +453,29 @@ class TestSpectralFacts:
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / "out")]) == 0, command
             assert [k for k in orders if k > 2] == [5, 5], command
+
+    def test_each_check_runs_once_per_command(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            _double_integrator_doc([RING_6, PINNED_PATH_6], 40.0, 100.0)))
+        calls = []
+        for name in ("certificate_checks", "gain_checks"):
+            fn = getattr(synthesis, name)
+            monkeypatch.setattr(synthesis, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(
+            len(m)) or eigvalsh(m))
+        for command in ("synthesize", "verify"):
+            calls.clear()
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 0, command
+            names = [c for c in calls if isinstance(c, str)]
+            assert names == ["certificate_checks"] * 2 + ["gain_checks"], command
+            # Order N-1 = 5: Q > 0 and the inequality margin per topology,
+            # then two definiteness input checks per ordered pair, which
+            # synthesize solves for tau* and verify for the switch margins.
+            assert [c for c in calls if c == 5] == [5] * 8, command
 
     def test_analysis_spectrum_is_laplacian_spectrum(self, tmp_path):
         rng = np.random.default_rng(11)

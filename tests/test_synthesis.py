@@ -19,7 +19,7 @@ from switched_consensus.synthesis import (
     synthesize,
 )
 
-from conftest import random_spd
+from conftest import draw_stabilizable, random_spd
 
 
 def scalar_reduced(value):
@@ -116,11 +116,66 @@ class TestMaxFeasibleBeta:
         assert max_feasible_beta(a, b) == math.inf
 
     def test_decoupled_stable_mode(self):
+        # The uncontrollable mode -1 bounds beta by -2 Re(m) = 2.
         bound = max_feasible_beta(np.diag([-1.0, 0.0]), np.array([[0.0], [1.0]]))
-        assert bound == pytest.approx(1.0)
+        assert bound == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("beta", [1.5, 1.9])
+    def test_beta_between_old_and_true_bound_synthesizes(self, beta):
+        a = np.diag([-1.0, 0.0])
+        b = np.array([[0.0], [1.0]])
+        red = topology.ReducedLaplacian(np.array([[1.0]]), 1)
+        design = synthesize(a, b, [red], beta)
+        assert design.beta_bound == 2.0
+        expr = a @ design.p + design.p @ a.T - b @ b.T + beta * design.p
+        assert np.linalg.eigvalsh(expr)[-1] < 0
+
+    def test_pbh_runs_twice_per_synthesis(self, vtol_reduced, monkeypatch):
+        # One PBH test for the beta bound, one in solve_care's input check.
+        calls = []
+        pbh = linalg.uncontrollable_modes
+        monkeypatch.setattr(linalg, "uncontrollable_modes",
+                            lambda a, b: calls.append(1) or pbh(a, b))
+        synthesize(vtol.A, vtol.B, vtol_reduced, 3.0, c_values=0.25, alpha=8.1)
+        assert len(calls) == 2
 
     def test_vtol_controllable(self):
         assert max_feasible_beta(vtol.A, vtol.B) == math.inf
+
+
+class TestDesignChecks:
+    def test_vtol_design_passes_every_check(self, vtol_design, vtol_reduced):
+        checks = synthesis.design_checks(vtol_design, vtol.A, vtol.B,
+                                         vtol_reduced)
+        assert [name for name, _, _ in checks] == [
+            "certificate 1: c below antistability margin",
+            "certificate 1: Q positive definite",
+            "certificate 1: inequality margin",
+            "certificate 2: c below antistability margin",
+            "certificate 2: Q positive definite",
+            "certificate 2: inequality margin",
+            "gain identity K = (1/2) B^T inv(P)",
+            "gain inequality A P + P A^T - B B^T + beta P < 0",
+            "coupling strength alpha > 2/c0",
+        ]
+        assert all(passed for _, passed, _ in checks)
+
+    def test_random_designs_pass_every_check(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a, b = draw_stabilizable(rng)
+            n_nodes = int(rng.integers(2, 7))
+            reduced = []
+            for index in (1, 2):
+                w = rng.uniform(0.1, 2.0, (n_nodes, n_nodes)) * (
+                    rng.random((n_nodes, n_nodes)) < 0.3)
+                w[np.arange(1, n_nodes), np.arange(n_nodes - 1)] = 1.0  # chain
+                np.fill_diagonal(w, 0.0)
+                lap = topology.laplacian(topology.DirectedGraph(w))
+                reduced.append(topology.reduce_laplacian(lap, index))
+            design = synthesize(a, b, reduced, float(rng.uniform(0.5, 3.0)))
+            checks = synthesis.design_checks(design, a, b, reduced)
+            assert all(passed for _, passed, _ in checks), checks
 
 
 class TestCouplingThreshold:
