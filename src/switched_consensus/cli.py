@@ -140,7 +140,7 @@ def _load_report(rc, out_dir):
             f"synthesis report {path} is stale: its config digest {stored!r} "
             f"does not match the current configuration {current!r}"
         )
-    return synthesis.design_from_dict(doc), doc
+    return doc
 
 
 def cmd_simulate(rc, out_dir):
@@ -150,7 +150,7 @@ def cmd_simulate(rc, out_dir):
     if rc.gain is not None:
         k_gain, alpha = rc.gain["k"], rc.gain["alpha"]
     else:
-        design, _ = _load_report(rc, out_dir)
+        design = synthesis.design_from_dict(_load_report(rc, out_dir))
         k_gain, alpha = design.k, design.alpha
     closed_loop = simulator.build_closed_loop(
         rc.a, rc.b, k_gain, alpha, rc.graphs, signal
@@ -175,22 +175,24 @@ def cmd_simulate(rc, out_dir):
 
 def cmd_verify(rc, out_dir):
     """Re-validate a synthesis report from raw data, item by item."""
-    design, _ = _load_report(rc, out_dir)
-    checks = synthesis.design_checks(design, rc.a, rc.b, _reduced(rc))
+    report = _load_report(rc, out_dir)
+    design = synthesis.design_from_dict(report)
     signal = cfg.build_signal(rc)
     try:
         schedule = synthesis.check_schedule(
             signal, design.certificates, design.beta, rc.kappa0
-        )
+        ).checks
+        unpaired = []
     except ValueError as exc:  # certificates that cannot be paired
-        checks.append(("switching condition", False, str(exc)))
-    else:
-        checks += [
-            (f"switch margin on [{chk.t_start:g}, {chk.t_end:g}) "
-             f"({chk.from_index}->{chk.to_index})",
-             chk.passed, f"margin {chk.margin:.6g} vs kappa0 {schedule.kappa0:g}")
-            for chk in schedule.checks
-        ]
+        schedule, unpaired = [], [("switching condition", False, str(exc))]
+    checks = synthesis.design_checks(design, rc.a, rc.b, _reduced(rc), report,
+                                     [chk.lambda_max for chk in schedule])
+    checks += unpaired + [
+        (f"switch margin on [{chk.t_start:g}, {chk.t_end:g}) "
+         f"({chk.from_index}->{chk.to_index})",
+         chk.passed, f"margin {chk.margin:.6g} vs kappa0 {rc.kappa0:g}")
+        for chk in schedule
+    ]
 
     all_ok = True
     for name, ok, detail in checks:
@@ -219,8 +221,7 @@ def cmd_demo_vtol(rc, out_dir):
     print("== verify ==")
     ver_code = cmd_verify(rc, out_dir)
 
-    with open(os.path.join(out_dir, REPORT_NAME)) as fh:
-        report = json.load(fh)
+    report = _load_report(rc, out_dir)
     print("== computed vs published reference ==")
     print(f"{'quantity':<16}{'computed':>14}{'reference':>14}")
     rows = [
@@ -254,26 +255,17 @@ def _apply_overrides(rc, args):
         rc.seed = args.seed
         rc.x0 = None
     if args.dwell is not None:
-        if args.dwell <= 0:
-            raise cfg.ConfigError("--dwell must be positive")
+        dwell = cfg._positive(args.dwell, "--dwell")
         if rc.switching_kind != "periodic":
             raise cfg.ConfigError(
                 "--dwell only applies to periodic switching specifications"
             )
-        rc.switching["dwell"] = args.dwell
-    if args.beta is not None:
-        if args.beta <= 0:
-            raise cfg.ConfigError("--beta must be positive")
-        rc.beta = args.beta
+        rc.switching["dwell"] = dwell
+    for name in ("beta", "alpha", "kappa0"):
+        if getattr(args, name) is not None:
+            setattr(rc, name, cfg._positive(getattr(args, name), f"--{name}"))
     if args.alpha is not None:
-        if args.alpha <= 0:
-            raise cfg.ConfigError("--alpha must be positive")
-        rc.alpha = args.alpha
         rc.alpha_margin = None
-    if args.kappa0 is not None:
-        if args.kappa0 <= 0:
-            raise cfg.ConfigError("--kappa0 must be positive")
-        rc.kappa0 = args.kappa0
 
 
 def main(argv=None):
@@ -283,17 +275,20 @@ def main(argv=None):
         "multi-agent systems under switching directed topologies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("analyze", "check the spanning-tree assumption per topology"),
-        ("synthesize", "solve the design inequalities and write the report"),
-        ("simulate", "run the switched closed loop and write the trajectory"),
-        ("verify", "re-validate a synthesis report against the config"),
-    ):
+    commands = {
+        "analyze": (cmd_analyze, "check the spanning-tree assumption per topology"),
+        "synthesize": (cmd_synthesize,
+                       "solve the design inequalities and write the report"),
+        "simulate": (cmd_simulate,
+                     "run the switched closed loop and write the trajectory"),
+        "verify": (cmd_verify, "re-validate a synthesis report against the config"),
+        "demo-vtol": (cmd_demo_vtol, "run the built-in VTOL benchmark"),
+    }
+    for name, (_, doc) in commands.items():
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", required=True, help="run configuration JSON")
+        if name != "demo-vtol":
+            p.add_argument("--config", required=True, help="run configuration JSON")
         _add_common_flags(p)
-    demo = sub.add_parser("demo-vtol", help="run the built-in VTOL benchmark")
-    _add_common_flags(demo)
 
     args = parser.parse_args(argv)
     try:
@@ -304,14 +299,7 @@ def main(argv=None):
         _apply_overrides(rc, args)
         out_dir = args.out or rc.out_dir or "out"
         os.makedirs(out_dir, exist_ok=True)
-        dispatch = {
-            "analyze": cmd_analyze,
-            "synthesize": cmd_synthesize,
-            "simulate": cmd_simulate,
-            "verify": cmd_verify,
-            "demo-vtol": cmd_demo_vtol,
-        }
-        return dispatch[args.command](rc, out_dir)
+        return commands[args.command][0](rc, out_dir)
     except cfg.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -7,14 +7,14 @@ signal vs periodic spec, fixed x0 vs seed), and out-of-range scalars are
 rejected with the offending field named.
 
 A canonical digest over the synthesis inputs (system, graphs, synthesis
-parameters) ties synthesis reports to the configuration they were computed
+parameters except `kappa0`) ties reports to the configuration they came
 from, so stale reports are detected instead of silently re-verified.
 """
 
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class RunConfig:
     window: float = 2.0
     gain: dict = None  # optional explicit {"k": ndarray, "alpha": float}
     out_dir: str = None
-    schema_version: int = SCHEMA_VERSION
-    extra: dict = field(default_factory=dict)
 
 
 def _require(doc, key, where):
@@ -242,7 +240,6 @@ def parse_config(doc, base_dir="."):
         window=window,
         gain=gain,
         out_dir=out_dir,
-        schema_version=int(version),
     )
 
 
@@ -260,7 +257,7 @@ def load_config(path):
 def config_to_dict(rc):
     """Canonical document for a config; parse(config_to_dict(rc)) == rc."""
     doc = {
-        "schema_version": rc.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "system": {"a": rc.a.tolist(), "b": rc.b.tolist()},
         "graphs": [topology.graph_to_dict(g) for g in rc.graphs],
         "switching": {rc.switching_kind: dict(rc.switching)},
@@ -271,14 +268,9 @@ def config_to_dict(rc):
             "window": rc.window,
         },
     }
-    if rc.c_values is not None:
-        doc["synthesis"]["c_values"] = list(rc.c_values)
-    if rc.c_fraction is not None:
-        doc["synthesis"]["c_fraction"] = rc.c_fraction
-    if rc.alpha is not None:
-        doc["synthesis"]["alpha"] = rc.alpha
-    if rc.alpha_margin is not None:
-        doc["synthesis"]["alpha_margin"] = rc.alpha_margin
+    for key in ("c_values", "c_fraction", "alpha", "alpha_margin"):
+        if getattr(rc, key) is not None:
+            doc["synthesis"][key] = getattr(rc, key)
     if rc.x0 is not None:
         doc["simulation"]["x0"] = rc.x0.tolist()
     if rc.seed is not None:
@@ -291,18 +283,15 @@ def config_to_dict(rc):
 
 
 def config_digest(rc):
-    """Hex digest of the synthesis-relevant inputs (system, graphs, synthesis).
+    """Hex digest of the synthesis inputs (system, graphs, synthesis section).
 
-    Simulation and switching parameters are excluded on purpose: re-checking
-    an existing design under a different schedule is a supported workflow,
-    not a staleness error.
+    Simulation and switching parameters and `kappa0`, the switch-margin buffer
+    only `verify` reads, are excluded on purpose: re-checking a design under
+    another schedule or buffer is a supported workflow, not a staleness error.
     """
     doc = config_to_dict(rc)
-    payload = {
-        "system": doc["system"],
-        "graphs": doc["graphs"],
-        "synthesis": doc["synthesis"],
-    }
+    del doc["synthesis"]["kappa0"]
+    payload = {key: doc[key] for key in ("system", "graphs", "synthesis")}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

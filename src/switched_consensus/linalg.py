@@ -27,6 +27,8 @@ CARE_RESIDUAL_RTOL = 1e-7
 # PBH rank cutoff: smallest singular value below this fraction of the largest
 # marks a mode as uncontrollable.
 PBH_RTOL = 1e-8
+# Most Newton-Kleinman steps spent polishing a Riccati solution.
+NEWTON_STEPS = 8
 
 __all__ = [
     "eigenvalues",
@@ -161,11 +163,11 @@ def solve_lyapunov(a, c):
     return x
 
 
-def uncontrollable_modes(a, b, rtol=PBH_RTOL):
+def uncontrollable_modes(a, b):
     """Uncontrollable eigenvalues of the pair (a, b) by the PBH test.
 
     For each eigenvalue lambda of `a` the smallest singular value of
-    ``[lambda I - a, b]`` is compared against ``rtol`` times the largest;
+    ``[lambda I - a, b]`` is compared against `PBH_RTOL` times the largest;
     eigenvalues failing the rank test are returned (with multiplicity).
     """
     a = _as_square(a, "a")
@@ -177,19 +179,19 @@ def uncontrollable_modes(a, b, rtol=PBH_RTOL):
     for lam in eigenvalues(a):
         pencil = np.hstack([lam * np.eye(n) - a, b.astype(complex)])
         sv = np.linalg.svd(pencil, compute_uv=False)
-        if sv[-1] < rtol * sv[0]:
+        if sv[-1] < PBH_RTOL * sv[0]:
             modes.append(complex(lam))
     return modes
 
 
-def solve_care(a, b, w, newton_steps=8):
+def solve_care(a, b, w):
     """Stabilizing solution of  a^T X + X a - X b b^T X + w = 0.
 
     `w` must be symmetric positive definite and (a, b) stabilizable.  The
-    Schur-based scipy solution is polished by Newton-Kleinman iteration
-    (one Lyapunov solve per step) until the entrywise-max residual drops
-    below ``CARE_RESIDUAL_RTOL * (1 + ||w||)``.  The returned X is verified
-    symmetric positive definite with ``a - b b^T X`` Hurwitz.
+    Schur-based scipy solution is polished by up to `NEWTON_STEPS`
+    Newton-Kleinman steps (one Lyapunov solve each) until the entrywise-max
+    residual drops below ``CARE_RESIDUAL_RTOL * (1 + ||w||)``.  The returned
+    X is verified symmetric positive definite with ``a - b b^T X`` Hurwitz.
     """
     a = _as_square(a, "a")
     b = _as_matrix(b, "b")
@@ -214,7 +216,7 @@ def solve_care(a, b, w, newton_steps=8):
     x = (x + x.T) / 2.0
     bbt = b @ b.T
     bound = CARE_RESIDUAL_RTOL * (1.0 + np.abs(w).max())
-    for _ in range(newton_steps):
+    for _ in range(NEWTON_STEPS):
         residual = np.abs(a.T @ x + x @ a - x @ bbt @ x + w).max()
         if residual <= 0.01 * bound:
             break

@@ -83,18 +83,17 @@ class TopologyCertificate:
 class GainDesign:
     """Complete synthesized design with its feasibility certificates.
 
-    Satisfies ``k == 0.5 * b.T @ inv(p)``, ``alpha > 2 / c0`` with
-    ``c0 = min_i c_i``, and ``dwell_threshold == ln(lambda_max) / beta``
-    whenever ``lambda_max > 1`` (0 otherwise).  `beta_bound` is the supremum
-    of the admissible beta for the gain inequality (infinite for
-    controllable pairs).
+    Satisfies ``k == 0.5 * b.T @ inv(p)``, ``alpha > alpha_min``, and
+    ``dwell_threshold == ln(lambda_max) / beta`` whenever ``lambda_max > 1``
+    (0 otherwise).  `alpha_min` is derived from the certificates.
+    `beta_bound` is the supremum of the admissible beta for the gain
+    inequality (infinite for controllable pairs).
     """
 
     beta: float
     p: np.ndarray
     k: np.ndarray
     alpha: float
-    c0: float
     certificates: list = field(default_factory=list)
     lambda_max: float = 1.0
     dwell_threshold: float = 0.0
@@ -102,14 +101,13 @@ class GainDesign:
 
     @property
     def alpha_min(self):
-        return 2.0 / self.c0
+        return coupling_threshold(self.certificates)
 
 
 @dataclass
 class ScheduleCheck:
     """Margin of the per-switch condition for one interval of a signal."""
 
-    interval: int
     t_start: float
     t_end: float
     from_index: int
@@ -149,19 +147,23 @@ def certificate_checks(reduced, c, q):
     """``(checks, lmi_margin)`` for one topology's certificate Q.
 
     `checks` holds ``(name, passed, detail)`` for c below the antistability
-    margin and for ``Q > 0``; `lmi_margin` is the smallest eigenvalue of
-    ``Lh^T Q + Q Lh - 2 c Q``, positive iff the inequality holds.
+    margin and for ``Q > 0`` (a non-symmetric Q fails it); `lmi_margin` is
+    the smallest eigenvalue of ``Lh^T Q + Q Lh - 2 c Q``, positive iff the
+    inequality holds.
     """
     index = reduced.source_index
     margin = topology.antistability_margin(reduced)
-    spd, smallest = linalg.is_positive_definite(q)
+    try:
+        spd, smallest = linalg.is_positive_definite(q)
+        spd_detail = f"smallest eigenvalue {smallest:.3e}"
+    except ValueError as exc:
+        spd, spd_detail = False, str(exc)
     gram = reduced.matrix.T @ q + q @ reduced.matrix - 2.0 * c * q
     lmi_margin = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[0])
     checks = [
         (f"certificate {index}: c below antistability margin", c < margin,
          f"c={c:.6g}, margin={margin:.6g}"),
-        (f"certificate {index}: Q positive definite", spd,
-         f"smallest eigenvalue {smallest:.3e}"),
+        (f"certificate {index}: Q positive definite", spd, spd_detail),
     ]
     return checks, lmi_margin
 
@@ -258,12 +260,28 @@ def gain_checks(design, a, b):
     ]
 
 
-def design_checks(design, a, b, reduced):
+def _matches(stored, recomputed):
+    return stored == recomputed or (
+        abs(recomputed - stored) <= CHECK_RTOL * (1 + abs(stored)))
+
+
+def _stored(report, key):
+    """A report number as a float, null as inf; NaN (fails) if unreadable."""
+    try:
+        return math.inf if report[key] is None else float(report[key])
+    except (KeyError, TypeError, ValueError):
+        return math.nan
+
+
+def design_checks(design, a, b, reduced, report=None, lambdas=()):
     """Every ``(name, passed, detail)`` check of a design against raw data.
 
     Per certificate, :func:`certificate_checks` on its topology in `reduced`
     and the stored `lmi_margin` matching the recomputed, positive one; then
-    :func:`gain_checks`.  A certificate of no known topology fails one check.
+    :func:`gain_checks`; then the summary numbers of `report` (default: the
+    design's own document) re-derived, with `lambda_max` at least each pair
+    eigenvalue in `lambdas`.  A certificate of no known topology fails one
+    check.
     """
     by_index = {r.source_index: r for r in reduced}
     checks = []
@@ -278,15 +296,29 @@ def design_checks(design, a, b, reduced):
         checks += cert_checks
         checks.append(
             (f"certificate {cert.index}: inequality margin",
-             recomputed > 0
-             and abs(recomputed - stored) <= CHECK_RTOL * (1 + abs(stored)),
+             recomputed > 0 and _matches(stored, recomputed),
              f"recomputed {recomputed:.6g}, stored {stored:.6g}")
         )
-    return checks + gain_checks(design, a, b)
+    report = design_to_dict(design) if report is None else report
+    lam = _stored(report, "lambda_max")
+    solved = max(lambdas, default=lam)
+    derived = {**_derived_numbers(design), "beta_bound": max_feasible_beta(a, b),
+               "dwell_threshold": _tau_star(lam, design.beta)}
+    summary = [
+        (f"report {key} = {formula}", _matches(_stored(report, key), derived[key]),
+         f"stored {_stored(report, key):.6g}, derived {derived[key]:.6g}")
+        for key, formula in (("c0", "min c_i"), ("alpha_min", "2/c0"),
+                             ("beta_bound", "sup feasible beta"),
+                             ("dwell_threshold", "ln(lambda_max)/beta"))
+    ]
+    summary.append(("report lambda_max >= each switch's lambda_ij",
+                    lam * (1 + CHECK_RTOL) >= solved,
+                    f"stored {lam:.6g}, largest solved {solved:.6g}"))
+    return checks + gain_checks(design, a, b) + summary
 
 
 def coupling_threshold(certificates):
-    """Lower bound 2 / min(c_i) that the coupling strength must exceed."""
+    """Lower bound 2 / c0, ``c0 = min(c_i)``, the coupling strength must exceed."""
     if not certificates:
         raise ValueError("need at least one topology certificate")
     return 2.0 / min(cert.c for cert in certificates)
@@ -318,13 +350,14 @@ def dwell_threshold(certificates, beta):
         raise ValueError(f"beta must be positive, got {beta}")
     if not certificates:
         raise ValueError("need at least one topology certificate")
-    if len(certificates) == 1:
-        return 1.0, 0.0
     pairs = itertools.permutations([cert.index for cert in certificates], 2)
-    lam = max(pair_lambdas(certificates, pairs).values())
+    lam = max(pair_lambdas(certificates, pairs).values(), default=1.0)
+    return float(lam), _tau_star(lam, beta)
+
+
+def _tau_star(lam, beta):
     # Identical certificates give lam = 1 up to round-off; no dwell bound.
-    tau = math.log(lam) / beta if lam > 1.0 + 1e-12 else 0.0
-    return float(lam), float(tau)
+    return float(math.log(lam) / beta) if lam > 1.0 + 1e-12 else 0.0
 
 
 def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0):
@@ -348,7 +381,6 @@ def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0):
         margin = beta * (t[k + 1] - t[k]) - math.log(lam)
         checks.append(
             ScheduleCheck(
-                interval=k + 1,
                 t_start=float(t[k]),
                 t_end=float(t[k + 1]),
                 from_index=i_from,
@@ -399,13 +431,18 @@ def synthesize(
         p=p,
         k=k,
         alpha=float(alpha),
-        c0=min(cs),
         certificates=certificates,
         beta_bound=bound,
     )
     _require(gain_checks(design, a, b))
     design.lambda_max, design.dwell_threshold = dwell_threshold(certificates, beta)
     return design
+
+
+def _derived_numbers(design):
+    """The report's numbers read off the certificates: `alpha_min` and `c0`."""
+    return {"alpha_min": design.alpha_min,
+            "c0": min(cert.c for cert in design.certificates)}
 
 
 def design_to_dict(design, config_digest=None, reference=None):
@@ -420,8 +457,7 @@ def design_to_dict(design, config_digest=None, reference=None):
         "schema_version": 1,
         "beta": design.beta,
         "alpha": design.alpha,
-        "alpha_min": design.alpha_min,
-        "c0": design.c0,
+        **_derived_numbers(design),
         "beta_bound": None if math.isinf(design.beta_bound) else design.beta_bound,
         "gain": {"k": design.k.tolist(), "p": design.p.tolist()},
         "certificates": [
@@ -461,7 +497,6 @@ def design_from_dict(doc):
             p=np.asarray(doc["gain"]["p"], dtype=float),
             k=np.asarray(doc["gain"]["k"], dtype=float),
             alpha=float(doc["alpha"]),
-            c0=float(doc["c0"]),
             certificates=certificates,
             lambda_max=float(doc["lambda_max"]),
             dwell_threshold=float(doc["dwell_threshold"]),

@@ -27,7 +27,6 @@ __all__ = [
     "GraphSet",
     "ReducedLaplacian",
     "SwitchingSignal",
-    "active_index",
     "antistability_margin",
     "graph_from_dict",
     "graph_to_dict",
@@ -35,10 +34,8 @@ __all__ = [
     "laplacian",
     "load_graph",
     "periodic_signal",
-    "pi_matrix",
     "reduce_laplacian",
     "save_graph",
-    "xi_matrix",
 ]
 
 
@@ -178,10 +175,6 @@ class SwitchingSignal:
         self.tau0 = tau0
         self.tau1 = tau1
 
-    @property
-    def interval_count(self):
-        return self.breakpoints.size
-
     def validate_against(self, graph_count):
         if self.indices.max() > graph_count:
             raise ValueError(
@@ -232,16 +225,6 @@ def laplacian(g):
     lap = -w.copy()
     np.fill_diagonal(lap, w.sum(axis=1))
     return lap
-
-
-def xi_matrix(n_nodes):
-    """Disagreement map Xi = [I_{N-1}, -1_{N-1}], mapping states to pairwise offsets."""
-    return np.hstack([np.eye(n_nodes - 1), -np.ones((n_nodes - 1, 1))])
-
-
-def pi_matrix(n_nodes):
-    """Embedding Pi = [I_{N-1}; 0^T], right inverse of Xi on the reduced space."""
-    return np.vstack([np.eye(n_nodes - 1), np.zeros((1, n_nodes - 1))])
 
 
 def reduce_laplacian(lap, source_index=0):
@@ -343,14 +326,6 @@ def periodic_signal(graph_count, dwell, horizon):
     return SwitchingSignal(
         k * float(dwell), k % graph_count + 1, float(horizon), tau0=dwell
     )
-
-
-def active_index(signal, t):
-    """Topology index sigma(t), right-continuous at the breakpoints."""
-    if t < 0 or t > signal.horizon:
-        raise ValueError(f"t={t} outside the signal domain [0, {signal.horizon}]")
-    pos = int(np.searchsorted(signal.breakpoints, t, side="right")) - 1
-    return int(signal.indices[pos])
 
 
 def graph_to_dict(g):

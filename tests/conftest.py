@@ -51,6 +51,29 @@ def vtol_design(vtol_reduced):
     )
 
 
+def xi_matrix(n_nodes):
+    """Oracle: disagreement map Xi = [I_{N-1}, -1_{N-1}] to pairwise offsets."""
+    return np.hstack([np.eye(n_nodes - 1), -np.ones((n_nodes - 1, 1))])
+
+
+def pi_matrix(n_nodes):
+    """Oracle: embedding Pi = [I_{N-1}; 0^T], right inverse of Xi."""
+    return np.vstack([np.eye(n_nodes - 1), np.zeros((1, n_nodes - 1))])
+
+
+def interval_count(signal):
+    """Number of switching intervals of a signal (one per breakpoint)."""
+    return signal.breakpoints.size
+
+
+def active_index(signal, t):
+    """Oracle: topology index sigma(t), right-continuous at the breakpoints."""
+    if t < 0 or t > signal.horizon:
+        raise ValueError(f"t={t} outside the signal domain [0, {signal.horizon}]")
+    pos = int(np.searchsorted(signal.breakpoints, t, side="right")) - 1
+    return int(signal.indices[pos])
+
+
 def random_spd(rng, n, shift=0.1):
     m = rng.normal(size=(n, n))
     return m @ m.T + shift * np.eye(n)
@@ -106,7 +129,7 @@ def disagreement_transform(node_count, state_dim):
     """``(T, inv(T))`` with ``T x = (e, x_N)``, ``e_i = x_i - x_N``."""
     last = np.zeros((1, node_count))
     last[0, -1] = 1.0
-    t = np.vstack([topology.xi_matrix(node_count), last])
+    t = np.vstack([xi_matrix(node_count), last])
     t_inv = np.eye(node_count)
     t_inv[:, -1] = 1.0
     eye = np.eye(state_dim)
@@ -126,9 +149,9 @@ def dense_simulate(closed_loop, graphs, x0, dt):
     times, states = [0.0], [x]
     cache = {}
     t = 0.0
-    for j in range(signal.interval_count):
+    for j in range(interval_count(signal)):
         mode = int(signal.indices[j])
-        is_last = j + 1 == signal.interval_count
+        is_last = j + 1 == interval_count(signal)
         t_end = signal.horizon if is_last else float(signal.breakpoints[j + 1])
         start = float(signal.breakpoints[j])
         for target in simulator._grid_targets(start, t_end, dt):
@@ -141,7 +164,7 @@ def dense_simulate(closed_loop, graphs, x0, dt):
             states.append(x)
     states = np.vstack(states)
     xi_n = np.kron(
-        topology.xi_matrix(closed_loop.node_count), np.eye(closed_loop.state_dim)
+        xi_matrix(closed_loop.node_count), np.eye(closed_loop.state_dim)
     )
     return np.array(times), states, states @ xi_n.T
 

@@ -139,6 +139,7 @@ class TestDigest:
         changed = copy.deepcopy(demo_doc)
         changed["simulation"]["dt"] = 0.002
         changed["switching"]["periodic"]["dwell"] = 0.25
+        changed["synthesis"]["kappa0"] = 0.01
         assert config_digest(parse_config(changed)) == base
 
 
@@ -247,13 +248,35 @@ class TestCommandExitCodes:
         (lambda r: r.update(alpha=7.9), "coupling strength alpha > 2/c0"),
         (lambda r: r["certificates"][1].update(index=3),
          "certificate 3: topology exists"),
+        (lambda r: r["certificates"][0]["q"][0].__setitem__(
+            1, r["certificates"][0]["q"][0][1] + 1.0),
+         "certificate 1: Q positive definite"),
+        (lambda r: r.update(c0=123.0), "report c0 = min c_i"),
+        (lambda r: r.update(alpha_min=0.0), "report alpha_min = 2/c0"),
+        (lambda r: r.update(beta_bound=0.5),
+         "report beta_bound = sup feasible beta"),
+        (lambda r: r.update(dwell_threshold=0.001),
+         "report dwell_threshold = ln(lambda_max)/beta"),
+        (lambda r: r.update(lambda_max=1.0001),
+         "report lambda_max >= each switch's lambda_ij"),
     ], ids=["c-above-margin", "q-negated", "lmi-margin", "alpha-low",
-            "unknown-index"])
+            "unknown-index", "q-asymmetric", "c0", "alpha-min", "beta-bound",
+            "dwell-threshold", "lambda-max"])
     def test_verify_fails_the_tampered_check(self, demo_config_file, tmp_path,
                                              capsys, tamper, failed):
         out = _verify_tampered(demo_config_file, tmp_path, capsys, tamper)
         assert f"FAIL  {failed}  [" in out
         assert "verification: FAILURES present" in out
+
+    def test_kappa0_override_keeps_report_fresh(self, demo_config_file,
+                                                tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", demo_config_file,
+                         "--out", out]) == 0
+        for command in ("verify", "simulate"):
+            assert cli.main([command, "--config", demo_config_file, "--out", out,
+                             "--kappa0", "0.01"]) == 0, command
+        assert "vs kappa0 0.01]" in capsys.readouterr().out
 
     def test_verify_detects_stale_report(self, tmp_path, demo_doc):
         path = tmp_path / "config.json"
@@ -346,6 +369,14 @@ class TestCommandExitCodes:
     def test_flag_overrides_validated(self, demo_config_file, tmp_path):
         assert cli.main(["analyze", "--config", demo_config_file,
                          "--out", str(tmp_path / "o"), "--beta", "-3"]) == 3
+
+    @pytest.mark.parametrize("flag", ["--dwell", "--beta", "--alpha", "--kappa0"])
+    def test_nonpositive_override_names_its_flag(self, demo_config_file,
+                                                  tmp_path, capsys, flag):
+        assert cli.main(["analyze", "--config", demo_config_file,
+                         "--out", str(tmp_path / "o"), flag, "0"]) == 3
+        assert f"error: {flag}: must be positive, got 0.0" in \
+            capsys.readouterr().err
 
 
 def _verify_tampered(config, tmp_path, capsys, tamper):
@@ -533,3 +564,34 @@ class TestSpectralFacts:
             '{\n"a": [0.1, -0.0, 1e-300, 1.4142135623730951],\n"b": null,\n'
             '"c": {"nested": [true, "s"]},\n"d": 3\n}\n'
         )
+
+
+PATH_3 = [_edges_doc(3, [(1, 2, 1.0), (2, 3, 1.0)]),
+          _edges_doc(3, [(3, 2, 1.0), (2, 1, 1.0)])]
+
+
+def _scalar_pair_doc():
+    doc = _double_integrator_doc([_edges_doc(2, [(1, 2, 1.0)])], 1.0, 10.0)
+    doc["system"] = {"a": [[0.0]], "b": [[1.0]]}
+    return doc
+
+
+class TestEdgeCases:
+    # tau* = 5.56 s for PATH_3 with the double integrator at beta = 1.
+    @pytest.mark.parametrize("doc, tau_star", [
+        (_scalar_pair_doc(), 0.0),
+        (_double_integrator_doc(PATH_3, 6.0, 60.0, dt=7.0), 5.5594),
+        (_double_integrator_doc(PATH_3, 6.0, 60.0, dt=0.35), 5.5594),
+    ], ids=["two-nodes-one-state-one-topology", "dt-above-dwell",
+            "dt-not-dividing-dwell"])
+    def test_pipeline_passes(self, tmp_path, capsys, doc, tau_star):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in ("analyze", "synthesize", "simulate", "verify"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(out)]) == 0, command
+        report = json.loads((out / "synthesis.json").read_text())
+        assert report["dwell_threshold"] == pytest.approx(tau_star, rel=1e-4)
+        text = capsys.readouterr().out
+        assert "consensus: PASS" in text and "all checks passed" in text

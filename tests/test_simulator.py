@@ -24,6 +24,7 @@ from conftest import (
     disagreement_transform,
     random_spd,
     random_stable,
+    xi_matrix,
 )
 
 
@@ -117,7 +118,7 @@ class TestDisagreement:
         rng = np.random.default_rng(20)
         x = rng.normal(size=15)
         e, norm = disagreement(x, 5, 3)
-        expected = np.kron(topology.xi_matrix(5), np.eye(3)) @ x
+        expected = np.kron(xi_matrix(5), np.eye(3)) @ x
         assert np.allclose(e, expected, atol=1e-14)
         assert norm == pytest.approx(np.linalg.norm(expected))
 

@@ -19,7 +19,7 @@ from switched_consensus.synthesis import (
     synthesize,
 )
 
-from conftest import draw_stabilizable, random_spd
+from conftest import draw_stabilizable, interval_count, random_spd
 
 
 def scalar_reduced(value):
@@ -157,6 +157,11 @@ class TestDesignChecks:
             "gain identity K = (1/2) B^T inv(P)",
             "gain inequality A P + P A^T - B B^T + beta P < 0",
             "coupling strength alpha > 2/c0",
+            "report c0 = min c_i",
+            "report alpha_min = 2/c0",
+            "report beta_bound = sup feasible beta",
+            "report dwell_threshold = ln(lambda_max)/beta",
+            "report lambda_max >= each switch's lambda_ij",
         ]
         assert all(passed for _, passed, _ in checks)
 
@@ -266,7 +271,7 @@ class TestPairLambdas:
         )
         t = signal.breakpoints
         expected = []
-        for k in range(signal.interval_count - 1):
+        for k in range(interval_count(signal) - 1):
             i, j = int(signal.indices[k]), int(signal.indices[k + 1])
             lam = linalg.max_generalized_eigenvalue(q[i], q[j])
             expected.append((lam, 1.5 * (t[k + 1] - t[k]) - math.log(lam)))
@@ -308,7 +313,7 @@ class TestCheckSchedule:
         signal = topology.periodic_signal(2, vtol.DWELL, vtol.HORIZON)
         report = check_schedule(signal, vtol_design.certificates, vtol.BETA)
         assert report.passed
-        assert len(report.checks) == signal.interval_count - 1
+        assert len(report.checks) == interval_count(signal) - 1
 
     def test_tiny_dwell_fails(self, vtol_design):
         signal = topology.periodic_signal(2, 0.01, 0.1)
@@ -336,7 +341,7 @@ class TestSynthesize:
     def test_demo_design_invariants(self, vtol_design):
         assert vtol_design.alpha_min == 8.0
         assert vtol_design.alpha == pytest.approx(8.1)
-        assert vtol_design.c0 == pytest.approx(0.25)
+        assert min(c.c for c in vtol_design.certificates) == pytest.approx(0.25)
         assert vtol_design.beta_bound == math.inf
         spd, _ = linalg.is_positive_definite(vtol_design.p)
         assert spd
@@ -356,7 +361,7 @@ class TestSynthesize:
 
     def test_default_c_fraction_path(self, vtol_reduced):
         design = synthesize(vtol.A, vtol.B, vtol_reduced, 3.0)
-        assert design.c0 == pytest.approx(0.9)
+        assert min(c.c for c in design.certificates) == pytest.approx(0.9)
         assert design.alpha > design.alpha_min
 
     def test_broadcast_single_c(self, vtol_reduced):

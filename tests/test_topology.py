@@ -8,7 +8,6 @@ from switched_consensus.topology import (
     DirectedGraph,
     GraphSet,
     SwitchingSignal,
-    active_index,
     antistability_margin,
     graph_from_dict,
     graph_to_dict,
@@ -16,13 +15,18 @@ from switched_consensus.topology import (
     laplacian,
     load_graph,
     periodic_signal,
-    pi_matrix,
     reduce_laplacian,
     save_graph,
-    xi_matrix,
 )
 
-from conftest import LHAT_1, LHAT_2
+from conftest import (
+    LHAT_1,
+    LHAT_2,
+    active_index,
+    interval_count,
+    pi_matrix,
+    xi_matrix,
+)
 
 
 def brute_force_root(weights):
@@ -305,7 +309,7 @@ class TestPeriodicSignal:
     def test_million_intervals(self):
         s = periodic_signal(2, 1e-3, 1000.0)
         breakpoints, indices = self.loop_breakpoints(2, 1e-3, 1000.0)
-        assert s.interval_count == 10**6
+        assert interval_count(s) == 10**6
         assert s.breakpoints.tobytes() == breakpoints.tobytes()
         assert np.array_equal(s.indices, indices)
 
