@@ -40,24 +40,30 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A validated run configuration.
+
+    `parse_config` is its only constructor and applies every default; the
+    optional fields it leaves unset are None.
+    """
+
     a: np.ndarray
     b: np.ndarray
     graphs: topology.GraphSet
     switching_kind: str  # "periodic" or "explicit"
     switching: dict
     beta: float
-    c_values: list = None
-    c_fraction: float = None
-    alpha: float = None
-    alpha_margin: float = None
-    kappa0: float = synthesis.DEFAULT_KAPPA0
-    x0: np.ndarray = None
-    seed: int = None
-    dt: float = 0.01
-    tolerance: float = 1e-2
-    window: float = 2.0
-    gain: dict = None  # optional explicit {"k": ndarray, "alpha": float}
-    out_dir: str = None
+    c_values: list
+    c_fraction: float
+    alpha: float
+    alpha_margin: float
+    kappa0: float
+    x0: np.ndarray
+    seed: int
+    dt: float
+    tolerance: float
+    window: float
+    gain: dict  # None, or an explicit {"k": ndarray, "alpha": float}
+    out_dir: str
 
 
 def _require(doc, key, where):

@@ -19,6 +19,11 @@ and its samples are checked for divergence at once.  Agent states
 ``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
+import os
+import shutil
+import tempfile
+import traceback
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,11 @@ DIVERGENCE_CUTOFF = 1e12
 # Switching intervals whose transition matrices are exponentiated together;
 # bounds the fragment flows held at once.
 BLOCK_INTERVALS = 256
+# Values a trajectory CSV part must format for its fork to pay.  In a 70 to
+# 100 MB process, the fork, the child's exit and the page faults the parent
+# takes afterwards, in this command and the next, cost about as much as
+# formatting 20 000 floats.
+MIN_PART_VALUES = 100_000
 
 __all__ = [
     "LyapunovMonitor",
@@ -67,10 +77,6 @@ class SwitchedClosedLoop:
     disagreement.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    k: np.ndarray
-    alpha: float
     modes: list
     signal: topology.SwitchingSignal
     node_count: int
@@ -154,14 +160,7 @@ def build_closed_loop(a, b, k_gain, alpha, graphs, signal):
         c = -alpha * np.kron(lap[-1:, :-1], bk)
         modes.append(np.block([[ah, zero], [c, a]]))
     return SwitchedClosedLoop(
-        a=a,
-        b=b,
-        k=k_gain,
-        alpha=float(alpha),
-        modes=modes,
-        signal=signal,
-        node_count=n_nodes,
-        state_dim=n,
+        modes=modes, signal=signal, node_count=n_nodes, state_dim=n
     )
 
 
@@ -411,6 +410,105 @@ def lyapunov_monitor(record, certificates, p):
     return LyapunovMonitor(order, values, interval_rates, switch_jumps)
 
 
+def _usable_cpus():
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork():
+    """``os.fork()``, minus the warning Python 3.12+ gives in a threaded process.
+
+    The warning is that another thread may hold a lock at the fork, which
+    the child would then wait on forever.  A writer child takes no lock but
+    the GIL and malloc's, which the interpreter and the C library reset in
+    the child; it calls no BLAS, so threads such as OpenBLAS workers never
+    matter to it.  Only that one warning is filtered, only around the fork.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore",
+            message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+            category=DeprecationWarning,
+        )
+        return os.fork()
+
+
+def _write_rows(fh, record, data, agree, lo, hi):
+    """Write the CSV rows of samples ``lo .. hi - 1``; see `write_trajectory_csv`.
+
+    ``data`` holds each sample's values after ``t`` and the topology; a
+    sample flagged in ``agree`` formats agent N's block once (see `_split`).
+    """
+    n_nodes, n = record.node_count, record.state_dim
+    last, tail = slice((n_nodes - 1) * n, n_nodes * n), n_nodes * n
+    switch_at = {t: (old, new) for t, old, new in record.switches}
+    # CRLF rows as csv.writer emits them; repr is the shortest round-trip
+    # float form.  Rows are formatted and written one at a time.
+    rows = zip(record.times[lo:hi].tolist(), record.indices[lo:hi].tolist(),
+               data[lo:hi], agree[lo:hi])
+    for t, index, row, same in rows:
+        values = row.tolist()
+        if same:
+            block = ",".join(map(repr, values[last]))
+            body = ",".join([block] * n_nodes + [repr(v) for v in values[tail:]])
+        else:
+            body = ",".join(map(repr, values))
+        for i in switch_at.get(t, (index,)):
+            fh.write(f"{t!r},{i},{body}\r\n")
+
+
+def _start_part(record, data, agree, lo, hi):
+    """Fork a child writing samples ``lo .. hi - 1``; return its pid and file.
+
+    The child writes to an anonymous temporary file opened before the fork
+    and leaves through ``os._exit``: it runs no atexit handler and flushes
+    no buffer it inherited, so nothing the parent holds is written twice.
+    Its exit status is 0 on success; on any exception it writes the
+    traceback to standard error and exits with status 1.
+    """
+    part = tempfile.TemporaryFile()
+    try:
+        pid = _fork()
+    except BaseException:
+        part.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            with open(part.fileno(), "w", newline="", closefd=False) as fh:
+                _write_rows(fh, record, data, agree, lo, hi)
+            status = 0
+        except BaseException:
+            note = f"trajectory CSV samples {lo}..{hi - 1}:\n{traceback.format_exc()}"
+            os.write(2, note.encode())
+        finally:
+            os._exit(status)
+    return pid, part
+
+
+def _split(record, data):
+    """Per-sample agreement flags and the sample bounds of the CSV parts.
+
+    A sample agrees when every agent block equals agent N's bit for bit, so
+    ``-0.0`` never stands in for ``0.0``; its row formats that block once.
+    There is one part per usable CPU, but no more than there are samples,
+    and each part formats at least `MIN_PART_VALUES` values.  Where
+    ``os.fork`` is missing there is one part.
+    """
+    size, n = record.times.size, record.state_dim
+    states = np.ascontiguousarray(record.states, dtype=float)
+    blocks = states.view(np.int64).reshape(size, record.node_count, n)
+    agree = (blocks == blocks[:, -1:]).all(axis=(1, 2))
+    skipped = (record.node_count - 1) * n * int(agree.sum())
+    parts = 1
+    if hasattr(os, "fork"):
+        by_size = (data.size - skipped) // MIN_PART_VALUES
+        parts = max(1, min(_usable_cpus(), size, by_size))
+    return agree.tolist(), [size * k // parts for k in range(parts + 1)]
+
+
 def write_trajectory_csv(record, path, monitor=None):
     """Write the trajectory as CSV, one row per sample.
 
@@ -418,6 +516,14 @@ def write_trajectory_csv(record, path, monitor=None):
     a monitor is given.  Switch instants produce two rows sharing t and x:
     first the outgoing topology, then the incoming one.  Floats are written
     with full round-trip precision.
+
+    The samples are split into contiguous parts (see `_split`).  Before
+    `path` is opened, one child is forked per part after the first (see
+    `_start_part`); the parent writes the first part itself, then waits for
+    each child in order and appends its file.  A child that fails raises
+    OSError naming its part, after every child has been waited for.  With
+    one part, nothing is forked.  Each part formats exactly the rows a
+    single pass would, so the bytes do not depend on the number of parts.
     """
     header = ["t", "topology"]
     header += [
@@ -431,12 +537,32 @@ def write_trajectory_csv(record, path, monitor=None):
         header += [f"V_{i}" for i in monitor.topology_indices]
         columns.append(monitor.values)
     data = np.hstack(columns)
-    switch_at = {t: (old, new) for t, old, new in record.switches}
-    # CRLF rows as csv.writer emits them; repr is the shortest round-trip
-    # float form.  Rows are formatted and written one at a time.
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for t, index, row in zip(record.times.tolist(), record.indices.tolist(), data):
-            body = ",".join(map(repr, row.tolist()))
-            for i in switch_at.get(t, (index,)):
-                fh.write(f"{t!r},{i},{body}\r\n")
+    agree, bounds = _split(record, data)
+    parts = len(bounds) - 1
+    children = []  # (part number, pid, file), in sample order
+    try:
+        for number in range(2, parts + 1):
+            lo, hi = bounds[number - 1], bounds[number]
+            pid, part = _start_part(record, data, agree, lo, hi)
+            children.append((number, pid, part))
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            _write_rows(fh, record, data, agree, 0, bounds[1])
+            fh.flush()
+            while children:
+                number, pid, part = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                with part:
+                    code = os.waitstatus_to_exitcode(status)
+                    if code != 0:
+                        raise OSError(
+                            f"{path}: part {number} of {parts} failed in child "
+                            f"process {pid} (exit code {code})"
+                        )
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh.buffer)
+    finally:
+        for _, pid, part in children:
+            os.waitpid(pid, 0)
+            part.close()

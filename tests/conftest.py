@@ -114,15 +114,12 @@ def draw_stabilizable(rng, max_n=5, pbh_floor=0.3):
             return a, b
 
 
-def dense_modes(closed_loop, graphs):
+def dense_modes(a, b, k, alpha, graphs):
     """Oracle: stacked full-state modes ``I_N kron A - alpha * (L kron BK)``."""
-    bk = closed_loop.b @ closed_loop.k
-    eye = np.eye(closed_loop.node_count)
-    return [
-        np.kron(eye, closed_loop.a)
-        - closed_loop.alpha * np.kron(topology.laplacian(g), bk)
-        for g in graphs
-    ]
+    bk = b @ k
+    eye = np.eye(graphs.node_count)
+    return [np.kron(eye, a) - alpha * np.kron(topology.laplacian(g), bk)
+            for g in graphs]
 
 
 def disagreement_transform(node_count, state_dim):
@@ -136,15 +133,15 @@ def disagreement_transform(node_count, state_dim):
     return np.kron(t, eye), np.kron(t_inv, eye)
 
 
-def dense_simulate(closed_loop, graphs, x0, dt):
+def dense_simulate(a, b, k, alpha, graphs, signal, x0, dt):
     """Oracle: piecewise-expm flow of the stacked state on the simulator's grid.
 
-    Returns ``(times, states, errors)`` with the disagreement recovered by
+    Takes `build_closed_loop`'s arguments, then ``x0`` and ``dt``.  Returns
+    ``(times, states, errors)`` with the disagreement recovered by
     subtraction, so it cancels to the round-off of the agreement component
     once that dominates.
     """
-    modes = dense_modes(closed_loop, graphs)
-    signal = closed_loop.signal
+    modes = dense_modes(a, b, k, alpha, graphs)
     x = np.asarray(x0, dtype=float).ravel()
     times, states = [0.0], [x]
     cache = {}
@@ -163,9 +160,7 @@ def dense_simulate(closed_loop, graphs, x0, dt):
             times.append(t)
             states.append(x)
     states = np.vstack(states)
-    xi_n = np.kron(
-        xi_matrix(closed_loop.node_count), np.eye(closed_loop.state_dim)
-    )
+    xi_n = np.kron(xi_matrix(graphs.node_count), np.eye(len(a)))
     return np.array(times), states, states @ xi_n.T
 
 
@@ -227,3 +222,29 @@ def cached_simulate(closed_loop, x0, dt):
         node_count=n_nodes,
         state_dim=n,
     )
+
+
+def single_process_csv(record, path, monitor=None):
+    """Oracle: the one-pass trajectory writer the forked one replaced.
+
+    Formats every row in this process, each float with its own ``repr``.
+    """
+    header = ["t", "topology"]
+    header += [
+        f"x_{i + 1}_{j + 1}"
+        for i in range(record.node_count)
+        for j in range(record.state_dim)
+    ]
+    header.append("e_norm")
+    columns = [record.states, record.error_norms[:, None]]
+    if monitor is not None:
+        header += [f"V_{i}" for i in monitor.topology_indices]
+        columns.append(monitor.values)
+    data = np.hstack(columns)
+    switch_at = {t: (old, new) for t, old, new in record.switches}
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, index, row in zip(record.times.tolist(), record.indices.tolist(), data):
+            body = ",".join(map(repr, row.tolist()))
+            for i in switch_at.get(t, (index,)):
+                fh.write(f"{t!r},{i},{body}\r\n")

@@ -221,7 +221,10 @@ def test_criterion_7_simulator_properties(vtol_design):
     scale = max(1.0, np.abs(base.errors).max())
     translation_ok = np.abs(base.errors - shifted.errors).max() <= 1e-9 * scale
 
-    _, _, dense_errors = dense_simulate(closed_loop, graphs, x0, 0.02)
+    _, _, dense_errors = dense_simulate(
+        vtol.A, vtol.B, vtol_design.k, vtol_design.alpha, graphs, demo_signal(),
+        x0, 0.02,
+    )
     reduction_ok = np.abs(base.errors - dense_errors).max() <= 1e-8 * scale
 
     on_subspace = simulator.simulate(closed_loop, np.tile(x0[:4], 5), 0.02)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from switched_consensus import cli, linalg, synthesis, topology, vtol
+from switched_consensus import cli, linalg, simulator, synthesis, topology, vtol
 from switched_consensus.config import (
     ConfigError,
     build_signal,
@@ -334,6 +334,26 @@ class TestCommandExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == 0
         assert "0.000e+00" in capsys.readouterr().out
+
+    def test_failed_trajectory_part_is_input_error(self, tmp_path, demo_doc,
+                                                   capsys, monkeypatch):
+        write_rows = simulator._write_rows
+
+        def failing_after_first_part(fh, record, data, agree, lo, hi):
+            if lo != 0:
+                raise RuntimeError("formatter failed")
+            write_rows(fh, record, data, agree, lo, hi)
+
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulator, "MIN_PART_VALUES", 1)
+        monkeypatch.setattr(simulator, "_write_rows", failing_after_first_part)
+        demo_doc["gain"] = {"k": vtol.K_PUBLISHED.tolist(), "alpha": vtol.ALPHA}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(demo_doc))
+        code = cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_INPUT
+        assert "part 2 of 2 failed" in capsys.readouterr().err
 
     def test_overflowing_flow_aborts_simulation(self, tmp_path, capsys):
         # The flow over the 1 s interval on graph 2 overflows before any

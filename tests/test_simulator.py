@@ -1,4 +1,9 @@
 import csv
+import io
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from conftest import (
     disagreement_transform,
     random_spd,
     random_stable,
+    single_process_csv,
     xi_matrix,
 )
 
@@ -78,11 +84,14 @@ class TestBuildClosedLoop:
         expected = t @ (-2.5 * topology.laplacian(g)) @ t_inv
         assert np.array_equal(cl.modes[0], expected)
 
-    def test_demo_dimensions_and_intertwining(self, demo_closed_loop, vtol_graphs):
+    def test_demo_dimensions_and_intertwining(self, demo_closed_loop, vtol_graphs,
+                                              vtol_design):
         cl = demo_closed_loop
         assert all(m.shape == (20, 20) for m in cl.modes)
         t, t_inv = disagreement_transform(5, 4)
-        for full, mode in zip(dense_modes(cl, vtol_graphs), cl.modes):
+        full_modes = dense_modes(vtol.A, vtol.B, vtol_design.k, vtol_design.alpha,
+                                 vtol_graphs)
+        for full, mode in zip(full_modes, cl.modes):
             assert np.all(mode[:16, 16:] == 0.0)
             residual = np.abs(t @ full @ t_inv - mode).max()
             assert residual <= 1e-10 * max(1.0, np.abs(full).max())
@@ -193,7 +202,10 @@ class TestSimulate:
         switch_times = [t for t, _, _ in record.switches]
         assert switch_times == pytest.approx([0.5, 1.0, 1.5, 2.0, 2.5])
         assert np.isin(switch_times, record.times).all()
-        _, _, dense_errors = dense_simulate(cl, vtol_graphs, x0, 0.07)
+        _, _, dense_errors = dense_simulate(
+            vtol.A, vtol.B, vtol_design.k, vtol_design.alpha, vtol_graphs, signal,
+            x0, 0.07,
+        )
         scale = max(1.0, np.abs(record.errors).max())
         assert np.abs(record.errors - dense_errors).max() <= 1e-8 * scale
 
@@ -207,7 +219,9 @@ class TestSimulate:
         cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
         x0 = np.random.default_rng(28).uniform(-1, 1, size=6)
         record = simulate(cl, x0, dt)
-        _, dense_states, dense_errors = dense_simulate(cl, graphs, x0, dt)
+        _, dense_states, dense_errors = dense_simulate(
+            a, b, design.k, design.alpha, graphs, signal, x0, dt
+        )
         scale = max(1.0, np.abs(dense_states).max())
         assert np.abs(record.errors - dense_errors).max() <= 1e-10 * scale
         assert np.abs(record.states - dense_states).max() <= 1e-10 * scale
@@ -428,15 +442,21 @@ class TestReductionEquivalence:
         rng = np.random.default_rng(23)
         x0 = rng.uniform(-1, 1, size=6)
         record = simulate(cl, x0, 0.05)
-        times, states, errors = dense_simulate(cl, graphs, x0, 0.05)
+        times, states, errors = dense_simulate(
+            a, b, design.k, design.alpha, graphs, signal, x0, 0.05
+        )
         assert np.array_equal(record.times, times)
         scale = max(1.0, np.abs(errors).max())
         assert np.abs(record.errors - errors).max() <= 1e-8 * scale
         assert np.abs(record.states - states).max() <= 1e-8 * np.abs(states).max()
 
-    def test_demo_system_agrees(self, demo_closed_loop, demo_record, vtol_graphs):
+    def test_demo_system_agrees(self, demo_closed_loop, demo_record, vtol_graphs,
+                                vtol_design):
         x0 = np.random.default_rng(vtol.SEED).uniform(-1, 1, size=20)
-        _, _, errors = dense_simulate(demo_closed_loop, vtol_graphs, x0, vtol.DT)
+        _, _, errors = dense_simulate(
+            vtol.A, vtol.B, vtol_design.k, vtol_design.alpha, vtol_graphs,
+            demo_closed_loop.signal, x0, vtol.DT,
+        )
         scale = max(1.0, np.abs(demo_record.errors).max())
         diff = np.abs(demo_record.errors - errors).max()
         assert diff <= 1e-8 * scale
@@ -687,3 +707,173 @@ class TestTrajectoryCsv:
         write_trajectory_csv(demo_record, p1)
         write_trajectory_csv(demo_record, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def synthetic_record(states, state_dim, switches=()):
+    """Record with the given agent states at t = 0, 0.5, 1, ... (no physics)."""
+    states = np.array(states, dtype=float)
+    node_count = states.shape[1] // state_dim
+    times = 0.5 * np.arange(len(states))
+    indices = np.ones(len(states), dtype=int)
+    for t, _, new in switches:
+        indices[times >= t] = new
+    last = states[:, -state_dim:]
+    return TrajectoryRecord(
+        times=times,
+        states=states,
+        errors=states[:, :-state_dim] - np.tile(last, node_count - 1),
+        error_norms=np.linspace(1.0, 0.0, len(states)),
+        indices=indices,
+        switches=list(switches),
+        node_count=node_count,
+        state_dim=state_dim,
+    )
+
+
+# Rows of three agents with two states each: agreeing blocks, signed zeros
+# that agree only as floats, and blocks that differ in one value.
+SIGNED_ZERO_STATES = [
+    [1.5, -2.0, 1.5, -2.0, 1.5, -2.0],
+    [0.0, 1.0, -0.0, 1.0, 0.0, 1.0],
+    [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+    [0.0, 0.0, 0.0, 0.0, -0.0, 0.0],
+    [0.1, 0.2, 0.1, 0.2000000000000001, 0.1, 0.2],
+    [7e-310, 1e300, 7e-310, 1e300, 7e-310, 1e300],
+]
+
+
+class TestParallelTrajectoryCsv:
+    """The parted writer against the one-pass oracle, byte for byte."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Set the usable CPUs and the values a part needs; returns the forks."""
+        made = []
+        real_fork = simulator._fork
+
+        def counting_fork():
+            made.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(simulator, "_fork", counting_fork)
+
+        def use(cpus, min_part_values=1):
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(simulator, "MIN_PART_VALUES", min_part_values)
+            return made
+
+        return use
+
+    def assert_matches_oracle(self, tmp_path, record, monitor=None):
+        ours, oracle = tmp_path / "parted.csv", tmp_path / "oracle.csv"
+        write_trajectory_csv(record, ours, monitor)
+        single_process_csv(record, oracle, monitor)
+        assert ours.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("with_monitor", [True, False])
+    def test_demo_record(self, tmp_path, forks, cpus, with_monitor, demo_record,
+                         vtol_design):
+        made = forks(cpus)
+        monitor = None
+        if with_monitor:
+            monitor = lyapunov_monitor(
+                demo_record, vtol_design.certificates, vtol_design.p
+            )
+        self.assert_matches_oracle(tmp_path, demo_record, monitor)
+        assert len(made) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_switch_on_a_part_boundary(self, tmp_path, forks, cpus, small_setup):
+        forks(cpus)
+        a, b, graphs, design = small_setup
+        signal = periodic_signal(2, 1.0, 2.0)
+        cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
+        record = simulate(cl, np.random.default_rng(31).uniform(-1, 1, 6), 0.5)
+        # Samples 0..4; the switch is sample 2, which starts part 2 of 2 and
+        # ends part 2 of 3.
+        assert record.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert record.switches == [(1.0, 1, 2)]
+        monitor = lyapunov_monitor(record, design.certificates, design.p)
+        self.assert_matches_oracle(tmp_path, record, monitor)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_short_records_fork_at_most_one_child_per_extra_sample(
+        self, tmp_path, forks, cpus, samples
+    ):
+        made = forks(cpus)
+        switches = [(0.5, 1, 2)] if samples == 2 else []
+        record = synthetic_record(SIGNED_ZERO_STATES[:samples], 2, switches)
+        self.assert_matches_oracle(tmp_path, record)
+        assert len(made) == min(cpus, samples) - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_signed_zeros_and_consensus_rows(self, tmp_path, forks, cpus):
+        forks(cpus)
+        record = synthetic_record(SIGNED_ZERO_STATES, 2, [(1.0, 1, 2)])
+        self.assert_matches_oracle(tmp_path, record)
+        text = (tmp_path / "parted.csv").read_text()
+        assert "0.5,1,0.0,1.0,-0.0,1.0,0.0,1.0," in text
+        assert "1.5,2,0.0,0.0,0.0,0.0,-0.0,0.0," in text
+
+    @pytest.mark.parametrize("min_part_values, forks_made", [(31, 0), (14, 1), (10, 2)])
+    def test_parts_need_enough_values(self, tmp_path, forks, min_part_values,
+                                      forks_made):
+        made = forks(3, min_part_values)
+        # 6 rows of 7 values; the 3 agreeing rows format 3 each, so 30 in all.
+        record = synthetic_record(SIGNED_ZERO_STATES, 2)
+        self.assert_matches_oracle(tmp_path, record)
+        assert len(made) == forks_made
+
+    def test_demo_record_is_one_part(self, tmp_path, forks, demo_record):
+        made = forks(3, simulator.MIN_PART_VALUES)
+        self.assert_matches_oracle(tmp_path, demo_record)
+        assert made == []
+
+    def test_no_fork_without_os_fork(self, tmp_path, forks, monkeypatch,
+                                     demo_record):
+        made = forks(3)
+        monkeypatch.delattr(os, "fork")
+        self.assert_matches_oracle(tmp_path, demo_record)
+        assert made == []
+
+    def test_failed_part_raises_and_leaves_no_child(
+        self, tmp_path, forks, monkeypatch, capfd, demo_record
+    ):
+        forks(3)
+        write_rows = simulator._write_rows
+
+        def failing_after_first_part(fh, record, data, agree, lo, hi):
+            if lo != 0:
+                raise RuntimeError("formatter failed")
+            write_rows(fh, record, data, agree, lo, hi)
+
+        monkeypatch.setattr(simulator, "_write_rows", failing_after_first_part)
+        # A block-buffered stdout, as when it is a pipe, holding text that a
+        # child must not flush.
+        with io.TextIOWrapper(open(os.dup(1), "wb")) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            print("written once", end="")
+            with pytest.raises(OSError, match=r"part 2 of 3 .*\(exit code 1\)"):
+                write_trajectory_csv(demo_record, tmp_path / "trajectory.csv")
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        out, err = capfd.readouterr()
+        assert out == "written once"
+        assert err.count("RuntimeError: formatter failed") == 2
+
+    def test_no_warning_in_a_threaded_process(self, tmp_path, forks, demo_record):
+        made = forks(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.assert_matches_oracle(tmp_path, demo_record)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(made) == 1
