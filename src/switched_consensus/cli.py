@@ -185,8 +185,9 @@ def cmd_verify(rc, out_dir):
         unpaired = []
     except ValueError as exc:  # certificates that cannot be paired
         schedule, unpaired = [], [("switching condition", False, str(exc))]
+    solved = {(chk.from_index, chk.to_index): chk.lambda_max for chk in schedule}
     checks = synthesis.design_checks(design, rc.a, rc.b, _reduced(rc), report,
-                                     [chk.lambda_max for chk in schedule])
+                                     solved)
     checks += unpaired + [
         (f"switch margin on [{chk.t_start:g}, {chk.t_end:g}) "
          f"({chk.from_index}->{chk.to_index})",
@@ -268,29 +269,39 @@ def _apply_overrides(rc, args):
         rc.alpha_margin = None
 
 
-def main(argv=None):
+# Command -> help.  `main` runs ``cmd_<command>`` (a dash read as an
+# underscore), looked up when it runs, so a wrapper set on this module, such
+# as a tracer's, is what runs.
+_COMMANDS = {
+    "analyze": "check the spanning-tree assumption per topology",
+    "synthesize": "solve the design inequalities and write the report",
+    "simulate": "run the switched closed loop and write the trajectory",
+    "verify": "re-validate a synthesis report against the config",
+    "demo-vtol": "run the built-in VTOL benchmark",
+}
+
+
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="switched-consensus",
         description="Synthesize and verify consensus protocols for linear "
         "multi-agent systems under switching directed topologies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "analyze": (cmd_analyze, "check the spanning-tree assumption per topology"),
-        "synthesize": (cmd_synthesize,
-                       "solve the design inequalities and write the report"),
-        "simulate": (cmd_simulate,
-                     "run the switched closed loop and write the trajectory"),
-        "verify": (cmd_verify, "re-validate a synthesis report against the config"),
-        "demo-vtol": (cmd_demo_vtol, "run the built-in VTOL benchmark"),
-    }
-    for name, (_, doc) in commands.items():
+    for name, doc in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         if name != "demo-vtol":
             p.add_argument("--config", required=True, help="run configuration JSON")
         _add_common_flags(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once: every `main` call parses into a fresh namespace.
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "demo-vtol":
             rc = cfg.parse_config(vtol.demo_config())
@@ -299,7 +310,7 @@ def main(argv=None):
         _apply_overrides(rc, args)
         out_dir = args.out or rc.out_dir or "out"
         os.makedirs(out_dir, exist_ok=True)
-        return commands[args.command][0](rc, out_dir)
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](rc, out_dir)
     except cfg.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

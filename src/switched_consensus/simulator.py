@@ -15,12 +15,16 @@ grows.  A run diverges at the first sample whose disagreement max-norm
 exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
 run in blocks of switching intervals: each block's new transition matrices
 are exponentiated in stacked calls, a few per mode, before it is propagated,
-and its samples are checked for divergence at once.  Agent states
-``x_i = e_i + x_N`` are rebuilt for output only.
+and its samples are checked for divergence at once.  Where a block's calls
+are large and CPUs are free, forked children make some of them.  Agent
+states ``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
+import contextlib
+import functools
 import os
 import shutil
+import sys
 import tempfile
 import traceback
 import warnings
@@ -41,6 +45,13 @@ BLOCK_INTERVALS = 256
 # takes afterwards, in this command and the next, cost about as much as
 # formatting 20 000 floats.
 MIN_PART_VALUES = 100_000
+# Work a block's new transition matrices must hold before a forked child
+# takes part of them, counted as n**3 per n-by-n exponential.  A 400x400
+# exponential takes about 1 ns per unit (more for small matrices), and a
+# fork costs about 10 ms in a 100 MB process, so this is about five forks.
+MIN_FORK_WORK = 5e7
+# The variables that set how many threads BLAS runs; see `_blas_threads`.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 __all__ = [
     "LyapunovMonitor",
@@ -197,6 +208,104 @@ def _flows(mode, steps, m):
     return flows
 
 
+def _group_flows(modes, keys, m):
+    """`_flows` of one group of keys of one mode; None if it overflows."""
+    try:
+        return _flows(modes[keys[0][0] - 1], [h for _, h in keys], m)
+    except OverflowError:
+        return None
+
+
+def _save_flows(modes, groups, m, fh):
+    """Write each group's `_group_flows` to `fh`: a flag byte, then the stack."""
+    for keys in groups:
+        stack = _group_flows(modes, keys, m)
+        fh.write(b"\0" if stack is None else b"\1")
+        if stack is not None:
+            fh.write(stack)
+
+
+def _load_flows(fh, groups, size):
+    """Read back what `_save_flows` wrote for `groups`, as ``(keys, stack)``."""
+    for keys in groups:
+        stack = None
+        if fh.read(1) == b"\1":
+            stack = np.empty((len(keys), size, size))
+            if fh.readinto(stack) != stack.nbytes:
+                raise OSError("transition matrices: a child's file is truncated")
+        yield keys, stack
+
+
+def _blas_threads():
+    """Threads a BLAS call may run: the most any of `BLAS_THREAD_VARS` allows.
+
+    Each BLAS build reads its own variable, so one that is unset or not a
+    positive integer counts as one thread per usable CPU, which is what
+    OpenBLAS runs then.  The variables are read when called; a BLAS reads
+    them once, when it is loaded, so they tell its pool only if they were
+    set before the program started.
+    """
+    cpus = _usable_cpus()
+
+    def threads(value):
+        try:
+            count = int(value)
+        except (TypeError, ValueError):
+            return cpus
+        return count if count > 0 else cpus
+
+    return max(threads(os.environ.get(var)) for var in BLAS_THREAD_VARS)
+
+
+def _balance(groups, parts):
+    """Split `groups` into `parts` lists of about equal work, largest first.
+
+    A group of k keys costs ``k * n**3``; n is the same for every mode, so
+    the keys are counted.
+    """
+    bins, loads = [[] for _ in range(parts)], [0] * parts
+    for keys in sorted(groups, key=len, reverse=True):
+        k = loads.index(min(loads))
+        bins[k].append(keys)
+        loads[k] += len(keys)
+    return bins
+
+
+def _flow_parts(groups, size):
+    """How many processes exponentiate a block's `groups` of keys.
+
+    One per usable CPU, but at most one per group, and one unless BLAS runs
+    one thread (so that no process runs BLAS threads on another's CPU, and
+    a child is never forked beside a BLAS worker pool) and the groups hold
+    `MIN_FORK_WORK`.  Forking runs only on Linux, where it is tested.
+    """
+    work = size**3 * sum(map(len, groups))
+    if (work < MIN_FORK_WORK or _blas_threads() != 1
+            or not (sys.platform.startswith("linux") and hasattr(os, "fork"))):
+        return 1
+    return min(len(groups), _usable_cpus())
+
+
+def _exponentiate(modes, groups, m):
+    """``{key: flow}`` for every group of keys, one stacked call per group.
+
+    The groups are split over `_flow_parts` processes (see `_balance`): one
+    child is forked per part after the first (see `_parts`), and runs the
+    same `_flows` calls on its groups, handing each stack back through its
+    file.  A group whose stack overflows is left out, here or in a child.
+    """
+    size = modes[0].shape[0]
+    own, *others = _balance(groups, _flow_parts(groups, size))
+    jobs = [(f"transition matrices of {sum(map(len, part))} steps",
+             functools.partial(_save_flows, modes, part, m)) for part in others]
+    with _parts(jobs, "transition matrices") as finished:
+        done = [(keys, _group_flows(modes, keys, m)) for keys in own]
+        for part, fh in zip(others, finished):
+            done += _load_flows(fh, part, size)
+    return {key: flow for keys, stack in done if stack is not None
+            for key, flow in zip(keys, stack)}
+
+
 def _propagate(modes, samples, times, indices, steps, ends, dt, m):
     """Fill ``samples[1:]`` from ``samples[0]``, one block of intervals at a time.
 
@@ -211,23 +320,19 @@ def _propagate(modes, samples, times, indices, steps, ends, dt, m):
             last = int(ends[min(lo + BLOCK_INTERVALS, ends.size) - 1])
             block_modes = indices[first - 1 : last].tolist()
             hs = steps[first - 1 : last].tolist()
-            flows = dict(held)
             new = [k for k in dict.fromkeys(zip(block_modes, hs)) if k not in held]
             # Full steps get a stack of their own, so holding them does not
             # keep a block's fragments alive.
-            for mode, full in dict.fromkeys((md, h == dt) for md, h in new):
-                keys = [k for k in new if k[0] == mode and (k[1] == dt) == full]
-                try:
-                    hs_new = [h for _, h in keys]
-                    flows.update(zip(keys, _flows(modes[mode - 1], hs_new, m)))
-                except OverflowError:
-                    pass  # exponentiated one by one below, when first reached
+            groups = [[k for k in new if k[0] == mode and (k[1] == dt) == full]
+                      for mode, full in dict.fromkeys((md, h == dt) for md, h in new)]
+            flows = {**held, **_exponentiate(modes, groups, m)}
             held.update((key, flows[key]) for key in new
                         if key[1] == dt and key in flows)
             for s, key in enumerate(zip(block_modes, hs), start=first):
                 flow = flows.get(key)
                 if flow is None:
-                    # Report an earlier divergence before this flow overflows.
+                    # An overflowed group: report an earlier divergence
+                    # before this flow overflows.
                     _check_divergence(samples[first:s], times[first:s], m)
                     flow = flows[key] = _flows(modes[key[0] - 1], [key[1]], m)[0]
                 z = np.dot(flow, z, out=samples[s])
@@ -248,7 +353,9 @@ def simulate(closed_loop, x0, dt):
     samples are checked for divergence at once.  Full steps are kept for the
     whole run; fragments are dropped with their block, so memory stays
     bounded.  A step whose flow overflows raises OverflowError, unless an
-    earlier sample diverged.
+    earlier sample diverged.  A block with enough new work has its stacked
+    calls split over forked processes (see `_exponentiate`); each call, and
+    so each flow, is the same as in one process.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -421,10 +528,13 @@ def _fork():
     """``os.fork()``, minus the warning Python 3.12+ gives in a threaded process.
 
     The warning is that another thread may hold a lock at the fork, which
-    the child would then wait on forever.  A writer child takes no lock but
-    the GIL and malloc's, which the interpreter and the C library reset in
-    the child; it calls no BLAS, so threads such as OpenBLAS workers never
-    matter to it.  Only that one warning is filtered, only around the fork.
+    the child would then wait on forever.  A child here takes the GIL and
+    malloc's lock, which the interpreter and the C library reset in the
+    child.  A CSV child calls no BLAS.  An exponential child does (see
+    `_exponentiate`), but it is forked only when every variable a BLAS
+    reads sets one thread (see `_blas_threads`), so a BLAS loaded under
+    them has no worker thread to hold a lock.
+    Only that one warning is filtered, only around the fork.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings(
@@ -459,14 +569,14 @@ def _write_rows(fh, record, data, agree, lo, hi):
             fh.write(f"{t!r},{i},{body}\r\n")
 
 
-def _start_part(record, data, agree, lo, hi):
-    """Fork a child writing samples ``lo .. hi - 1``; return its pid and file.
+def _start_part(note, job):
+    """Fork a child that runs ``job(file)``; return its pid and the file.
 
-    The child writes to an anonymous temporary file opened before the fork
-    and leaves through ``os._exit``: it runs no atexit handler and flushes
+    The file is an anonymous temporary file opened before the fork.  The
+    child leaves through ``os._exit``: it runs no atexit handler and flushes
     no buffer it inherited, so nothing the parent holds is written twice.
-    Its exit status is 0 on success; on any exception it writes the
-    traceback to standard error and exits with status 1.
+    Its exit status is 0 on success; on any exception it writes `note` and
+    the traceback to standard error and exits with status 1.
     """
     part = tempfile.TemporaryFile()
     try:
@@ -477,15 +587,58 @@ def _start_part(record, data, agree, lo, hi):
     if pid == 0:
         status = 1
         try:
-            with open(part.fileno(), "w", newline="", closefd=False) as fh:
-                _write_rows(fh, record, data, agree, lo, hi)
+            job(part)
+            part.flush()
             status = 0
         except BaseException:
-            note = f"trajectory CSV samples {lo}..{hi - 1}:\n{traceback.format_exc()}"
-            os.write(2, note.encode())
+            os.write(2, f"{note}:\n{traceback.format_exc()}".encode())
         finally:
             os._exit(status)
     return pid, part
+
+
+@contextlib.contextmanager
+def _parts(jobs, what):
+    """Fork a child per ``(note, job)`` in `jobs` (see `_start_part`).
+
+    The children are parts 2 .. ``len(jobs) + 1`` of `what`; part 1 is the
+    caller's own.  Yields an iterator that waits for each child in order
+    and gives its file, read from the start.  A child that failed raises
+    OSError naming its part.  On leaving, every child not yet waited for is
+    waited for, and every file is closed.
+    """
+    children = []  # (part number, pid, file), in part order
+    parts = len(jobs) + 1
+
+    def finished():
+        while children:
+            number, pid, part = children[0]
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            with part:
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise OSError(f"{what}: part {number} of {parts} failed in "
+                                  f"child process {pid} (exit code {code})")
+                part.seek(0)
+                yield part
+
+    waiting = finished()
+    try:
+        for number, (note, job) in enumerate(jobs, start=2):
+            children.append((number, *_start_part(note, job)))
+        yield waiting
+    finally:
+        waiting.close()
+        for _, pid, part in children:
+            os.waitpid(pid, 0)
+            part.close()
+
+
+def _write_part(record, data, agree, lo, hi, part):
+    """`_write_rows` of samples ``lo .. hi - 1`` into a child's binary file."""
+    with open(part.fileno(), "w", newline="", closefd=False) as fh:
+        _write_rows(fh, record, data, agree, lo, hi)
 
 
 def _split(record, data):
@@ -519,11 +672,11 @@ def write_trajectory_csv(record, path, monitor=None):
 
     The samples are split into contiguous parts (see `_split`).  Before
     `path` is opened, one child is forked per part after the first (see
-    `_start_part`); the parent writes the first part itself, then waits for
-    each child in order and appends its file.  A child that fails raises
-    OSError naming its part, after every child has been waited for.  With
-    one part, nothing is forked.  Each part formats exactly the rows a
-    single pass would, so the bytes do not depend on the number of parts.
+    `_parts`); the parent writes the first part itself, then waits for each
+    child in order and appends its file.  A child that fails raises OSError
+    naming its part, after every child has been waited for.  With one part,
+    nothing is forked.  Each part formats exactly the rows a single pass
+    would, so the bytes do not depend on the number of parts.
     """
     header = ["t", "topology"]
     header += [
@@ -538,31 +691,13 @@ def write_trajectory_csv(record, path, monitor=None):
         columns.append(monitor.values)
     data = np.hstack(columns)
     agree, bounds = _split(record, data)
-    parts = len(bounds) - 1
-    children = []  # (part number, pid, file), in sample order
-    try:
-        for number in range(2, parts + 1):
-            lo, hi = bounds[number - 1], bounds[number]
-            pid, part = _start_part(record, data, agree, lo, hi)
-            children.append((number, pid, part))
+    jobs = [(f"trajectory CSV samples {lo}..{hi - 1}",
+             functools.partial(_write_part, record, data, agree, lo, hi))
+            for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    with _parts(jobs, path) as finished:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             _write_rows(fh, record, data, agree, 0, bounds[1])
             fh.flush()
-            while children:
-                number, pid, part = children[0]
-                status = os.waitpid(pid, 0)[1]
-                del children[0]
-                with part:
-                    code = os.waitstatus_to_exitcode(status)
-                    if code != 0:
-                        raise OSError(
-                            f"{path}: part {number} of {parts} failed in child "
-                            f"process {pid} (exit code {code})"
-                        )
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh.buffer)
-    finally:
-        for _, pid, part in children:
-            os.waitpid(pid, 0)
-            part.close()
+            for part in finished:
+                shutil.copyfileobj(part, fh.buffer)

@@ -273,15 +273,16 @@ def _stored(report, key):
         return math.nan
 
 
-def design_checks(design, a, b, reduced, report=None, lambdas=()):
+def design_checks(design, a, b, reduced, report=None, lambdas=None):
     """Every ``(name, passed, detail)`` check of a design against raw data.
 
     Per certificate, :func:`certificate_checks` on its topology in `reduced`
     and the stored `lmi_margin` matching the recomputed, positive one; then
     :func:`gain_checks`; then the summary numbers of `report` (default: the
-    design's own document) re-derived, with `lambda_max` at least each pair
-    eigenvalue in `lambdas`.  A certificate of no known topology fails one
-    check.
+    design's own document) re-derived, `lambda_max` over every ordered
+    certificate pair.  `lambdas` (``{(i, j): lambda_ij}``) holds pairs
+    already solved, which are not solved again.  A certificate of no known
+    topology fails one check.
     """
     by_index = {r.source_index: r for r in reduced}
     checks = []
@@ -300,20 +301,22 @@ def design_checks(design, a, b, reduced, report=None, lambdas=()):
              f"recomputed {recomputed:.6g}, stored {stored:.6g}")
         )
     report = design_to_dict(design) if report is None else report
-    lam = _stored(report, "lambda_max")
-    solved = max(lambdas, default=lam)
+    try:
+        lam = _lambda_max(design.certificates, lambdas)
+    except ValueError:  # a Q that is not positive definite fails its own row
+        lam = math.nan
     derived = {**_derived_numbers(design), "beta_bound": max_feasible_beta(a, b),
-               "dwell_threshold": _tau_star(lam, design.beta)}
+               "dwell_threshold": _tau_star(_stored(report, "lambda_max"),
+                                            design.beta),
+               "lambda_max": lam}
     summary = [
         (f"report {key} = {formula}", _matches(_stored(report, key), derived[key]),
          f"stored {_stored(report, key):.6g}, derived {derived[key]:.6g}")
         for key, formula in (("c0", "min c_i"), ("alpha_min", "2/c0"),
                              ("beta_bound", "sup feasible beta"),
-                             ("dwell_threshold", "ln(lambda_max)/beta"))
+                             ("dwell_threshold", "ln(lambda_max)/beta"),
+                             ("lambda_max", "max lambda_ij over ordered pairs"))
     ]
-    summary.append(("report lambda_max >= each switch's lambda_ij",
-                    lam * (1 + CHECK_RTOL) >= solved,
-                    f"stored {lam:.6g}, largest solved {solved:.6g}"))
     return checks + gain_checks(design, a, b) + summary
 
 
@@ -350,9 +353,19 @@ def dwell_threshold(certificates, beta):
         raise ValueError(f"beta must be positive, got {beta}")
     if not certificates:
         raise ValueError("need at least one topology certificate")
-    pairs = itertools.permutations([cert.index for cert in certificates], 2)
-    lam = max(pair_lambdas(certificates, pairs).values(), default=1.0)
+    lam = _lambda_max(certificates)
     return float(lam), _tau_star(lam, beta)
+
+
+def _lambda_max(certificates, solved=None):
+    """Largest ``lambda_ij`` over ordered pairs i != j; 1.0 with one topology.
+
+    Pairs in `solved` (``{(i, j): lambda_ij}``) are not solved again.
+    """
+    pairs = list(itertools.permutations([cert.index for cert in certificates], 2))
+    table = dict(solved or {})
+    table.update(pair_lambdas(certificates, [p for p in pairs if p not in table]))
+    return max((table[p] for p in pairs), default=1.0)
 
 
 def _tau_star(lam, beta):

@@ -1,5 +1,7 @@
 import copy
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -258,7 +260,7 @@ class TestCommandExitCodes:
         (lambda r: r.update(dwell_threshold=0.001),
          "report dwell_threshold = ln(lambda_max)/beta"),
         (lambda r: r.update(lambda_max=1.0001),
-         "report lambda_max >= each switch's lambda_ij"),
+         "report lambda_max = max lambda_ij over ordered pairs"),
     ], ids=["c-above-margin", "q-negated", "lmi-margin", "alpha-low",
             "unknown-index", "q-asymmetric", "c0", "alpha-min", "beta-bound",
             "dwell-threshold", "lambda-max"])
@@ -267,6 +269,40 @@ class TestCommandExitCodes:
         out = _verify_tampered(demo_config_file, tmp_path, capsys, tamper)
         assert f"FAIL  {failed}  [" in out
         assert "verification: FAILURES present" in out
+
+    def test_verify_checks_lambda_max_over_pairs_the_schedule_skips(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The schedule 1 -> 2 -> 1 switches through (1, 2) and (2, 1) only;
+        # the largest lambda_ij is that of (3, 1).  A report that states the
+        # largest used pair's lambda, with its dwell threshold, understates
+        # both and must fail.
+        doc = _double_integrator_doc([
+            _edges_doc(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)]),
+            _edges_doc(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 2, 1.0)]),
+            _edges_doc(3, [(1, 2, 10.0), (1, 3, 0.1)]),
+        ], 3.0, 9.0)
+        doc["switching"] = {"explicit": {"breakpoints": [0.0, 3.0, 6.0],
+                                         "indices": [1, 2, 1], "horizon": 9.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+
+        def understate(report):
+            certificates = synthesis.design_from_dict(report).certificates
+            table = synthesis.pair_lambdas(certificates, [(1, 2), (2, 1), (3, 1)])
+            used = max(table[1, 2], table[2, 1])
+            assert table[3, 1] == report["lambda_max"] > 5 * used
+            report.update(lambda_max=used, dwell_threshold=math.log(used))
+            monkeypatch.setattr(linalg, "max_generalized_eigenvalue",
+                                lambda *q: solves.append(q) or solve(*q))
+
+        solves, solve = [], linalg.max_generalized_eigenvalue
+        out = _verify_tampered(str(path), tmp_path, capsys, understate)
+        # The schedule's two pairs are solved once, then the four others.
+        assert len(solves) == 6
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  report lambda_max = max lambda_ij over ordered "
+                         "pairs  [stored 12.6589, derived 81.1286]"]
 
     def test_kappa0_override_keeps_report_fresh(self, demo_config_file,
                                                 tmp_path, capsys):
@@ -423,6 +459,57 @@ class TestDeterminism:
             b1 = (tmp_path / "r1" / name).read_bytes()
             b2 = (tmp_path / "r2" / name).read_bytes()
             assert b1 == b2, name
+
+    def test_parser_built_once_keeps_no_flag_between_calls(
+        self, demo_config_file, tmp_path, capsys, monkeypatch
+    ):
+        # Each step runs in a directory of its own, after the steps before it.
+        steps = [
+            ("synthesize", []),
+            ("simulate", ["--seed", "7"]),
+            ("simulate", []),
+            ("synthesize", ["--beta", "2.5"]),
+            ("synthesize", ["--alpha", "9"]),
+            ("verify", ["--alpha", "9"]),
+        ]
+
+        def run(root, fresh_parser):
+            results = []
+            for pos, (command, flags) in enumerate(steps):
+                out = root / str(pos)
+                if pos:
+                    shutil.copytree(root / str(pos - 1), out)
+                if fresh_parser:
+                    monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+                code = cli.main([command, "--config", demo_config_file,
+                                 "--out", str(out)] + flags)
+                text = capsys.readouterr().out.replace(str(out), "OUT")
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                results.append((code, text, files))
+            return results
+
+        parser = cli._PARSER
+        back_to_back = run(tmp_path / "shared", fresh_parser=False)
+        assert cli._PARSER is parser
+        assert back_to_back == run(tmp_path / "fresh", fresh_parser=True)
+        assert [code for code, _, _ in back_to_back] == [0] * len(steps)
+        # The seed and beta overrides were not carried into the next call.
+        assert back_to_back[1][2] != back_to_back[2][2]
+        assert back_to_back[3][2] != back_to_back[4][2]
+
+    @pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate",
+                                         "verify", "demo-vtol"])
+    def test_main_runs_the_command_set_on_the_module(self, command, tmp_path,
+                                                     monkeypatch):
+        # A wrapper set on the module after import (a tracer's) must run.
+        ran = []
+        monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}",
+                            lambda rc, out: ran.append(out) or 0)
+        config = [] if command == "demo-vtol" else ["--config", "unused.json"]
+        monkeypatch.setattr(cli.cfg, "load_config",
+                            lambda path: parse_config(vtol.demo_config()))
+        assert cli.main([command, "--out", str(tmp_path)] + config) == 0
+        assert ran == [str(tmp_path)]
 
 
 class TestDemoCommand:

@@ -316,6 +316,34 @@ def irregular_loop(small_setup, intervals, seed):
     return build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
 
 
+def overflow_loop(indices):
+    """Topology 1 grows e like e^(2t), past the cutoff at t = 14; a step of
+    topology 2 grows it by e^1001 and overflows.  Switches at t = 20."""
+    graphs = topology.GraphSet((
+        topology.DirectedGraph.from_edges(2, [(1, 2, 1.0)]),
+        topology.DirectedGraph.from_edges(2, [(2, 1, 1000.0)]),
+    ))
+    signal = topology.SwitchingSignal(np.array([0.0, 20.0]),
+                                      np.array(indices), 21.0)
+    return build_closed_loop(np.array([[1.0]]), np.array([[1.0]]),
+                             np.array([[-1.0]]), 1.0, graphs, signal)
+
+
+def blocked_case(case, demo_closed_loop, small_setup, vtol_graphs, vtol_design):
+    """``(closed loop, dt)`` of a named schedule; "irregular" has three blocks."""
+    a, b, graphs, design = small_setup
+    if case == "demo":
+        return demo_closed_loop, vtol.DT
+    if case == "irregular":
+        return irregular_loop(small_setup, TestBlockedPropagation.INTERVALS, 30), 0.1
+    if case == "incommensurate":
+        signal = periodic_signal(2, 0.5, 350.0)
+        return build_closed_loop(vtol.A, vtol.B, vtol_design.k, vtol_design.alpha,
+                                 vtol_graphs, signal), 0.07
+    signal = periodic_signal(2, 3.0, 1000.0)
+    return build_closed_loop(a, b, design.k, design.alpha, graphs, signal), 4.5
+
+
 def record_fields(record):
     return (record.times, record.states, record.errors, record.error_norms,
             record.indices)
@@ -331,22 +359,9 @@ class TestBlockedPropagation:
     def test_matches_per_key_cache_reference(
         self, case, demo_closed_loop, small_setup, vtol_graphs, vtol_design
     ):
-        a, b, graphs, design = small_setup
-        rng = np.random.default_rng(29)
-        if case == "demo":
-            cl, dt = demo_closed_loop, vtol.DT
-        elif case == "irregular":
-            cl, dt = irregular_loop(small_setup, self.INTERVALS, 30), 0.1
-        elif case == "incommensurate":
-            signal = periodic_signal(2, 0.5, 350.0)
-            cl = build_closed_loop(vtol.A, vtol.B, vtol_design.k,
-                                   vtol_design.alpha, vtol_graphs, signal)
-            dt = 0.07
-        else:
-            signal = periodic_signal(2, 3.0, 1000.0)
-            cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
-            dt = 4.5
-        x0 = rng.uniform(-1, 1, size=cl.node_count * cl.state_dim)
+        cl, dt = blocked_case(case, demo_closed_loop, small_setup, vtol_graphs,
+                              vtol_design)
+        x0 = np.random.default_rng(29).uniform(-1, 1, cl.node_count * cl.state_dim)
         record = simulate(cl, x0, dt)
         reference = cached_simulate(cl, x0, dt)
         for got, want in zip(record_fields(record), record_fields(reference)):
@@ -398,24 +413,199 @@ class TestBlockedPropagation:
         ([1, 2], SimulationDiverged), ([2, 1], OverflowError),
     ])
     def test_overflowing_flow_after_divergence(self, indices, error):
-        # Topology 1 grows e like e^(2t) and passes the cutoff at t = 14;
-        # a step of topology 2 grows it by e^1001 and overflows.  The error
-        # that comes first along the run is raised, as per-key expm did.
-        graphs = topology.GraphSet((
-            topology.DirectedGraph.from_edges(2, [(1, 2, 1.0)]),
-            topology.DirectedGraph.from_edges(2, [(2, 1, 1000.0)]),
-        ))
-        signal = topology.SwitchingSignal(np.array([0.0, 20.0]),
-                                          np.array(indices), 21.0)
-        cl = build_closed_loop(np.array([[1.0]]), np.array([[1.0]]),
-                               np.array([[-1.0]]), 1.0, graphs, signal)
-        x0 = np.array([1.0, 0.0])
+        # The error that comes first along the run is raised, as per-key
+        # expm did.
+        cl, x0 = overflow_loop(indices), np.array([1.0, 0.0])
         with pytest.raises(error) as err:
             simulate(cl, x0, 1.0)
         with pytest.raises(error) as want:
             cached_simulate(cl, x0, 1.0)
         if error is SimulationDiverged:
             assert err.value.t == want.value.t == 14.0
+
+
+class TestForkedExponentials:
+    """A block's stacked exponentials split over forked children."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Set the usable CPUs and the fork work; BLAS runs one thread."""
+        made = []
+        real_fork = simulator._fork
+
+        def counting_fork():
+            made.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(simulator, "_fork", counting_fork)
+        for var in simulator.BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+
+        def use(cpus, min_fork_work=0):
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(simulator, "MIN_FORK_WORK", min_fork_work)
+            return made
+
+        return use
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", ["demo", "irregular", "incommensurate"])
+    def test_matches_in_process_and_oracle(
+        self, forks, cpus, case, small_setup, vtol_graphs, vtol_design,
+        demo_closed_loop
+    ):
+        cl, dt = blocked_case(case, demo_closed_loop, small_setup, vtol_graphs,
+                              vtol_design)
+        x0 = np.random.default_rng(29).uniform(-1, 1, cl.node_count * cl.state_dim)
+        made = forks(cpus)
+        record = simulate(cl, x0, dt)
+        assert made
+        forked = len(made)
+        forks(1)
+        alone = simulate(cl, x0, dt)
+        assert len(made) == forked
+        reference = cached_simulate(cl, x0, dt)
+        for got, one, want in zip(record_fields(record), record_fields(alone),
+                                  record_fields(reference)):
+            assert np.array_equal(got, one)
+            assert np.array_equal(got, want)
+        assert record.switches == alone.switches == reference.switches
+
+    def test_one_child_per_extra_part_and_block(self, forks, small_setup,
+                                                monkeypatch):
+        # Every block of the irregular loop holds fragments and full steps
+        # of both modes, so each forks cpus - 1 children, up to one per group.
+        groups = []
+        balance = simulator._balance
+        monkeypatch.setattr(simulator, "_balance", lambda g, parts: groups.append(
+            (len(g), parts)) or balance(g, parts))
+        made = forks(3)
+        cl = irregular_loop(small_setup, TestBlockedPropagation.INTERVALS, 30)
+        simulate(cl, np.random.default_rng(3).uniform(-1, 1, 6), 0.1)
+        assert len(groups) == 3
+        assert all(parts == min(3, count) for count, parts in groups)
+        assert len(made) == sum(parts - 1 for _, parts in groups)
+
+    def test_balance_takes_largest_groups_first(self):
+        groups = [[1], [2, 3, 4], [5, 6], [7], [8, 9]]
+        # Loads after each group: 3/0, 3/2, 3/4, 4/4, then the tie goes first.
+        assert simulator._balance(groups, 2) == [[[2, 3, 4], [1], [7]],
+                                                 [[5, 6], [8, 9]]]
+        assert simulator._balance(groups, 1) == [sorted(groups, key=len,
+                                                        reverse=True)]
+
+    @pytest.mark.parametrize("child_first", [False, True])
+    @pytest.mark.parametrize("indices, error", [
+        ([1, 2], SimulationDiverged), ([2, 1], OverflowError),
+    ])
+    def test_overflow_in_either_process_keeps_the_error_order(
+        self, forks, monkeypatch, indices, error, child_first
+    ):
+        # Two groups, one per process; `child_first` puts topology 2's
+        # overflowing group in the child whichever comes first in the run.
+        balance = simulator._balance
+        monkeypatch.setattr(simulator, "_balance", lambda groups, parts: sorted(
+            balance(groups, parts), key=lambda part: (part[0][0][0] == 2)
+            != child_first))
+        made = forks(2)
+        cl, x0 = overflow_loop(indices), np.array([1.0, 0.0])
+        with pytest.raises(error) as err:
+            simulate(cl, x0, 1.0)
+        assert len(made) == 1
+        with pytest.raises(error) as want:
+            cached_simulate(cl, x0, 1.0)
+        if error is SimulationDiverged:
+            assert err.value.t == want.value.t == 14.0
+
+    def test_failed_child_raises_and_leaves_no_child(self, forks, monkeypatch,
+                                                     capfd, demo_closed_loop):
+        forks(2)
+        monkeypatch.setattr(simulator, "_save_flows", lambda *args: 1 / 0)
+        x0 = np.random.default_rng(1).uniform(-1, 1, 20)
+        with pytest.raises(OSError, match=r"^transition matrices: part 2 of 2 "
+                           r"failed in child process \d+ \(exit code 1\)$"):
+            simulate(demo_closed_loop, x0, vtol.DT)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert capfd.readouterr().err.count("ZeroDivisionError") == 1
+
+    def test_no_fork_below_the_work(self, forks):
+        # Two groups of one 2x2 step each: 2 * 2**3 = 16 units of work.
+        for work, forked in ((16, 1), (17, 0)):
+            made = forks(2, work)
+            made.clear()
+            with pytest.raises(OverflowError):
+                simulate(overflow_loop([2, 1]), np.array([1.0, 0.0]), 1.0)
+            assert len(made) == forked
+
+    @pytest.mark.parametrize("env, threads", [
+        ({}, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+          "MKL_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "6"}, 6),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2,1",
+          "MKL_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "\u00b2", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}, 4),
+    ])
+    def test_blas_threads_from_the_environment(self, monkeypatch, env, threads):
+        # Each BLAS reads its own variable: an unset or invalid one counts
+        # as one thread per usable CPU.
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
+        for var in simulator.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert simulator._blas_threads() == threads
+
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                     {"MKL_NUM_THREADS": "1"},
+                                     {"OMP_NUM_THREADS": "abc"}])
+    def test_no_fork_unless_blas_runs_one_thread(self, forks, monkeypatch,
+                                                 demo_closed_loop, env):
+        # Four CPUs would give two parts; any BLAS thread count above one
+        # (an unset variable means one per CPU) gives one.
+        made = forks(4)
+        for var in simulator.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        simulate(demo_closed_loop, np.zeros(20), vtol.DT)
+        assert made == []
+
+    @pytest.mark.parametrize("platform", ["linux", "darwin"])
+    def test_no_fork_without_os_fork_or_off_linux(self, forks, monkeypatch,
+                                                  demo_closed_loop, platform):
+        made = forks(2)
+        monkeypatch.setattr(sys, "platform", platform)
+        if platform == "linux":
+            monkeypatch.delattr(os, "fork")
+        simulate(demo_closed_loop, np.zeros(20), vtol.DT)
+        assert made == []
+
+    def test_large_blocks_fork_at_the_default_work(self, forks):
+        # N=200 first-order agents: four 200x200 steps, 3.2e7 units; N=300
+        # gives four 300x300 steps, 1.1e8 units, above MIN_FORK_WORK.
+        for n, forked in ((200, 0), (300, 1)):
+            made = forks(2, simulator.MIN_FORK_WORK)
+            made.clear()
+            simulate(first_order_loop(n), np.linspace(-1, 1, n), 0.1)
+            assert len(made) == forked
+
+
+def first_order_loop(n, horizon=1.0):
+    """n first-order agents alternating a ring and a path, switching at 0.35 s."""
+    ring = topology.DirectedGraph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    path = topology.DirectedGraph.from_edges(n, [(i, i + 1) for i in range(1, n)])
+    return build_closed_loop(np.zeros((1, 1)), np.ones((1, 1)), -np.ones((1, 1)),
+                             1.0, topology.GraphSet((ring, path)),
+                             periodic_signal(2, 0.35, horizon))
 
 
 class TestTranslationInvariance:

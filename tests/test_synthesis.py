@@ -161,7 +161,7 @@ class TestDesignChecks:
             "report alpha_min = 2/c0",
             "report beta_bound = sup feasible beta",
             "report dwell_threshold = ln(lambda_max)/beta",
-            "report lambda_max >= each switch's lambda_ij",
+            "report lambda_max = max lambda_ij over ordered pairs",
         ]
         assert all(passed for _, passed, _ in checks)
 
