@@ -77,9 +77,18 @@ def _positive(value, where):
         value = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {value}")
     if not value > 0:
         raise ConfigError(f"{where}: must be positive, got {value}")
     return value
+
+
+def _integer(value, where):
+    """`value` as an int: an int or an integral float, but not a bool."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
 def _matrix(doc, where):
@@ -155,6 +164,12 @@ def parse_config(doc, base_dir="."):
     else:
         for key in ("breakpoints", "indices", "horizon"):
             _require(spec, key, "switching.explicit")
+        indices = spec["indices"]
+        if not isinstance(indices, list):
+            raise ConfigError("switching.explicit.indices: expected a list")
+        if not set(map(type, indices)) <= {int}:  # the fast check of the usual case
+            spec["indices"] = [_integer(i, f"switching.explicit.indices[{k}]")
+                               for k, i in enumerate(indices)]
         spec["horizon"] = _positive(spec["horizon"], "switching.explicit.horizon")
 
     synth = _require(doc, "synthesis", "top level")
@@ -186,10 +201,9 @@ def parse_config(doc, base_dir="."):
         alpha = _positive(alpha, "synthesis.alpha")
     if alpha_margin is not None:
         alpha_margin = float(alpha_margin)
-        if alpha_margin <= 1:
-            raise ConfigError(
-                f"synthesis.alpha_margin: must exceed 1, got {alpha_margin}"
-            )
+        if not 1 < alpha_margin < np.inf:
+            raise ConfigError(f"synthesis.alpha_margin: must exceed 1 and be "
+                              f"finite, got {alpha_margin}")
     kappa0 = _positive(synth.get("kappa0", synthesis.DEFAULT_KAPPA0),
                        "synthesis.kappa0")
 
@@ -199,7 +213,12 @@ def parse_config(doc, base_dir="."):
     if (x0 is None) == (seed is None):
         raise ConfigError("simulation: exactly one of 'x0' or 'seed' must be given")
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float).ravel()
+        try:
+            x0 = np.asarray(x0, dtype=float).ravel()
+        except (TypeError, ValueError):
+            raise ConfigError("simulation.x0: expected a numeric array") from None
+        if not np.all(np.isfinite(x0)):
+            raise ConfigError("simulation.x0: contains non-finite entries")
         expected = graph_set.node_count * a.shape[0]
         if x0.size != expected:
             raise ConfigError(
@@ -207,7 +226,7 @@ def parse_config(doc, base_dir="."):
                 f"(= nodes * state dim), got {x0.size}"
             )
     if seed is not None:
-        seed = int(seed)
+        seed = _integer(seed, "simulation.seed")
         if seed < 0:
             raise ConfigError(f"simulation.seed: must be non-negative, got {seed}")
     dt = _positive(sim.get("dt", 0.01), "simulation.dt")

@@ -14,14 +14,15 @@ difference of agent states, so they keep full precision while the agreement
 grows.  A run diverges at the first sample whose disagreement max-norm
 exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
 run in blocks of switching intervals: each block's new transition matrices
-are exponentiated in stacked calls, a few per mode, before it is propagated,
-and its samples are checked for divergence at once.  Where a block's calls
-are large and CPUs are free, forked children make some of them.  Agent
+are exponentiated in one stacked call before it is propagated, and its
+samples are checked for divergence at once.  Where a block's matrices are
+large and CPUs are free, forked children exponentiate some of them.  Agent
 states ``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
 import contextlib
 import functools
+import itertools
 import os
 import shutil
 import sys
@@ -45,12 +46,12 @@ BLOCK_INTERVALS = 256
 # takes afterwards, in this command and the next, cost about as much as
 # formatting 20 000 floats.
 MIN_PART_VALUES = 100_000
-# Work a block's new transition matrices must hold before a forked child
-# takes part of them, counted as n**3 per n-by-n exponential.  A 400x400
-# exponential takes about 1 ns per unit (more for small matrices), and a
-# fork costs about 10 ms in a 100 MB process, so this is about five forks.
+# Work a part of a block's new transition matrices must hold for its fork
+# to pay, counted as n**3 per n-by-n exponential.  A 400x400 exponential
+# takes about 1 ns per unit (more for small matrices), and a fork costs
+# about 10 ms in a 100 MB process, so this is about five forks.
 MIN_FORK_WORK = 5e7
-# The variables that set how many threads BLAS runs; see `_blas_threads`.
+# The variables that set how many threads BLAS runs; see `_blas_one_thread`.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 __all__ = [
@@ -197,113 +198,82 @@ def _check_divergence(block, times, m):
         raise SimulationDiverged(float(times[bad[0]]), float(peaks[bad[0]]))
 
 
-def _flows(mode, steps, m):
-    """``expm(mode * h)`` for every h in `steps`, in one stacked call.
+def _flows(modes, keys, m):
+    """``expm(mode * h)`` for every ``(mode, h)`` in `keys`, in one stacked call.
 
-    The flow is block lower triangular like the mode; expm's round-off above
-    it is cleared so x_N never leaks into e.
+    The flows are block lower triangular like the modes; expm's round-off
+    above the diagonal is cleared so x_N never leaks into e.
     """
-    flows = linalg.expm(mode * np.array(steps)[:, None, None])
+    args = np.stack([modes[mode - 1] for mode, _ in keys])
+    args *= np.array([h for _, h in keys])[:, None, None]
+    flows = linalg.expm(args)
     flows[:, :m, m:] = 0.0
     return flows
 
 
-def _group_flows(modes, keys, m):
-    """`_flows` of one group of keys of one mode; None if it overflows."""
-    try:
-        return _flows(modes[keys[0][0] - 1], [h for _, h in keys], m)
-    except OverflowError:
+def _part_flows(modes, keys, m):
+    """`_flows` of one part's keys; None if it overflows."""
+    with contextlib.suppress(OverflowError):
+        return _flows(modes, keys, m)
+
+
+def _save_flows(modes, keys, m, fh):
+    """Write `_part_flows` to `fh`: a flag byte, then the stack."""
+    stack = _part_flows(modes, keys, m)
+    fh.write(b"\0" if stack is None else b"\1")
+    if stack is not None:
+        fh.write(stack)
+
+
+def _load_flows(fh, count, size):
+    """Read back the stack of `count` flows `_save_flows` wrote, or None."""
+    if fh.read(1) != b"\1":
         return None
+    stack = np.empty((count, size, size))
+    if fh.readinto(stack) != stack.nbytes:
+        raise OSError("transition matrices: a child's file is truncated")
+    return stack
 
 
-def _save_flows(modes, groups, m, fh):
-    """Write each group's `_group_flows` to `fh`: a flag byte, then the stack."""
-    for keys in groups:
-        stack = _group_flows(modes, keys, m)
-        fh.write(b"\0" if stack is None else b"\1")
-        if stack is not None:
-            fh.write(stack)
+def _blas_one_thread():
+    """Whether every variable in `BLAS_THREAD_VARS` reads 1.
 
-
-def _load_flows(fh, groups, size):
-    """Read back what `_save_flows` wrote for `groups`, as ``(keys, stack)``."""
-    for keys in groups:
-        stack = None
-        if fh.read(1) == b"\1":
-            stack = np.empty((len(keys), size, size))
-            if fh.readinto(stack) != stack.nbytes:
-                raise OSError("transition matrices: a child's file is truncated")
-        yield keys, stack
-
-
-def _blas_threads():
-    """Threads a BLAS call may run: the most any of `BLAS_THREAD_VARS` allows.
-
-    Each BLAS build reads its own variable, so one that is unset or not a
-    positive integer counts as one thread per usable CPU, which is what
-    OpenBLAS runs then.  The variables are read when called; a BLAS reads
-    them once, when it is loaded, so they tell its pool only if they were
-    set before the program started.
+    Each BLAS build reads its own; with any other value, or none, it may run
+    worker threads.  A BLAS reads its variable once, when it is loaded, so
+    the answer holds for its pool only if it was set before the program
+    started.
     """
-    cpus = _usable_cpus()
-
-    def threads(value):
-        try:
-            count = int(value)
-        except (TypeError, ValueError):
-            return cpus
-        return count if count > 0 else cpus
-
-    return max(threads(os.environ.get(var)) for var in BLAS_THREAD_VARS)
+    return all(os.environ.get(var, "").strip() == "1" for var in BLAS_THREAD_VARS)
 
 
-def _balance(groups, parts):
-    """Split `groups` into `parts` lists of about equal work, largest first.
+def _exponentiate(modes, keys, m):
+    """``{key: flow}`` for the ``(mode, h)`` `keys`, one stacked call per part.
 
-    A group of k keys costs ``k * n**3``; n is the same for every mode, so
-    the keys are counted.
+    Beside a single-threaded BLAS (see `_fork`) the keys are split into
+    contiguous parts of at least `MIN_FORK_WORK` (see `_part_bounds`), a
+    key costing n**3 for an n-by-n mode.  Modes can differ in cost, so the
+    keys are dealt round-robin by mode first.  One child is forked per part
+    after the first (see `_parts`) and hands its stack back through its
+    file.  A part whose stack overflows is left out, here or in a child.
     """
-    bins, loads = [[] for _ in range(parts)], [0] * parts
-    for keys in sorted(groups, key=len, reverse=True):
-        k = loads.index(min(loads))
-        bins[k].append(keys)
-        loads[k] += len(keys)
-    return bins
-
-
-def _flow_parts(groups, size):
-    """How many processes exponentiate a block's `groups` of keys.
-
-    One per usable CPU, but at most one per group, and one unless BLAS runs
-    one thread (so that no process runs BLAS threads on another's CPU, and
-    a child is never forked beside a BLAS worker pool) and the groups hold
-    `MIN_FORK_WORK`.  Forking runs only on Linux, where it is tested.
-    """
-    work = size**3 * sum(map(len, groups))
-    if (work < MIN_FORK_WORK or _blas_threads() != 1
-            or not (sys.platform.startswith("linux") and hasattr(os, "fork"))):
-        return 1
-    return min(len(groups), _usable_cpus())
-
-
-def _exponentiate(modes, groups, m):
-    """``{key: flow}`` for every group of keys, one stacked call per group.
-
-    The groups are split over `_flow_parts` processes (see `_balance`): one
-    child is forked per part after the first (see `_parts`), and runs the
-    same `_flows` calls on its groups, handing each stack back through its
-    file.  A group whose stack overflows is left out, here or in a child.
-    """
+    by_mode = {}
+    for key in keys:
+        by_mode.setdefault(key[0], []).append(key)
+    keys = [key for deal in itertools.zip_longest(*by_mode.values())
+            for key in deal if key is not None]
     size = modes[0].shape[0]
-    own, *others = _balance(groups, _flow_parts(groups, size))
-    jobs = [(f"transition matrices of {sum(map(len, part))} steps",
+    bounds = [0, len(keys)]
+    if _blas_one_thread():
+        bounds = _part_bounds(len(keys), size**3 * len(keys), MIN_FORK_WORK)
+    own, *others = [keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    jobs = [(f"transition matrices of {len(part)} steps",
              functools.partial(_save_flows, modes, part, m)) for part in others]
     with _parts(jobs, "transition matrices") as finished:
-        done = [(keys, _group_flows(modes, keys, m)) for keys in own]
-        for part, fh in zip(others, finished):
-            done += _load_flows(fh, part, size)
-    return {key: flow for keys, stack in done if stack is not None
-            for key, flow in zip(keys, stack)}
+        done = [(own, _part_flows(modes, own, m))]
+        done += [(part, _load_flows(fh, len(part), size))
+                 for part, fh in zip(others, finished)]
+    return {key: flow for part, stack in done if stack is not None
+            for key, flow in zip(part, stack)}
 
 
 def _propagate(modes, samples, times, indices, steps, ends, dt, m):
@@ -321,20 +291,19 @@ def _propagate(modes, samples, times, indices, steps, ends, dt, m):
             block_modes = indices[first - 1 : last].tolist()
             hs = steps[first - 1 : last].tolist()
             new = [k for k in dict.fromkeys(zip(block_modes, hs)) if k not in held]
-            # Full steps get a stack of their own, so holding them does not
-            # keep a block's fragments alive.
-            groups = [[k for k in new if k[0] == mode and (k[1] == dt) == full]
-                      for mode, full in dict.fromkeys((md, h == dt) for md, h in new)]
-            flows = {**held, **_exponentiate(modes, groups, m)}
-            held.update((key, flows[key]) for key in new
+            flows = _exponentiate(modes, new, m) if new else {}
+            # Full steps are copied out of their stack, so holding them does
+            # not keep a block's fragments alive.
+            held.update((key, flows[key].copy()) for key in new
                         if key[1] == dt and key in flows)
+            flows.update(held)
             for s, key in enumerate(zip(block_modes, hs), start=first):
                 flow = flows.get(key)
                 if flow is None:
-                    # An overflowed group: report an earlier divergence
+                    # An overflowed part: report an earlier divergence
                     # before this flow overflows.
                     _check_divergence(samples[first:s], times[first:s], m)
-                    flow = flows[key] = _flows(modes[key[0] - 1], [key[1]], m)[0]
+                    flow = flows[key] = _flows(modes, [key], m)[0]
                 z = np.dot(flow, z, out=samples[s])
             _check_divergence(samples[first : last + 1], times[first : last + 1], m)
             first = last + 1
@@ -347,15 +316,13 @@ def simulate(closed_loop, x0, dt):
     the schedule in blocks of `BLOCK_INTERVALS` switching intervals.  Each
     step is keyed ``(mode, h)``, with a step within 1e-9*dt of dt snapped to
     dt so float jitter on the grid never splits a key.  Per block, the keys
-    not yet held are exponentiated in one stacked call per mode for the
-    off-grid fragments next to switches, plus one for the full step ``(mode,
-    dt)`` the first time it occurs; then the block is propagated and its
-    samples are checked for divergence at once.  Full steps are kept for the
-    whole run; fragments are dropped with their block, so memory stays
-    bounded.  A step whose flow overflows raises OverflowError, unless an
-    earlier sample diverged.  A block with enough new work has its stacked
-    calls split over forked processes (see `_exponentiate`); each call, and
-    so each flow, is the same as in one process.
+    not yet held are exponentiated in one stacked call, or one per forked
+    part (see `_exponentiate`); expm works slice by slice, so each flow is
+    the same either way.  Then the block is propagated and its samples are
+    checked for divergence at once.  Full steps ``(mode, dt)`` are kept for
+    the whole run; the off-grid fragments next to switches are dropped with
+    their block, so memory stays bounded.  A step whose flow overflows
+    raises OverflowError, unless an earlier sample diverged.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -524,17 +491,32 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _part_bounds(count, units, min_units):
+    """Bounds of the contiguous parts that split `count` equal-cost items.
+
+    The items hold `units` of work in all; part k is items ``bounds[k] ..
+    bounds[k + 1] - 1``.  There is one part per usable CPU, but no more than
+    there are items, and each part holds at least `min_units`.  Off Linux,
+    or where ``os.fork`` is missing, there is one part.
+    """
+    parts = 1
+    if sys.platform.startswith("linux") and hasattr(os, "fork"):
+        parts = max(1, min(_usable_cpus(), count))
+        # The smallest part holds count // parts items.
+        while parts > 1 and count // parts * units < min_units * count:
+            parts -= 1
+    return [count * k // parts for k in range(parts + 1)]
+
+
 def _fork():
     """``os.fork()``, minus the warning Python 3.12+ gives in a threaded process.
 
     The warning is that another thread may hold a lock at the fork, which
     the child would then wait on forever.  A child here takes the GIL and
     malloc's lock, which the interpreter and the C library reset in the
-    child.  A CSV child calls no BLAS.  An exponential child does (see
-    `_exponentiate`), but it is forked only when every variable a BLAS
-    reads sets one thread (see `_blas_threads`), so a BLAS loaded under
-    them has no worker thread to hold a lock.
-    Only that one warning is filtered, only around the fork.
+    child.  A CSV child calls no BLAS; an exponential child is forked only
+    beside a BLAS with no worker thread (see `_blas_one_thread`).  Only that
+    one warning is filtered, only around the fork.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings(
@@ -646,20 +628,14 @@ def _split(record, data):
 
     A sample agrees when every agent block equals agent N's bit for bit, so
     ``-0.0`` never stands in for ``0.0``; its row formats that block once.
-    There is one part per usable CPU, but no more than there are samples,
-    and each part formats at least `MIN_PART_VALUES` values.  Where
-    ``os.fork`` is missing there is one part.
+    Each part formats at least `MIN_PART_VALUES` values (see `_part_bounds`).
     """
     size, n = record.times.size, record.state_dim
     states = np.ascontiguousarray(record.states, dtype=float)
     blocks = states.view(np.int64).reshape(size, record.node_count, n)
     agree = (blocks == blocks[:, -1:]).all(axis=(1, 2))
     skipped = (record.node_count - 1) * n * int(agree.sum())
-    parts = 1
-    if hasattr(os, "fork"):
-        by_size = (data.size - skipped) // MIN_PART_VALUES
-        parts = max(1, min(_usable_cpus(), size, by_size))
-    return agree.tolist(), [size * k // parts for k in range(parts + 1)]
+    return agree.tolist(), _part_bounds(size, data.size - skipped, MIN_PART_VALUES)
 
 
 def write_trajectory_csv(record, path, monitor=None):

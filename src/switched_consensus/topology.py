@@ -142,6 +142,8 @@ class SwitchingSignal:
         idx = np.asarray(self.indices, dtype=int)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("breakpoints must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("breakpoints must be finite")
         if t[0] != 0.0:
             raise ValueError(f"first breakpoint must be 0, got {t[0]}")
         if np.any(np.diff(t) <= 0):
@@ -160,8 +162,10 @@ class SwitchingSignal:
             float(gaps.min()) if gaps.size else horizon
         )
         tau1 = float(self.tau1) if self.tau1 is not None else np.inf
-        if tau0 <= 0:
-            raise ValueError(f"tau0 must be positive, got {tau0}")
+        if not 0 < tau0 < np.inf:
+            raise ValueError(f"tau0 must be positive and finite, got {tau0}")
+        if not tau1 > tau0:
+            raise ValueError(f"tau1 must exceed tau0 = {tau0}, got {tau1}")
         # Breakpoints built by multiplication wobble by an ulp; allow that.
         slack = 1e-9 * max(tau0, float(gaps.max()) if gaps.size else 0.0)
         if gaps.size and (gaps.min() < tau0 - slack or gaps.max() >= tau1 - slack):

@@ -182,6 +182,81 @@ class TestSignalAndSeed:
         assert np.abs(make_x0(rc)).max() <= 1.0
 
 
+def _nan_x0(doc):
+    del doc["simulation"]["seed"]
+    doc["simulation"]["x0"] = [math.nan] + [0.0] * 19
+
+
+def _switching(doc, **explicit):
+    doc["switching"] = {"explicit": {"breakpoints": [0.0, 0.6], "indices": [1, 2],
+                                     "horizon": 2.0, **explicit}}
+
+
+# An edit of the demo document, and the error it must give.
+BAD_NUMBERS = [
+    pytest.param(lambda d: d["switching"]["periodic"].update(horizon=math.inf),
+                 "switching.periodic.horizon: must be finite", id="inf-horizon"),
+    pytest.param(_nan_x0, "simulation.x0: contains non-finite entries",
+                 id="nan-x0"),
+    pytest.param(lambda d: d["synthesis"].update(beta=math.inf),
+                 "synthesis.beta: must be finite", id="inf-beta"),
+    pytest.param(lambda d: d["simulation"].update(dt=math.inf),
+                 "simulation.dt: must be finite", id="inf-dt"),
+    pytest.param(lambda d: d["synthesis"].update(kappa0=math.inf),
+                 "synthesis.kappa0: must be finite", id="inf-kappa0"),
+    pytest.param(lambda d: _switching(d, breakpoints=[0.0, math.nan]),
+                 "switching.explicit: breakpoints must be finite",
+                 id="nan-breakpoint"),
+    pytest.param(lambda d: _switching(d, tau0=math.inf),
+                 "switching.explicit: tau0 must be positive and finite",
+                 id="inf-tau0"),
+    pytest.param(lambda d: _switching(d, tau1=math.nan),
+                 "switching.explicit: tau1 must exceed tau0", id="nan-tau1"),
+    pytest.param(lambda d: _switching(d, indices=[1.7, 2.2]),
+                 "switching.explicit.indices[0]: expected an integer, got 1.7",
+                 id="fractional-indices"),
+    pytest.param(lambda d: d["simulation"].update(seed=3.9),
+                 "simulation.seed: expected an integer, got 3.9",
+                 id="fractional-seed"),
+    pytest.param(lambda d: d["simulation"].update(seed="abc"),
+                 "simulation.seed: expected an integer, got 'abc'", id="text-seed"),
+]
+
+
+class TestBadNumbers:
+    """Non-finite and non-integral numbers fail as input errors, by name."""
+
+    @pytest.mark.parametrize("edit, named", BAD_NUMBERS)
+    def test_simulate_and_verify_name_the_field(self, demo_config_file, demo_doc,
+                                                tmp_path, capsys, edit, named):
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", demo_config_file,
+                         "--out", out]) == 0
+        edit(demo_doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(demo_doc))
+        capsys.readouterr()
+        for command in ("simulate", "verify"):
+            assert cli.main([command, "--config", str(path), "--out", out]) == 3
+            assert f"error: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--dwell", "--beta", "--alpha", "--kappa0"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_override_names_its_flag(self, demo_config_file,
+                                                tmp_path, capsys, flag, value):
+        assert cli.main(["analyze", "--config", demo_config_file,
+                         "--out", str(tmp_path / "o"), flag, value]) == 3
+        assert f"error: {flag}: must be finite, got {value}" in \
+            capsys.readouterr().err
+
+    def test_integral_floats_are_integers(self, demo_doc):
+        demo_doc["simulation"]["seed"] = 7.0
+        _switching(demo_doc, indices=[2.0, 1])
+        rc = parse_config(demo_doc)
+        assert rc.seed == 7 and isinstance(rc.seed, int)
+        assert list(build_signal(rc).indices) == [2, 1]
+
+
 class TestCommandExitCodes:
     def test_analyze_passes_on_demo(self, demo_config_file, tmp_path, capsys):
         code = cli.main(["analyze", "--config", demo_config_file,

@@ -4,10 +4,13 @@ import os
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switched_consensus import linalg, simulator, synthesis, topology, vtol
 from switched_consensus.simulator import (
@@ -285,18 +288,18 @@ class TestSimulate:
     def test_grid_aligned_schedule_needs_one_expm_per_mode(
         self, demo_closed_loop, monkeypatch
     ):
-        calls = []
+        matrices = []
         expm = simulator.linalg.expm
 
         def counting_expm(m):
-            calls.append(m)
+            matrices.extend(m.reshape(-1, *m.shape[-2:]))
             return expm(m)
 
         monkeypatch.setattr(simulator.linalg, "expm", counting_expm)
         rng = np.random.default_rng(27)
         record = simulate(demo_closed_loop, rng.uniform(-1, 1, size=20), vtol.DT)
         assert len(record.switches) == 19
-        assert len(calls) == 2
+        assert len(matrices) == 2
 
     def test_rejects_wrong_initial_length(self, demo_closed_loop):
         with pytest.raises(ValueError, match="length"):
@@ -369,14 +372,20 @@ class TestBlockedPropagation:
         assert record.switches == reference.switches
 
     def test_each_distinct_step_exponentiated_once(self, small_setup, monkeypatch):
-        calls = []
-        expm = simulator.linalg.expm
+        matrices, flows = [], []
+        expm, dot = simulator.linalg.expm, simulator.np.dot
 
         def counting_expm(m):
-            calls.append(m.reshape(-1, *m.shape[-2:]))
+            matrices.extend(m.reshape(-1, *m.shape[-2:]))
             return expm(m)
 
+        def recording_dot(a, b, out=None):
+            if out is not None:
+                flows.append(a)
+            return dot(a, b, out=out)
+
         monkeypatch.setattr(simulator.linalg, "expm", counting_expm)
+        monkeypatch.setattr(simulator.np, "dot", recording_dot)
         cl = irregular_loop(small_setup, self.INTERVALS, 31)
         dt = 0.1
         record = simulate(cl, np.random.default_rng(31).uniform(-1, 1, 6), dt)
@@ -384,13 +393,15 @@ class TestBlockedPropagation:
         steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
         # The stored index is right-continuous: the mode of the next step.
         keys = set(zip(record.indices[:-1].tolist(), steps.tolist()))
-        slices = [m.tobytes() for call in calls for m in call]
+        slices = [m.tobytes() for m in matrices]
         assert len(set(slices)) == len(slices) == len(keys)
-        # A full step has a call of its own, so holding it for the run does
-        # not keep a block's fragments alive.
-        full = {(mode * dt).tobytes() for mode in cl.modes}
-        assert sum(len(call) == 1 and call[0].tobytes() in full
-                   for call in calls) == 2
+        # Each step's flow is applied once; a full step's flow owns its
+        # memory, so holding it for the run does not keep a block's
+        # fragments alive.
+        assert len(flows) == steps.size
+        full = [flow for flow, h in zip(flows, steps.tolist()) if h == dt]
+        assert full and all(flow.base is None for flow in full)
+        assert any(flow.base is not None for flow in flows)
 
     def test_divergence_in_late_block_reports_first_bad_sample(self):
         # e(t) = e^(4t) first exceeds the cutoff at the sample t = 6.91, in
@@ -473,26 +484,40 @@ class TestForkedExponentials:
 
     def test_one_child_per_extra_part_and_block(self, forks, small_setup,
                                                 monkeypatch):
-        # Every block of the irregular loop holds fragments and full steps
-        # of both modes, so each forks cpus - 1 children, up to one per group.
-        groups = []
-        balance = simulator._balance
-        monkeypatch.setattr(simulator, "_balance", lambda g, parts: groups.append(
-            (len(g), parts)) or balance(g, parts))
+        # Every block of the irregular loop holds at least three new keys,
+        # so each forks cpus - 1 children.
+        splits = []
+        part_bounds = simulator._part_bounds
+
+        def recording_part_bounds(*args):
+            splits.append(part_bounds(*args))
+            return splits[-1]
+
+        monkeypatch.setattr(simulator, "_part_bounds", recording_part_bounds)
         made = forks(3)
         cl = irregular_loop(small_setup, TestBlockedPropagation.INTERVALS, 30)
         simulate(cl, np.random.default_rng(3).uniform(-1, 1, 6), 0.1)
-        assert len(groups) == 3
-        assert all(parts == min(3, count) for count, parts in groups)
-        assert len(made) == sum(parts - 1 for _, parts in groups)
+        assert [len(bounds) - 1 for bounds in splits] == [3, 3, 3]
+        assert len(made) == 6
 
-    def test_balance_takes_largest_groups_first(self):
-        groups = [[1], [2, 3, 4], [5, 6], [7], [8, 9]]
-        # Loads after each group: 3/0, 3/2, 3/4, 4/4, then the tie goes first.
-        assert simulator._balance(groups, 2) == [[[2, 3, 4], [1], [7]],
-                                                 [[5, 6], [8, 9]]]
-        assert simulator._balance(groups, 1) == [sorted(groups, key=len,
-                                                        reverse=True)]
+    def test_keys_are_dealt_round_robin_by_mode(self, forks, small_setup,
+                                                 monkeypatch):
+        # Modes can differ in cost, so each part gets its share of each.
+        a, b, graphs, design = small_setup
+        cl = build_closed_loop(a, b, design.k, design.alpha, graphs,
+                               periodic_signal(2, 1.0, 2.0))
+        own = []
+        part_flows = simulator._part_flows
+        monkeypatch.setattr(simulator, "_part_flows", lambda modes, keys, m:
+                            own.append(keys) or part_flows(modes, keys, m))
+        made = forks(2)
+        keys = [(1, 0.1), (1, 0.2), (1, 0.3), (2, 0.1), (2, 0.2)]
+        flows = simulator._exponentiate(cl.modes, keys, 4)
+        assert len(made) == 1
+        assert own == [[(1, 0.1), (2, 0.1)]]
+        assert flows.keys() == set(keys)
+        for key in keys:
+            assert np.array_equal(flows[key], simulator._flows(cl.modes, [key], 4)[0])
 
     @pytest.mark.parametrize("child_first", [False, True])
     @pytest.mark.parametrize("indices, error", [
@@ -501,12 +526,12 @@ class TestForkedExponentials:
     def test_overflow_in_either_process_keeps_the_error_order(
         self, forks, monkeypatch, indices, error, child_first
     ):
-        # Two groups, one per process; `child_first` puts topology 2's
-        # overflowing group in the child whichever comes first in the run.
-        balance = simulator._balance
-        monkeypatch.setattr(simulator, "_balance", lambda groups, parts: sorted(
-            balance(groups, parts), key=lambda part: (part[0][0][0] == 2)
-            != child_first))
+        # Two keys, one per process; `child_first` puts topology 2's
+        # overflowing key in the child whichever comes first in the run.
+        exponentiate = simulator._exponentiate
+        monkeypatch.setattr(simulator, "_exponentiate", lambda modes, keys, m:
+                            exponentiate(modes, sorted(keys, key=lambda key: (
+                                key[0] == 2) == child_first), m))
         made = forks(2)
         cl, x0 = overflow_loop(indices), np.array([1.0, 0.0])
         with pytest.raises(error) as err:
@@ -530,39 +555,38 @@ class TestForkedExponentials:
         assert capfd.readouterr().err.count("ZeroDivisionError") == 1
 
     def test_no_fork_below_the_work(self, forks):
-        # Two groups of one 2x2 step each: 2 * 2**3 = 16 units of work.
-        for work, forked in ((16, 1), (17, 0)):
+        # Two 2x2 steps, one per part: 2**3 = 8 units of work each.
+        for work, forked in ((8, 1), (9, 0)):
             made = forks(2, work)
             made.clear()
             with pytest.raises(OverflowError):
                 simulate(overflow_loop([2, 1]), np.array([1.0, 0.0]), 1.0)
             assert len(made) == forked
 
-    @pytest.mark.parametrize("env, threads", [
-        ({}, 4),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    @pytest.mark.parametrize("env, one", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "1"}, 1),
+          "MKL_NUM_THREADS": "1"}, True),
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
-          "MKL_NUM_THREADS": "1"}, 2),
+          "MKL_NUM_THREADS": "1"}, False),
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "6"}, 6),
+          "MKL_NUM_THREADS": "6"}, False),
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "1"}, 4),
+          "MKL_NUM_THREADS": "1"}, False),
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2,1",
-          "MKL_NUM_THREADS": "1"}, 4),
+          "MKL_NUM_THREADS": "1"}, False),
         ({"OPENBLAS_NUM_THREADS": "\u00b2", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "1"}, 4),
+          "MKL_NUM_THREADS": "1"}, False),
     ])
-    def test_blas_threads_from_the_environment(self, monkeypatch, env, threads):
-        # Each BLAS reads its own variable: an unset or invalid one counts
-        # as one thread per usable CPU.
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
+    def test_blas_threads_from_the_environment(self, monkeypatch, env, one):
+        # Each BLAS reads its own variable: an unset or invalid one lets it
+        # run a thread per usable CPU.
         for var in simulator.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert simulator._blas_threads() == threads
+        assert simulator._blas_one_thread() is one
 
     @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"},
                                      {"MKL_NUM_THREADS": "1"},
@@ -590,13 +614,51 @@ class TestForkedExponentials:
         assert made == []
 
     def test_large_blocks_fork_at_the_default_work(self, forks):
-        # N=200 first-order agents: four 200x200 steps, 3.2e7 units; N=300
-        # gives four 300x300 steps, 1.1e8 units, above MIN_FORK_WORK.
+        # N=200 first-order agents: four 200x200 steps, two per part, 1.6e7
+        # units each; N=300 gives 5.4e7 units per part, above MIN_FORK_WORK.
         for n, forked in ((200, 0), (300, 1)):
             made = forks(2, simulator.MIN_FORK_WORK)
             made.clear()
             simulate(first_order_loop(n), np.linspace(-1, 1, n), 0.1)
             assert len(made) == forked
+
+
+class TestSplitProperties:
+    """The one split rule, and simulate under it, over random draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cpus=st.integers(1, 8), count=st.integers(0, 60),
+           units=st.integers(0, 10**6), min_units=st.integers(0, 10**5))
+    def test_part_bounds(self, cpus, count, units, min_units):
+        with mock.patch.object(simulator, "_usable_cpus", lambda: cpus):
+            bounds = simulator._part_bounds(count, units, min_units)
+        parts = len(bounds) - 1
+        assert bounds[0] == 0 and bounds[-1] == count
+        assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:]))
+        assert 1 <= parts <= max(1, min(cpus, count))
+        if parts > 1:
+            # Each part's share of the work, times count to stay exact.
+            assert all((hi - lo) * units >= min_units * count
+                       for lo, hi in zip(bounds, bounds[1:]))
+
+    @settings(max_examples=12, deadline=None)
+    @given(cpus=st.integers(1, 3), intervals=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), dt=st.floats(0.05, 1.0),
+           block=st.integers(1, 4))
+    def test_forked_simulate_matches_the_oracle(self, small_setup, cpus,
+                                                intervals, seed, dt, block):
+        cl = irregular_loop(small_setup, intervals, seed)
+        x0 = np.random.default_rng(seed).uniform(-1, 1, 6)
+        with mock.patch.dict(os.environ, dict.fromkeys(simulator.BLAS_THREAD_VARS,
+                                                       "1")), \
+             mock.patch.object(simulator, "_usable_cpus", lambda: cpus), \
+             mock.patch.object(simulator, "MIN_FORK_WORK", 1), \
+             mock.patch.object(simulator, "BLOCK_INTERVALS", block):
+            record = simulate(cl, x0, dt)
+        reference = cached_simulate(cl, x0, dt)
+        for got, want in zip(record_fields(record), record_fields(reference)):
+            assert np.array_equal(got, want)
+        assert record.switches == reference.switches
 
 
 def first_order_loop(n, horizon=1.0):
