@@ -158,7 +158,7 @@ def cmd_simulate(rc, out_dir):
     x0 = cfg.make_x0(rc)
     try:
         record = simulator.simulate(closed_loop, x0, rc.dt)
-    except (simulator.SimulationDiverged, OverflowError) as exc:
+    except simulator.SimulationDiverged as exc:
         print(f"simulation aborted: {exc}")
         return EXIT_VERDICT
     monitor = None

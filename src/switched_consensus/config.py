@@ -2,9 +2,10 @@
 
 The document carries the agent model, the candidate topologies, the
 switching specification, and the synthesis/simulation parameters.  Parsing
-is strict: unknown switching kinds, conflicting alternatives (explicit
-signal vs periodic spec, fixed x0 vs seed), and out-of-range scalars are
-rejected with the offending field named.
+is strict: sections that are not objects, numbers that are not JSON
+numbers, unknown switching kinds, conflicting alternatives (explicit signal
+vs periodic spec, fixed x0 vs seed), and out-of-range scalars are rejected
+with the offending field named.
 
 A canonical digest over the synthesis inputs (system, graphs, synthesis
 parameters except `kappa0`) ties reports to the configuration they came
@@ -13,6 +14,7 @@ from, so stale reports are detected instead of silently re-verified.
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -72,11 +74,21 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _number(value, where):
+    """`value` as a float: a JSON number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _positive(value, where):
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    value = _number(value, where)
     if not np.isfinite(value):
         raise ConfigError(f"{where}: must be finite, got {value}")
     if not value > 0:
@@ -116,7 +128,7 @@ def parse_config(doc, base_dir="."):
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
-    system = _require(doc, "system", "top level")
+    system = _object(_require(doc, "system", "top level"), "system")
     a = _matrix(_require(system, "a", "system"), "system.a")
     b = _matrix(_require(system, "b", "system"), "system.b")
     if a.shape[0] != a.shape[1]:
@@ -146,14 +158,14 @@ def parse_config(doc, base_dir="."):
                               f"got {graphs[-1].node_count}")
     graph_set = topology.GraphSet(tuple(graphs))
 
-    switching = _require(doc, "switching", "top level")
+    switching = _object(_require(doc, "switching", "top level"), "switching")
     kinds = [k for k in ("periodic", "explicit") if k in switching]
     if len(kinds) != 1:
         raise ConfigError(
             "switching: exactly one of 'periodic' or 'explicit' must be present"
         )
     kind = kinds[0]
-    spec = dict(switching[kind])
+    spec = dict(_object(switching[kind], f"switching.{kind}"))
     if kind == "periodic":
         spec["dwell"] = _positive(_require(spec, "dwell", "switching.periodic"),
                                   "switching.periodic.dwell")
@@ -171,14 +183,19 @@ def parse_config(doc, base_dir="."):
             spec["indices"] = [_integer(i, f"switching.explicit.indices[{k}]")
                                for k, i in enumerate(indices)]
         spec["horizon"] = _positive(spec["horizon"], "switching.explicit.horizon")
+        for key in ("tau0", "tau1"):
+            if spec.get(key) is not None:
+                spec[key] = _number(spec[key], f"switching.explicit.{key}")
 
-    synth = _require(doc, "synthesis", "top level")
+    synth = _object(_require(doc, "synthesis", "top level"), "synthesis")
     beta = _positive(_require(synth, "beta", "synthesis"), "synthesis.beta")
     c_values = synth.get("c_values")
     c_fraction = synth.get("c_fraction")
     if c_values is not None and c_fraction is not None:
         raise ConfigError("synthesis: give c_values or c_fraction, not both")
     if c_values is not None:
+        if not isinstance(c_values, list):
+            raise ConfigError(f"synthesis.c_values: expected a list, got {c_values!r}")
         c_values = [
             _positive(c, f"synthesis.c_values[{i}]") for i, c in enumerate(c_values)
         ]
@@ -188,7 +205,7 @@ def parse_config(doc, base_dir="."):
                 f"got {len(c_values)}"
             )
     if c_fraction is not None:
-        c_fraction = float(c_fraction)
+        c_fraction = _number(c_fraction, "synthesis.c_fraction")
         if not 0 < c_fraction < 1:
             raise ConfigError(
                 f"synthesis.c_fraction: must lie in (0, 1), got {c_fraction}"
@@ -200,14 +217,14 @@ def parse_config(doc, base_dir="."):
     if alpha is not None:
         alpha = _positive(alpha, "synthesis.alpha")
     if alpha_margin is not None:
-        alpha_margin = float(alpha_margin)
+        alpha_margin = _number(alpha_margin, "synthesis.alpha_margin")
         if not 1 < alpha_margin < np.inf:
             raise ConfigError(f"synthesis.alpha_margin: must exceed 1 and be "
                               f"finite, got {alpha_margin}")
     kappa0 = _positive(synth.get("kappa0", synthesis.DEFAULT_KAPPA0),
                        "synthesis.kappa0")
 
-    sim = _require(doc, "simulation", "top level")
+    sim = _object(_require(doc, "simulation", "top level"), "simulation")
     x0 = sim.get("x0")
     seed = sim.get("seed")
     if (x0 is None) == (seed is None):
@@ -235,7 +252,7 @@ def parse_config(doc, base_dir="."):
 
     gain = doc.get("gain")
     if gain is not None:
-        k = _matrix(_require(gain, "k", "gain"), "gain.k")
+        k = _matrix(_require(_object(gain, "gain"), "k", "gain"), "gain.k")
         if k.shape != (b.shape[1], a.shape[0]):
             raise ConfigError(
                 f"gain.k: expected shape {(b.shape[1], a.shape[0])}, got {k.shape}"

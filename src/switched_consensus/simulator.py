@@ -15,9 +15,10 @@ grows.  A run diverges at the first sample whose disagreement max-norm
 exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
 run in blocks of switching intervals: each block's new transition matrices
 are exponentiated in one stacked call before it is propagated, and its
-samples are checked for divergence at once.  Where a block's matrices are
-large and CPUs are free, forked children exponentiate some of them.  Agent
-states ``x_i = e_i + x_N`` are rebuilt for output only.
+samples are checked for divergence at once, so a flow that overflows is
+reported as a divergence too.  Where a block's matrices are large and CPUs
+are free, forked children exponentiate some of them.  Agent states
+``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
 import contextlib
@@ -28,7 +29,6 @@ import shutil
 import sys
 import tempfile
 import traceback
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +51,6 @@ MIN_PART_VALUES = 100_000
 # takes about 1 ns per unit (more for small matrices), and a fork costs
 # about 10 ms in a 100 MB process, so this is about five forks.
 MIN_FORK_WORK = 5e7
-# The variables that set how many threads BLAS runs; see `_blas_one_thread`.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 __all__ = [
     "LyapunovMonitor",
@@ -211,50 +209,22 @@ def _flows(modes, keys, m):
     return flows
 
 
-def _part_flows(modes, keys, m):
-    """`_flows` of one part's keys; None if it overflows."""
-    with contextlib.suppress(OverflowError):
-        return _flows(modes, keys, m)
-
-
-def _save_flows(modes, keys, m, fh):
-    """Write `_part_flows` to `fh`: a flag byte, then the stack."""
-    stack = _part_flows(modes, keys, m)
-    fh.write(b"\0" if stack is None else b"\1")
-    if stack is not None:
-        fh.write(stack)
-
-
 def _load_flows(fh, count, size):
-    """Read back the stack of `count` flows `_save_flows` wrote, or None."""
-    if fh.read(1) != b"\1":
-        return None
+    """Read back the stack of `count` flows a child wrote to `fh`."""
     stack = np.empty((count, size, size))
     if fh.readinto(stack) != stack.nbytes:
         raise OSError("transition matrices: a child's file is truncated")
     return stack
 
 
-def _blas_one_thread():
-    """Whether every variable in `BLAS_THREAD_VARS` reads 1.
-
-    Each BLAS build reads its own; with any other value, or none, it may run
-    worker threads.  A BLAS reads its variable once, when it is loaded, so
-    the answer holds for its pool only if it was set before the program
-    started.
-    """
-    return all(os.environ.get(var, "").strip() == "1" for var in BLAS_THREAD_VARS)
-
-
 def _exponentiate(modes, keys, m):
     """``{key: flow}`` for the ``(mode, h)`` `keys`, one stacked call per part.
 
-    Beside a single-threaded BLAS (see `_fork`) the keys are split into
-    contiguous parts of at least `MIN_FORK_WORK` (see `_part_bounds`), a
-    key costing n**3 for an n-by-n mode.  Modes can differ in cost, so the
-    keys are dealt round-robin by mode first.  One child is forked per part
-    after the first (see `_parts`) and hands its stack back through its
-    file.  A part whose stack overflows is left out, here or in a child.
+    The keys are split into contiguous parts of at least `MIN_FORK_WORK`
+    (see `_part_bounds`), a key costing n**3 for an n-by-n mode.  Modes can
+    differ in cost, so the keys are dealt round-robin by mode first.  One
+    child is forked per part after the first (see `_parts`) and writes its
+    stack to its file.  A flow that overflows comes back non-finite.
     """
     by_mode = {}
     for key in keys:
@@ -262,18 +232,16 @@ def _exponentiate(modes, keys, m):
     keys = [key for deal in itertools.zip_longest(*by_mode.values())
             for key in deal if key is not None]
     size = modes[0].shape[0]
-    bounds = [0, len(keys)]
-    if _blas_one_thread():
-        bounds = _part_bounds(len(keys), size**3 * len(keys), MIN_FORK_WORK)
+    bounds = _part_bounds(len(keys), size**3 * len(keys), MIN_FORK_WORK)
     own, *others = [keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     jobs = [(f"transition matrices of {len(part)} steps",
-             functools.partial(_save_flows, modes, part, m)) for part in others]
+             lambda fh, part=part: fh.write(_flows(modes, part, m)))
+            for part in others]
     with _parts(jobs, "transition matrices") as finished:
-        done = [(own, _part_flows(modes, own, m))]
+        done = [(own, _flows(modes, own, m))]
         done += [(part, _load_flows(fh, len(part), size))
                  for part, fh in zip(others, finished)]
-    return {key: flow for part, stack in done if stack is not None
-            for key, flow in zip(part, stack)}
+    return {key: flow for part, stack in done for key, flow in zip(part, stack)}
 
 
 def _propagate(modes, samples, times, indices, steps, ends, dt, m):
@@ -294,17 +262,10 @@ def _propagate(modes, samples, times, indices, steps, ends, dt, m):
             flows = _exponentiate(modes, new, m) if new else {}
             # Full steps are copied out of their stack, so holding them does
             # not keep a block's fragments alive.
-            held.update((key, flows[key].copy()) for key in new
-                        if key[1] == dt and key in flows)
+            held.update((key, flows[key].copy()) for key in new if key[1] == dt)
             flows.update(held)
             for s, key in enumerate(zip(block_modes, hs), start=first):
-                flow = flows.get(key)
-                if flow is None:
-                    # An overflowed part: report an earlier divergence
-                    # before this flow overflows.
-                    _check_divergence(samples[first:s], times[first:s], m)
-                    flow = flows[key] = _flows(modes, [key], m)[0]
-                z = np.dot(flow, z, out=samples[s])
+                z = np.dot(flows[key], z, out=samples[s])
             _check_divergence(samples[first : last + 1], times[first : last + 1], m)
             first = last + 1
 
@@ -321,8 +282,8 @@ def simulate(closed_loop, x0, dt):
     the same either way.  Then the block is propagated and its samples are
     checked for divergence at once.  Full steps ``(mode, dt)`` are kept for
     the whole run; the off-grid fragments next to switches are dropped with
-    their block, so memory stays bounded.  A step whose flow overflows
-    raises OverflowError, unless an earlier sample diverged.
+    their block, so memory stays bounded.  A flow that overflows is not
+    finite, nor are the samples after it, so it ends the run as a divergence.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -497,7 +458,11 @@ def _part_bounds(count, units, min_units):
     The items hold `units` of work in all; part k is items ``bounds[k] ..
     bounds[k + 1] - 1``.  There is one part per usable CPU, but no more than
     there are items, and each part holds at least `min_units`.  Off Linux,
-    or where ``os.fork`` is missing, there is one part.
+    where ``os.fork`` is missing, or while another thread runs in this
+    process, there is one part: that thread, a BLAS worker say, could hold a
+    lock a child would wait on forever, and it competes with the children
+    for the CPUs.  A process of one thread cannot start another before it
+    forks, so the count cannot go stale.
     """
     parts = 1
     if sys.platform.startswith("linux") and hasattr(os, "fork"):
@@ -505,26 +470,12 @@ def _part_bounds(count, units, min_units):
         # The smallest part holds count // parts items.
         while parts > 1 and count // parts * units < min_units * count:
             parts -= 1
+    if parts > 1:
+        try:
+            parts = parts if len(os.listdir("/proc/self/task")) == 1 else 1
+        except OSError:  # no thread count: taken as threaded
+            parts = 1
     return [count * k // parts for k in range(parts + 1)]
-
-
-def _fork():
-    """``os.fork()``, minus the warning Python 3.12+ gives in a threaded process.
-
-    The warning is that another thread may hold a lock at the fork, which
-    the child would then wait on forever.  A child here takes the GIL and
-    malloc's lock, which the interpreter and the C library reset in the
-    child.  A CSV child calls no BLAS; an exponential child is forked only
-    beside a BLAS with no worker thread (see `_blas_one_thread`).  Only that
-    one warning is filtered, only around the fork.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore",
-            message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
-            category=DeprecationWarning,
-        )
-        return os.fork()
 
 
 def _write_rows(fh, record, data, agree, lo, hi):
@@ -562,7 +513,7 @@ def _start_part(note, job):
     """
     part = tempfile.TemporaryFile()
     try:
-        pid = _fork()
+        pid = os.fork()
     except BaseException:
         part.close()
         raise

@@ -11,6 +11,7 @@ from node `from` to node `to`, i.e. it contributes the adjacency weight
 """
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,7 +74,11 @@ class DirectedGraph:
         """Build a graph from 1-based ``(from, to)`` or ``(from, to, weight)`` tuples."""
         w = np.zeros((node_count, node_count))
         for edge in edges:
-            src, dst = edge[0], edge[1]
+            try:
+                src, dst = operator.index(edge[0]), operator.index(edge[1])
+            except TypeError:
+                raise ValueError(f"edge ({edge[0]!r}, {edge[1]!r}): nodes must be "
+                                 "integers") from None
             weight = edge[2] if len(edge) > 2 else 1.0
             if not (1 <= src <= node_count and 1 <= dst <= node_count):
                 raise ValueError(f"edge ({src}, {dst}) out of range 1..{node_count}")
@@ -139,7 +144,7 @@ class SwitchingSignal:
 
     def __post_init__(self):
         t = np.asarray(self.breakpoints, dtype=float)
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("breakpoints must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(t)):
@@ -150,13 +155,15 @@ class SwitchingSignal:
             raise ValueError("breakpoints must be strictly increasing")
         if idx.shape != t.shape:
             raise ValueError("breakpoints and indices must have equal length")
+        if not np.all(np.isfinite(idx) & (idx == np.round(idx))):
+            raise ValueError("topology indices must be integers")
+        idx = idx.astype(int)
         if np.any(idx < 1):
             raise ValueError("topology indices are 1-based and must be >= 1")
         horizon = float(self.horizon)
-        if horizon <= t[-1]:
-            raise ValueError(
-                f"horizon {horizon} must exceed the last breakpoint {t[-1]}"
-            )
+        if not t[-1] < horizon < np.inf:
+            raise ValueError(f"horizon {horizon} must be finite and exceed the "
+                             f"last breakpoint {t[-1]}")
         gaps = np.diff(t)
         tau0 = float(self.tau0) if self.tau0 is not None else (
             float(gaps.min()) if gaps.size else horizon

@@ -1,3 +1,10 @@
+import os
+
+# Pin BLAS to one thread before numpy loads it, so the test process runs
+# one thread, like a pinned production run, and the fork sites really fork.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 import scipy.linalg as sla

@@ -257,6 +257,57 @@ class TestBadNumbers:
         assert list(build_signal(rc).indices) == [2, 1]
 
 
+def _edit(section, **fields):
+    return lambda d: d[section].update(fields)
+
+
+def _without(section, key, edit):
+    return lambda d: (d[section].pop(key), edit(d))
+
+
+# A demo document edit that puts a value of the wrong JSON type in a field.
+WRONG_TYPES = [
+    pytest.param(_edit("synthesis", c_values=0.25),
+                 "synthesis.c_values: expected a list, got 0.25", id="c_values"),
+    pytest.param(_without("synthesis", "c_values",
+                          _edit("synthesis", c_fraction=[0.5])),
+                 "synthesis.c_fraction: expected a number, got [0.5]",
+                 id="c_fraction"),
+    pytest.param(_without("synthesis", "alpha",
+                          _edit("synthesis", alpha_margin=[2])),
+                 "synthesis.alpha_margin: expected a number, got [2]",
+                 id="alpha_margin"),
+    pytest.param(lambda d: d.update(simulation=[1]),
+                 "simulation: expected an object, got [1]", id="simulation"),
+    pytest.param(lambda d: d.update(synthesis=[1]),
+                 "synthesis: expected an object, got [1]", id="synthesis"),
+    pytest.param(_edit("switching", periodic=[1]),
+                 "switching.periodic: expected an object, got [1]", id="periodic"),
+    pytest.param(lambda d: d["graphs"][0]["edges"][0].update({"from": "a"}),
+                 "graphs[0]: edge ('a', ", id="edge-from"),
+    pytest.param(_edit("synthesis", beta=True),
+                 "synthesis.beta: expected a number, got True", id="bool-beta"),
+    pytest.param(_edit("simulation", dt=True),
+                 "simulation.dt: expected a number, got True", id="bool-dt"),
+    pytest.param(lambda d: _switching(d, tau0=True),
+                 "switching.explicit.tau0: expected a number, got True",
+                 id="bool-tau0"),
+    pytest.param(_edit("simulation", tolerance="0.01"),
+                 "simulation.tolerance: expected a number, got '0.01'",
+                 id="text-tolerance"),
+]
+
+
+@pytest.mark.parametrize("edit, named", WRONG_TYPES)
+def test_wrong_json_type_names_the_field(tmp_path, demo_doc, capsys, edit, named):
+    edit(demo_doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(demo_doc))
+    assert cli.main(["analyze", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert f"error: {named}" in capsys.readouterr().err
+
+
 class TestCommandExitCodes:
     def test_analyze_passes_on_demo(self, demo_config_file, tmp_path, capsys):
         code = cli.main(["analyze", "--config", demo_config_file,
@@ -467,8 +518,8 @@ class TestCommandExitCodes:
         assert "part 2 of 2 failed" in capsys.readouterr().err
 
     def test_overflowing_flow_aborts_simulation(self, tmp_path, capsys):
-        # The flow over the 1 s interval on graph 2 overflows before any
-        # sample diverges.
+        # The flow over the 1 s interval on graph 2 overflows, so its
+        # sample at t = 1 is not finite: the first divergence.
         doc = {
             "schema_version": 1,
             "system": {"a": [[1.0]], "b": [[1.0]]},
@@ -487,7 +538,7 @@ class TestCommandExitCodes:
         code = cli.main(["simulate", "--config", str(path),
                          "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "simulation aborted: matrix exponential overflowed" in \
+        assert "simulation aborted: trajectory diverged at t=1 " in \
             capsys.readouterr().out
 
     def test_malformed_json_is_input_error(self, tmp_path, capsys):

@@ -282,8 +282,9 @@ class TestExpm:
         assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(lhs).max()
 
     def test_overflow_reported(self):
-        with pytest.raises(OverflowError):
-            linalg.expm(np.diag([800.0, 800.0]))
+        # exp(800) overflows; the simulator reports it as a divergence.
+        out = linalg.expm(np.diag([800.0, 800.0]))
+        assert np.array_equal(out, np.diag([np.inf, np.inf]))
 
     def test_stack_equals_per_slice_calls(self):
         rng = np.random.default_rng(35)
@@ -300,8 +301,10 @@ class TestExpm:
 
     def test_overflow_of_one_slice_reported(self):
         stack = np.stack([np.eye(2), np.diag([800.0, 1.0]), np.zeros((2, 2))])
-        with pytest.raises(OverflowError, match="8.000e\\+02"):
-            linalg.expm(stack)
+        out = linalg.expm(stack)
+        assert np.isfinite(out).all(axis=(1, 2)).tolist() == [True, False, True]
+        for k in (0, 2):
+            assert out[k].tobytes() == linalg.expm(stack[k]).tobytes()
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="square"):

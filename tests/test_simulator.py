@@ -420,19 +420,16 @@ class TestBlockedPropagation:
         assert err.value.t == pytest.approx(6.91)
         assert err.value.t > 2 * simulator.BLOCK_INTERVALS * 0.01
 
-    @pytest.mark.parametrize("indices, error", [
-        ([1, 2], SimulationDiverged), ([2, 1], OverflowError),
-    ])
-    def test_overflowing_flow_after_divergence(self, indices, error):
-        # The error that comes first along the run is raised, as per-key
-        # expm did.
+    @pytest.mark.parametrize("indices, t", [([1, 2], 14.0), ([2, 1], 1.0)])
+    def test_overflowing_flow_after_divergence(self, indices, t):
+        # An overflowing flow makes its sample non-finite, so the divergence
+        # that comes first along the run is reported, as per-key expm did.
         cl, x0 = overflow_loop(indices), np.array([1.0, 0.0])
-        with pytest.raises(error) as err:
+        with pytest.raises(SimulationDiverged) as err:
             simulate(cl, x0, 1.0)
-        with pytest.raises(error) as want:
+        with pytest.raises(SimulationDiverged) as want:
             cached_simulate(cl, x0, 1.0)
-        if error is SimulationDiverged:
-            assert err.value.t == want.value.t == 14.0
+        assert err.value.t == want.value.t == t
 
 
 class TestForkedExponentials:
@@ -440,17 +437,15 @@ class TestForkedExponentials:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Set the usable CPUs and the fork work; BLAS runs one thread."""
+        """Set the usable CPUs and the fork work; returns the forks."""
         made = []
-        real_fork = simulator._fork
+        real_fork = os.fork
 
         def counting_fork():
             made.append(None)
             return real_fork()
 
-        monkeypatch.setattr(simulator, "_fork", counting_fork)
-        for var in simulator.BLAS_THREAD_VARS:
-            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(os, "fork", counting_fork)
 
         def use(cpus, min_fork_work=0):
             monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
@@ -507,24 +502,22 @@ class TestForkedExponentials:
         cl = build_closed_loop(a, b, design.k, design.alpha, graphs,
                                periodic_signal(2, 1.0, 2.0))
         own = []
-        part_flows = simulator._part_flows
-        monkeypatch.setattr(simulator, "_part_flows", lambda modes, keys, m:
-                            own.append(keys) or part_flows(modes, keys, m))
+        real_flows = simulator._flows
+        monkeypatch.setattr(simulator, "_flows", lambda modes, keys, m:
+                            own.append(keys) or real_flows(modes, keys, m))
         made = forks(2)
         keys = [(1, 0.1), (1, 0.2), (1, 0.3), (2, 0.1), (2, 0.2)]
         flows = simulator._exponentiate(cl.modes, keys, 4)
         assert len(made) == 1
-        assert own == [[(1, 0.1), (2, 0.1)]]
+        assert own == [[(1, 0.1), (2, 0.1)]]  # the child's keys stay in it
         assert flows.keys() == set(keys)
         for key in keys:
-            assert np.array_equal(flows[key], simulator._flows(cl.modes, [key], 4)[0])
+            assert np.array_equal(flows[key], real_flows(cl.modes, [key], 4)[0])
 
     @pytest.mark.parametrize("child_first", [False, True])
-    @pytest.mark.parametrize("indices, error", [
-        ([1, 2], SimulationDiverged), ([2, 1], OverflowError),
-    ])
+    @pytest.mark.parametrize("indices, t", [([1, 2], 14.0), ([2, 1], 1.0)])
     def test_overflow_in_either_process_keeps_the_error_order(
-        self, forks, monkeypatch, indices, error, child_first
+        self, forks, monkeypatch, indices, t, child_first
     ):
         # Two keys, one per process; `child_first` puts topology 2's
         # overflowing key in the child whichever comes first in the run.
@@ -534,18 +527,19 @@ class TestForkedExponentials:
                                 key[0] == 2) == child_first), m))
         made = forks(2)
         cl, x0 = overflow_loop(indices), np.array([1.0, 0.0])
-        with pytest.raises(error) as err:
+        with pytest.raises(SimulationDiverged) as err:
             simulate(cl, x0, 1.0)
         assert len(made) == 1
-        with pytest.raises(error) as want:
+        with pytest.raises(SimulationDiverged) as want:
             cached_simulate(cl, x0, 1.0)
-        if error is SimulationDiverged:
-            assert err.value.t == want.value.t == 14.0
+        assert err.value.t == want.value.t == t
 
     def test_failed_child_raises_and_leaves_no_child(self, forks, monkeypatch,
                                                      capfd, demo_closed_loop):
         forks(2)
-        monkeypatch.setattr(simulator, "_save_flows", lambda *args: 1 / 0)
+        parent, real_flows = os.getpid(), simulator._flows
+        monkeypatch.setattr(simulator, "_flows", lambda *args: (
+            real_flows(*args) if os.getpid() == parent else 1 / 0))
         x0 = np.random.default_rng(1).uniform(-1, 1, 20)
         with pytest.raises(OSError, match=r"^transition matrices: part 2 of 2 "
                            r"failed in child process \d+ \(exit code 1\)$"):
@@ -554,54 +548,52 @@ class TestForkedExponentials:
             os.waitpid(-1, os.WNOHANG)
         assert capfd.readouterr().err.count("ZeroDivisionError") == 1
 
+    def test_truncated_child_file_raises_and_leaves_no_child(
+        self, forks, monkeypatch, demo_closed_loop
+    ):
+        # The child writes its stack one float short and exits cleanly.
+        made = forks(2)
+        parent, real_flows = os.getpid(), simulator._flows
+        monkeypatch.setattr(simulator, "_flows", lambda *args: (
+            real_flows(*args) if os.getpid() == parent
+            else real_flows(*args).tobytes()[:-8]))
+        x0 = np.random.default_rng(1).uniform(-1, 1, 20)
+        with pytest.raises(OSError, match="^transition matrices: a child's "
+                           "file is truncated$"):
+            simulate(demo_closed_loop, x0, vtol.DT)
+        assert len(made) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_no_fork_below_the_work(self, forks):
         # Two 2x2 steps, one per part: 2**3 = 8 units of work each.
         for work, forked in ((8, 1), (9, 0)):
             made = forks(2, work)
             made.clear()
-            with pytest.raises(OverflowError):
+            with pytest.raises(SimulationDiverged):
                 simulate(overflow_loop([2, 1]), np.array([1.0, 0.0]), 1.0)
             assert len(made) == forked
 
-    @pytest.mark.parametrize("env, one", [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
-          "MKL_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "6"}, False),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2,1",
-          "MKL_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "\u00b2", "OMP_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "1"}, False),
-    ])
-    def test_blas_threads_from_the_environment(self, monkeypatch, env, one):
-        # Each BLAS reads its own variable: an unset or invalid one lets it
-        # run a thread per usable CPU.
-        for var in simulator.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert simulator._blas_one_thread() is one
-
-    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"},
-                                     {"MKL_NUM_THREADS": "1"},
-                                     {"OMP_NUM_THREADS": "abc"}])
-    def test_no_fork_unless_blas_runs_one_thread(self, forks, monkeypatch,
-                                                 demo_closed_loop, env):
-        # Four CPUs would give two parts; any BLAS thread count above one
-        # (an unset variable means one per CPU) gives one.
+    def test_no_fork_beside_another_thread(self, forks, monkeypatch, tmp_path,
+                                           demo_closed_loop):
+        # Four CPUs would give both fork sites several parts; a live thread,
+        # a BLAS worker say, leaves one.
         made = forks(4)
-        for var in simulator.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        simulate(demo_closed_loop, np.zeros(20), vtol.DT)
+        monkeypatch.setattr(simulator, "MIN_PART_VALUES", 1)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            record = simulate(demo_closed_loop, np.ones(20), vtol.DT)
+            write_trajectory_csv(record, tmp_path / "trajectory.csv")
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert made == []
+        simulate(demo_closed_loop, np.ones(20), vtol.DT)
+        write_trajectory_csv(record, tmp_path / "trajectory.csv")
+        assert len(made) == 4
 
     @pytest.mark.parametrize("platform", ["linux", "darwin"])
     def test_no_fork_without_os_fork_or_off_linux(self, forks, monkeypatch,
@@ -649,9 +641,7 @@ class TestSplitProperties:
                                                 intervals, seed, dt, block):
         cl = irregular_loop(small_setup, intervals, seed)
         x0 = np.random.default_rng(seed).uniform(-1, 1, 6)
-        with mock.patch.dict(os.environ, dict.fromkeys(simulator.BLAS_THREAD_VARS,
-                                                       "1")), \
-             mock.patch.object(simulator, "_usable_cpus", lambda: cpus), \
+        with mock.patch.object(simulator, "_usable_cpus", lambda: cpus), \
              mock.patch.object(simulator, "MIN_FORK_WORK", 1), \
              mock.patch.object(simulator, "BLOCK_INTERVALS", block):
             record = simulate(cl, x0, dt)
@@ -1001,13 +991,13 @@ class TestParallelTrajectoryCsv:
     def forks(self, monkeypatch):
         """Set the usable CPUs and the values a part needs; returns the forks."""
         made = []
-        real_fork = simulator._fork
+        real_fork = os.fork
 
         def counting_fork():
             made.append(None)
             return real_fork()
 
-        monkeypatch.setattr(simulator, "_fork", counting_fork)
+        monkeypatch.setattr(os, "fork", counting_fork)
 
         def use(cpus, min_part_values=1):
             monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
@@ -1116,6 +1106,7 @@ class TestParallelTrajectoryCsv:
         assert err.count("RuntimeError: formatter failed") == 2
 
     def test_no_warning_in_a_threaded_process(self, tmp_path, forks, demo_record):
+        # Another thread runs, so nothing forks and nothing warns.
         made = forks(2)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -1128,4 +1119,4 @@ class TestParallelTrajectoryCsv:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert len(made) == 1
+        assert made == []

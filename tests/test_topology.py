@@ -74,6 +74,11 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="square"):
             DirectedGraph(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("edge", [("a", 2), (1, 2.0), (None, 1)])
+    def test_from_edges_rejects_non_integer_nodes(self, edge):
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            DirectedGraph.from_edges(2, [edge])
+
     def test_from_edges_orientation(self):
         # Edge 1 -> 2 contributes a_21.
         g = DirectedGraph.from_edges(2, [(1, 2)])
@@ -342,6 +347,21 @@ class TestSwitchingSignal:
     def test_rejects_zero_based_indices(self):
         with pytest.raises(ValueError, match="1-based"):
             SwitchingSignal(np.array([0.0, 1.0]), np.array([0, 1]), 2.0)
+
+    @pytest.mark.parametrize("indices", [[1.7, 2.2], [1, 2.5], [1, np.nan],
+                                         [np.inf, 1]])
+    def test_rejects_non_integral_indices(self, indices):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            SwitchingSignal([0.0, 1.0], indices, 2.0)
+
+    def test_integral_float_indices_are_integers(self):
+        s = SwitchingSignal([0.0, 1.0], [2.0, 1.0], 2.0)
+        assert s.indices.dtype.kind == "i" and s.indices.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="must be finite"):
+            SwitchingSignal([0.0, 1.0], [1, 2], horizon)
 
     def test_derived_dwell_bounds(self):
         s = SwitchingSignal(np.array([0.0, 0.4, 1.0]), np.array([1, 2, 1]), 2.0)
