@@ -3,9 +3,9 @@
 The document carries the agent model, the candidate topologies, the
 switching specification, and the synthesis/simulation parameters.  Parsing
 is strict: sections that are not objects, numbers that are not JSON
-numbers, unknown switching kinds, conflicting alternatives (explicit signal
-vs periodic spec, fixed x0 vs seed), and out-of-range scalars are rejected
-with the offending field named.
+numbers (array elements included), unknown switching kinds, conflicting
+alternatives (explicit signal vs periodic spec, fixed x0 vs seed), and
+out-of-range scalars are rejected with the offending field named.
 
 A canonical digest over the synthesis inputs (system, graphs, synthesis
 parameters except `kappa0`) ties reports to the configuration they came
@@ -103,11 +103,26 @@ def _integer(value, where):
     raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
-def _matrix(doc, where):
+def _numbers(value, where):
+    """`value`, a number or nested lists of numbers, as a float array.
+
+    Every element must be a JSON number (see `_number`); the first that is
+    not is named by its indices, as ``where[i][j]``.
+    """
+    def check(value, where):
+        if isinstance(value, list):
+            return [check(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return _number(value, where)
+
+    checked = check(value, where)
     try:
-        m = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
+        return np.asarray(checked, dtype=float)
+    except ValueError:  # ragged nesting
         raise ConfigError(f"{where}: expected a nested numeric array") from None
+
+
+def _matrix(doc, where):
+    m = _numbers(doc, where)
     if m.ndim != 2:
         raise ConfigError(f"{where}: expected a 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -230,10 +245,7 @@ def parse_config(doc, base_dir="."):
     if (x0 is None) == (seed is None):
         raise ConfigError("simulation: exactly one of 'x0' or 'seed' must be given")
     if x0 is not None:
-        try:
-            x0 = np.asarray(x0, dtype=float).ravel()
-        except (TypeError, ValueError):
-            raise ConfigError("simulation.x0: expected a numeric array") from None
+        x0 = _numbers(x0, "simulation.x0").ravel()
         if not np.all(np.isfinite(x0)):
             raise ConfigError("simulation.x0: contains non-finite entries")
         expected = graph_set.node_count * a.shape[0]

@@ -6,10 +6,14 @@ functions over numpy arrays.  Every solver verifies its own output (residual
 or spectrum check) before returning, so downstream synthesis code can treat
 a returned matrix as a certificate.
 
-The heavy lifting is delegated to LAPACK through numpy/scipy; this module
+The factorizations are delegated to LAPACK through numpy/scipy; this module
 adds the input contracts, the residual verification, and a Newton-Kleinman
-polish for the Riccati solve.
+polish for the Riccati solve.  The matrix exponential is not delegated to
+scipy: `expm` is a Taylor kernel of its own that exponentiates many steps
+of one matrix from shared powers, using only matrix products.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,6 +33,16 @@ CARE_RESIDUAL_RTOL = 1e-7
 PBH_RTOL = 1e-8
 # Most Newton-Kleinman steps spent polishing a Riccati solution.
 NEWTON_STEPS = 8
+# The matrix exponential: a Taylor polynomial of degree TAYLOR_DEGREE,
+# evaluated in Paterson-Stockmeyer blocks of TAYLOR_BLOCK powers, is
+# accurate to the unit round-off for arguments whose alpha_4 bound is at
+# most TAYLOR_THETA (Higham, Functions of Matrices, SIAM 2008, Table A.3).
+TAYLOR_DEGREE = 18
+TAYLOR_BLOCK = 6
+TAYLOR_THETA = 1.09
+# Largest scale factor taken unsquared, so the coefficients c**18 / 18! of
+# a nilpotent matrix, whose alpha_4 bound is 0, stay finite.
+TAYLOR_MAX_SCALE = 2.0**50
 
 __all__ = [
     "eigenvalues",
@@ -41,12 +55,12 @@ __all__ = [
 ]
 
 
-def _as_square(m, name="matrix", stack=False):
-    """Finite square float matrix; with `stack`, a stack ``(..., n, n)`` too."""
+def _as_square(m, name="matrix"):
+    """Finite square float matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -242,17 +256,84 @@ def solve_care(a, b, w):
     return x
 
 
-def expm(m):
-    """Matrix exponential via scaling-and-squaring with Pade approximants.
+def _norm1(m):
+    """Largest absolute column sum of a matrix."""
+    return float(np.abs(m).sum(axis=0).max())
 
-    Takes one square matrix or a stack ``(..., n, n)``.  scipy runs the same
-    kernel on every slice, so a stacked call returns the per-slice results
-    bit for bit without the per-call overhead.  A slice that overflows comes
-    back non-finite; the others are unchanged.
+
+def expm(mode, steps):
+    """``exp(h * mode)`` for every step h, as a stack ``(len(steps), n, n)``.
+
+    Scaling and squaring with a Taylor polynomial of degree 18 (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33(2), 2011).  The powers ``P_1 .. P_6``
+    of ``B = mode / nu`` are formed once for all steps; ``nu`` is the power
+    of two that puts ``||B||_1`` in [1/2, 1).  They give the bound
+    ``alpha = nu * max(||P_4||^(1/4), ||P_5||^(1/5))`` on the spectral
+    radius of `mode`.  Step h is squared ``s = ceil(log2(|h| alpha /
+    TAYLOR_THETA))`` times, at least 0 and enough that the scale ``c = h nu
+    2^-s`` is at most `TAYLOR_MAX_SCALE`; then ``X = c B``, and
+    ``T(X) = C_0 + X^6 (C_1 + X^6 C_2)``, where each block ``C_j`` combines
+    ``I, P_1 .. P_6`` with the coefficients ``c^k / k!``.  So a step costs
+    two products and its squarings, and the powers are shared.
+
+    Every step's arithmetic is its own: its coefficients are elementwise,
+    and every product is one BLAS call per step of the same shape whatever
+    the other steps are.  So a step's result is the same bit for bit alone
+    or among others.  A step that overflows comes back non-finite; the
+    others are unchanged.
     """
-    m = _as_square(m, stack=True)
+    mode = _as_square(mode, "mode")
+    steps = np.asarray(steps, dtype=float)
+    if steps.ndim != 1 or not np.all(np.isfinite(steps)):
+        raise ValueError(f"steps must be a 1-d array of finite numbers, got {steps!r}")
+    n = mode.shape[0]
+    nu = math.ldexp(1.0, math.frexp(_norm1(mode))[1])
+    powers = np.empty((TAYLOR_BLOCK, n, n))
+    np.multiply(mode, 1.0 / nu, out=powers[0])
+    # P_2 = P_1 P_1, P_3 = P_2 P_1, P_4 = P_2 P_2, P_5 = P_4 P_1, P_6 = P_3 P_3.
+    for k, (i, j) in enumerate(((0, 0), (1, 0), (1, 1), (3, 0), (2, 2)), start=1):
+        np.matmul(powers[i], powers[j], out=powers[k])
+    alpha = nu * max(_norm1(powers[3]) ** 0.25, _norm1(powers[4]) ** 0.2)
+    rate = max(alpha / TAYLOR_THETA, nu / TAYLOR_MAX_SCALE)
+    # s = ceil(log2(|h| rate)), read exactly from the binary exponent.
+    frac, exp = np.frexp(np.abs(steps) * rate)
+    squarings = np.maximum(exp - (frac == 0.5), 0)
+    # Most squarings first, so each round of squaring takes a leading slice.
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    scale = np.ldexp(steps[order] * nu, -squarings)
+    coeffs = np.empty((steps.size, TAYLOR_DEGREE + 1))
+    coeffs[:, 0] = 1.0
+    for k in range(1, TAYLOR_DEGREE + 1):
+        coeffs[:, k] = coeffs[:, k - 1] * scale
+    coeffs /= [math.factorial(k) for k in range(TAYLOR_DEGREE + 1)]
+    flat = powers.reshape(TAYLOR_BLOCK, n * n)
+
+    def block(first, count):
+        """Per step, ``sum c^k / k! P_(k - first)``, k = first .. first + count."""
+        terms = np.matmul(coeffs[:, None, first + 1 : first + 1 + count], flat[:count])
+        terms = terms.reshape(steps.size, n, n)
+        terms.reshape(steps.size, n * n)[:, :: n + 1] += coeffs[:, first, None]
+        return terms
+
     with np.errstate(over="ignore", invalid="ignore"):
-        return sla.expm(m)
+        # block(12, 6) is c^12 C_2 and block(6, 5) is c^6 C_1, so P_6, which
+        # is X^6 / c^6, takes X^6's place: the first two lines give
+        # c^6 (C_1 + X^6 C_2), the next two T(X).
+        flows = np.matmul(powers[-1], block(12, 6))
+        flows += block(6, 5)
+        flows = np.matmul(powers[-1], flows)
+        flows += block(0, 5)
+        del powers, flat
+        for k in range(1, int(squarings.max(initial=0)) + 1):
+            count = int(np.count_nonzero(squarings >= k))
+            if count == steps.size:
+                flows = np.matmul(flows, flows)
+            else:
+                flows[:count] = np.matmul(flows[:count], flows[:count])
+    if np.any(order != np.arange(steps.size)):
+        flows[order] = flows.copy()
+    return flows
 
 
 def max_generalized_eigenvalue(q1, q2):

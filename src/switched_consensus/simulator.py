@@ -14,11 +14,11 @@ difference of agent states, so they keep full precision while the agreement
 grows.  A run diverges at the first sample whose disagreement max-norm
 exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
 run in blocks of switching intervals: each block's new transition matrices
-are exponentiated in one stacked call before it is propagated, and its
-samples are checked for divergence at once, so a flow that overflows is
-reported as a divergence too.  Where a block's matrices are large and CPUs
-are free, forked children exponentiate some of them.  Agent states
-``x_i = e_i + x_N`` are rebuilt for output only.
+are exponentiated before it is propagated, one `linalg.expm` call per
+topology, and its samples are checked for divergence at once, so a flow
+that overflows is reported as a divergence too.  Where a block's matrices
+are large and CPUs are free, forked children exponentiate some of its
+topologies.  Agent states ``x_i = e_i + x_N`` are rebuilt for output only.
 """
 
 import contextlib
@@ -174,17 +174,39 @@ def build_closed_loop(a, b, k_gain, alpha, graphs, signal):
     )
 
 
-def _grid_targets(t_start, t_end, dt):
-    """Sample instants inside (t_start, t_end) on the global dt grid, plus t_end."""
+def _sample_grid(edges, dt):
+    """Sample times of a run, and the sample that ends each interval.
+
+    Interval j runs from ``edges[j]`` to ``edges[j + 1]``.  Its samples are
+    the points ``k * dt`` of the global grid more than ``1e-9 * dt`` inside
+    it, then its end.  ``times`` starts with 0; ``times[ends[j]]`` is the
+    end of interval j.  Each interval's grid indices run from the first
+    ``k > t0 / dt + 1e-9`` to the last ``k * dt < t1 - 1e-9 * dt``; both
+    bounds are settled by comparing the floats ``k * dt`` themselves, so
+    the times are those of testing each ``k * dt`` in turn, bit for bit.
+    """
+    edges = np.asarray(edges, dtype=float)
+    t0, t1 = edges[:-1], edges[1:]
     eps = 1e-9 * dt
-    targets = []
-    k = int(np.floor(t_start / dt + 1e-9)) + 1
-    while k * dt < t_end - eps:
-        if k * dt > t_start + eps:
-            targets.append(k * dt)
-        k += 1
-    targets.append(t_end)
-    return targets
+    lo = np.floor(t0 / dt + 1e-9) + 1
+    hi = np.ceil((t1 - eps) / dt)
+    # lo: the first k with k * dt > t0 + eps; hi: the first k with
+    # k * dt >= t1 - eps.  Each estimate is at most a step or two off.
+    while np.any(early := lo * dt <= t0 + eps):
+        lo += early
+    while np.any(late := (hi - 1) * dt >= t1 - eps):
+        hi -= late
+    while np.any(short := hi * dt < t1 - eps):
+        hi += short
+    counts = np.maximum(hi - lo, 0).astype(np.int64) + 1
+    ends = np.cumsum(counts)
+    # Sample p + 1 of the run is grid point p - shift of its interval.
+    shift = np.repeat(ends - counts - lo.astype(np.int64), counts)
+    times = np.empty(ends[-1] + 1)
+    times[0] = 0.0
+    times[1:] = (np.arange(ends[-1]) - shift) * dt
+    times[ends] = t1
+    return times, ends
 
 
 def _check_divergence(block, times, m):
@@ -197,14 +219,16 @@ def _check_divergence(block, times, m):
 
 
 def _flows(modes, keys, m):
-    """``expm(mode * h)`` for every ``(mode, h)`` in `keys`, in one stacked call.
+    """``expm(mode * h)`` for every ``(mode, h)`` in `keys`, as one stack.
 
-    The flows are block lower triangular like the modes; expm's round-off
-    above the diagonal is cleared so x_N never leaks into e.
+    One kernel call per run of keys of one mode, so keys grouped by mode
+    share their mode's powers.  The flows are block lower triangular like
+    the modes; expm's round-off above the diagonal is cleared so x_N never
+    leaks into e.
     """
-    args = np.stack([modes[mode - 1] for mode, _ in keys])
-    args *= np.array([h for _, h in keys])[:, None, None]
-    flows = linalg.expm(args)
+    stacks = [linalg.expm(modes[mode - 1], [h for _, h in run])
+              for mode, run in itertools.groupby(keys, key=lambda key: key[0])]
+    flows = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     flows[:, :m, m:] = 0.0
     return flows
 
@@ -218,22 +242,23 @@ def _load_flows(fh, count, size):
 
 
 def _exponentiate(modes, keys, m):
-    """``{key: flow}`` for the ``(mode, h)`` `keys`, one stacked call per part.
+    """``{key: flow}`` for the ``(mode, h)`` `keys`, one kernel call per mode.
 
-    The keys are split into contiguous parts of at least `MIN_FORK_WORK`
-    (see `_part_bounds`), a key costing n**3 for an n-by-n mode.  Modes can
-    differ in cost, so the keys are dealt round-robin by mode first.  One
-    child is forked per part after the first (see `_parts`) and writes its
-    stack to its file.  A flow that overflows comes back non-finite.
+    Each part gets whole topologies, so no two processes form the powers of
+    one mode.  The topologies are split into contiguous parts of at least
+    `MIN_FORK_WORK` (see `_part_bounds`), counting n**3 per key for an
+    n-by-n mode, each topology at the average of its keys.  One child is
+    forked per part after the first (see `_parts`) and writes its stack to
+    its file.  A flow that overflows comes back non-finite.
     """
     by_mode = {}
     for key in keys:
         by_mode.setdefault(key[0], []).append(key)
-    keys = [key for deal in itertools.zip_longest(*by_mode.values())
-            for key in deal if key is not None]
+    topologies = list(by_mode.values())
     size = modes[0].shape[0]
-    bounds = _part_bounds(len(keys), size**3 * len(keys), MIN_FORK_WORK)
-    own, *others = [keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    bounds = _part_bounds(len(topologies), size**3 * len(keys), MIN_FORK_WORK)
+    own, *others = [[key for group in topologies[lo:hi] for key in group]
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
     jobs = [(f"transition matrices of {len(part)} steps",
              lambda fh, part=part: fh.write(_flows(modes, part, m)))
             for part in others]
@@ -277,9 +302,10 @@ def simulate(closed_loop, x0, dt):
     the schedule in blocks of `BLOCK_INTERVALS` switching intervals.  Each
     step is keyed ``(mode, h)``, with a step within 1e-9*dt of dt snapped to
     dt so float jitter on the grid never splits a key.  Per block, the keys
-    not yet held are exponentiated in one stacked call, or one per forked
-    part (see `_exponentiate`); expm works slice by slice, so each flow is
-    the same either way.  Then the block is propagated and its samples are
+    not yet held are exponentiated, one kernel call per topology, in this
+    process or a forked one (see `_exponentiate`); a step's flow does not
+    depend on the steps it shares a call with, so each flow is the same
+    either way.  Then the block is propagated and its samples are
     checked for divergence at once.  Full steps ``(mode, dt)`` are kept for
     the whole run; the off-grid fragments next to switches are dropped with
     their block, so memory stays bounded.  A flow that overflows is not
@@ -293,12 +319,9 @@ def simulate(closed_loop, x0, dt):
     e0, _ = disagreement(x0, n_nodes, n)
     z = np.concatenate([e0, np.asarray(x0, dtype=float).ravel()[m:]])
     signal = closed_loop.signal
-    edges = signal.breakpoints.tolist() + [signal.horizon]
-    grids = [_grid_targets(t0, t1, dt) for t0, t1 in zip(edges[:-1], edges[1:])]
-    times = np.array([0.0] + [t for grid in grids for t in grid])
-    # Sample position of each interval's end; the ends before the horizon are
-    # the switches, whose stored index is the incoming topology.
-    ends = np.cumsum([len(grid) for grid in grids])
+    # The ends before the horizon are the switches, whose stored index is
+    # the incoming topology.
+    times, ends = _sample_grid(signal.breakpoints.tolist() + [signal.horizon], dt)
     indices = np.repeat(signal.indices, np.diff(ends, prepend=-1))
     outgoing, incoming = signal.indices[:-1].tolist(), signal.indices[1:].tolist()
     indices[ends[:-1]] = incoming

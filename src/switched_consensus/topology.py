@@ -11,6 +11,7 @@ from node `from` to node `to`, i.e. it contributes the adjacency weight
 """
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -351,13 +352,24 @@ def graph_to_dict(g):
 
 
 def graph_from_dict(doc):
-    """Inverse of :func:`graph_to_dict`; round-trips weights bit-exactly."""
+    """Inverse of :func:`graph_to_dict`; round-trips weights bit-exactly.
+
+    `node_count` must be an integer or an integral float and every weight a
+    number, neither a bool nor a string; the first that is not is named.
+    """
     try:
-        n = int(doc["node_count"])
-        edges = [(e["from"], e["to"], float(e["weight"])) for e in doc["edges"]]
+        n = doc["node_count"]
+        edges = [(e["from"], e["to"], e["weight"]) for e in doc["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: missing field {exc}") from exc
-    return DirectedGraph.from_edges(n, edges)
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"node_count: expected an integer, got {n!r}")
+    for k, (_, _, weight) in enumerate(edges):
+        if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+            raise ValueError(f"edges[{k}].weight: expected a number, got {weight!r}")
+    return DirectedGraph.from_edges(int(n), [(s, d, float(w)) for s, d, w in edges])
 
 
 def save_graph(g, path):

@@ -81,6 +81,20 @@ def active_index(signal, t):
     return int(signal.indices[pos])
 
 
+def grid_targets(t_start, t_end, dt):
+    """Oracle: sample instants inside (t_start, t_end) on the global dt grid,
+    plus t_end, found by testing each grid point in turn."""
+    eps = 1e-9 * dt
+    targets = []
+    k = int(np.floor(t_start / dt + 1e-9)) + 1
+    while k * dt < t_end - eps:
+        if k * dt > t_start + eps:
+            targets.append(k * dt)
+        k += 1
+    targets.append(t_end)
+    return targets
+
+
 def random_spd(rng, n, shift=0.1):
     m = rng.normal(size=(n, n))
     return m @ m.T + shift * np.eye(n)
@@ -158,7 +172,7 @@ def dense_simulate(a, b, k, alpha, graphs, signal, x0, dt):
         is_last = j + 1 == interval_count(signal)
         t_end = signal.horizon if is_last else float(signal.breakpoints[j + 1])
         start = float(signal.breakpoints[j])
-        for target in simulator._grid_targets(start, t_end, dt):
+        for target in grid_targets(start, t_end, dt):
             key = (mode, target - t)
             if key not in cache:
                 cache[key] = sla.expm(modes[mode - 1] * key[1])
@@ -185,9 +199,7 @@ def cached_simulate(closed_loop, x0, dt):
     z = np.concatenate([e0, np.asarray(x0, dtype=float).ravel()[m:]])
     signal = closed_loop.signal
     edges = signal.breakpoints.tolist() + [signal.horizon]
-    grids = [
-        simulator._grid_targets(t0, t1, dt) for t0, t1 in zip(edges[:-1], edges[1:])
-    ]
+    grids = [grid_targets(t0, t1, dt) for t0, t1 in zip(edges[:-1], edges[1:])]
     times = np.array([0.0] + [t for grid in grids for t in grid])
     ends = np.cumsum([len(grid) for grid in grids])
     indices = np.repeat(signal.indices, np.diff(ends, prepend=-1))
@@ -208,7 +220,7 @@ def cached_simulate(closed_loop, x0, dt):
                     h = dt
                 key = (mode, h)
                 if key not in cache:
-                    cache[key] = linalg.expm(closed_loop.modes[mode - 1] * h)
+                    cache[key] = linalg.expm(closed_loop.modes[mode - 1], [h])[0]
                     cache[key][:m, m:] = 0.0
                 s += 1
                 z = samples[s] = cache[key] @ z

@@ -295,6 +295,32 @@ WRONG_TYPES = [
     pytest.param(_edit("simulation", tolerance="0.01"),
                  "simulation.tolerance: expected a number, got '0.01'",
                  id="text-tolerance"),
+    pytest.param(_without("simulation", "seed",
+                          _edit("simulation", x0=[True] + [0.0] * 19)),
+                 "simulation.x0[0]: expected a number, got True", id="bool-x0"),
+    pytest.param(_without("simulation", "seed",
+                          _edit("simulation", x0=[[0.0] * 4] * 4 + [[0.0, "1"]])),
+                 "simulation.x0[4][1]: expected a number, got '1'",
+                 id="text-nested-x0"),
+    pytest.param(lambda d: d["system"]["a"][1].__setitem__(2, True),
+                 "system.a[1][2]: expected a number, got True", id="bool-a"),
+    pytest.param(lambda d: d["system"]["b"][3].__setitem__(0, "1.0"),
+                 "system.b[3][0]: expected a number, got '1.0'", id="text-b"),
+    pytest.param(lambda d: d.update(gain={"k": [[0.0] * 4, [0.0, None, 0.0, 0.0]],
+                                          "alpha": 1.0}),
+                 "gain.k[1][1]: expected a number, got None", id="null-k"),
+    pytest.param(lambda d: d["graphs"][0]["edges"][2].update(weight="2.5"),
+                 "graphs[0]: edges[2].weight: expected a number, got '2.5'",
+                 id="text-weight"),
+    pytest.param(lambda d: d["graphs"][1]["edges"][0].update(weight=True),
+                 "graphs[1]: edges[0].weight: expected a number, got True",
+                 id="bool-weight"),
+    pytest.param(lambda d: d["graphs"][0].update(node_count=5.7),
+                 "graphs[0]: node_count: expected an integer, got 5.7",
+                 id="fractional-node-count"),
+    pytest.param(lambda d: d["graphs"][0].update(node_count=True),
+                 "graphs[0]: node_count: expected an integer, got True",
+                 id="bool-node-count"),
 ]
 
 

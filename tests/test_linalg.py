@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from switched_consensus import linalg
+from switched_consensus import linalg, simulator, synthesis, topology, vtol
 
 from conftest import (
     LHAT_1,
@@ -255,62 +256,176 @@ class TestSolveCare:
 
 class TestExpm:
     def test_zero(self):
-        assert np.array_equal(linalg.expm(np.zeros((3, 3))), np.eye(3))
+        out = linalg.expm(np.zeros((3, 3)), [1.0, 0.0, -2.5])
+        assert np.array_equal(out, np.broadcast_to(np.eye(3), (3, 3, 3)))
 
     def test_diagonal(self):
-        out = linalg.expm(np.diag([1.0, 2.0]))
+        out = linalg.expm(np.diag([1.0, 2.0]), [1.0])[0]
         assert np.allclose(out, np.diag([np.e, np.e**2]), rtol=1e-12)
 
     def test_nilpotent(self):
-        out = linalg.expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        out = linalg.expm(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0])[0]
         assert np.allclose(out, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
+
+    def test_large_nilpotent_stays_finite(self):
+        # alpha_4 is 0, so only the scale cap squares it; I + X is exact.
+        out = linalg.expm(np.array([[0.0, 2.0**60], [0.0, 0.0]]), [1.0, 4.0])
+        assert np.array_equal(out[0], [[1.0, 2.0**60], [0.0, 1.0]])
+        assert np.array_equal(out[1], [[1.0, 2.0**62], [0.0, 1.0]])
 
     def test_inverse_property(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             m = rng.normal(size=(5, 5))
             m *= min(1.0, 10.0 / np.linalg.norm(m))
-            prod = linalg.expm(m) @ linalg.expm(-m)
-            assert np.abs(prod - np.eye(5)).max() < 1e-9
+            forward, backward = linalg.expm(m, [1.0, -1.0])
+            assert np.abs(forward @ backward - np.eye(5)).max() < 1e-9
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4))
         s, t = 0.7, 1.9
-        lhs = linalg.expm((s + t) * m)
-        rhs = linalg.expm(s * m) @ linalg.expm(t * m)
+        lhs, first, second = linalg.expm(m, [s + t, s, t])
+        rhs = first @ second
         assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(lhs).max()
 
     def test_overflow_reported(self):
         # exp(800) overflows; the simulator reports it as a divergence.
-        out = linalg.expm(np.diag([800.0, 800.0]))
+        out = linalg.expm(np.diag([800.0, 800.0]), [1.0])[0]
         assert np.array_equal(out, np.diag([np.inf, np.inf]))
 
     def test_stack_equals_per_slice_calls(self):
+        # Each step's result is its own: the same bits alone, among other
+        # steps, and in another order, whatever squarings the others need.
         rng = np.random.default_rng(35)
-        stack = rng.normal(size=(9, 5, 5)) * rng.uniform(0.01, 20.0, (9, 1, 1))
-        stack[1] = np.diag(rng.normal(size=5))  # diagonal shortcut
-        stack[2] = np.tril(stack[2])  # triangular squaring
-        stack[3] = 0.0
-        out = linalg.expm(stack)
-        assert out.shape == stack.shape
-        for got, m in zip(out, stack):
-            assert got.tobytes() == linalg.expm(m).tobytes()
-        nested = linalg.expm(stack[:8].reshape(2, 4, 5, 5))
-        assert nested.tobytes() == out[:8].tobytes()
+        modes = [rng.normal(size=(5, 5)), np.diag(rng.normal(size=5)),
+                 np.tril(rng.normal(size=(5, 5))), np.zeros((5, 5))]
+        steps = rng.uniform(0.01, 20.0, 9) * rng.choice([-1.0, 1.0], 9)
+        steps[3] = 0.0
+        for m in modes:
+            out = linalg.expm(m, steps)
+            assert out.shape == (9, 5, 5)
+            for got, h in zip(out, steps):
+                assert got.tobytes() == linalg.expm(m, [h])[0].tobytes()
+            rev = linalg.expm(m, steps[::-1])
+            assert rev[::-1].tobytes() == out.tobytes()
 
     def test_overflow_of_one_slice_reported(self):
-        stack = np.stack([np.eye(2), np.diag([800.0, 1.0]), np.zeros((2, 2))])
-        out = linalg.expm(stack)
+        m = np.diag([800.0, 1.0])
+        out = linalg.expm(m, [1e-3, 1.0, 0.0])
         assert np.isfinite(out).all(axis=(1, 2)).tolist() == [True, False, True]
-        for k in (0, 2):
-            assert out[k].tobytes() == linalg.expm(stack[k]).tobytes()
+        for k, h in ((0, 1e-3), (2, 0.0)):
+            assert out[k].tobytes() == linalg.expm(m, [h])[0].tobytes()
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="square"):
-            linalg.expm(np.zeros((3, 2, 4)))
+            linalg.expm(np.zeros((3, 2, 4)), [1.0])
+        with pytest.raises(ValueError, match="square"):
+            linalg.expm(np.zeros((2, 3, 3)), [1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            linalg.expm(np.full((2, 2, 2), np.nan))
+            linalg.expm(np.full((2, 2), np.nan), [1.0])
+        for steps in ([np.inf], [np.nan], [[1.0]], 1.0):
+            with pytest.raises(ValueError, match="steps"):
+                linalg.expm(np.eye(2), steps)
+
+
+def exact_expm(m, h):
+    """Oracle: exp(h m) at 40 significant digits, rounded to doubles.
+
+    The product h m is formed in 40 digits too, so the reference does not
+    share the kernel's rounding of the argument.
+    """
+    with mpmath.workdps(40):
+        out = mpmath.expm(mpmath.matrix(m.tolist()) * mpmath.mpf(h))
+        return np.array(out.tolist(), dtype=float)
+
+
+def relative_error(got, want):
+    """Max-norm error relative to the largest entry of `want`."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def double_integrator_modes(graph_docs, beta):
+    """Closed-loop modes of double integrators on `graph_docs` under a
+    synthesized design, as the simulator builds them."""
+    a, b = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    graphs = topology.GraphSet(tuple(topology.graph_from_dict(g) for g in graph_docs))
+    reduced = [topology.reduce_laplacian(topology.laplacian(g), pos)
+               for pos, g in enumerate(graphs, start=1)]
+    design = synthesis.synthesize(a, b, reduced, beta)
+    signal = topology.periodic_signal(len(graphs), 1.0, 2.0 * len(graphs))
+    loop = simulator.build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
+    return loop.modes, design
+
+
+def random_spanning_digraph(rng, n):
+    """A weighted digraph with a directed spanning tree plus random edges."""
+    order = rng.permutation(n) + 1
+    weights = {}
+    for pos in range(1, n):
+        parent = int(order[rng.integers(0, pos)])
+        weights[(parent, int(order[pos]))] = float(rng.uniform(0.5, 2.0))
+    for src in range(1, n + 1):
+        for dst in range(1, n + 1):
+            if src != dst and (src, dst) not in weights and rng.random() < 0.2:
+                weights[(src, dst)] = float(rng.uniform(0.5, 2.0))
+    return {"node_count": n, "edges": [{"from": s, "to": d, "weight": w}
+                                       for (s, d), w in sorted(weights.items())]}
+
+
+class TestExpmAccuracy:
+    """The Taylor kernel against 40-digit mpmath and against scipy."""
+
+    TOL = 1e-13
+
+    def check(self, m, steps):
+        for got, h in zip(linalg.expm(m, steps), steps):
+            assert relative_error(got, exact_expm(m, h)) < self.TOL
+
+    def test_vtol_modes(self, vtol_graphs, vtol_design):
+        # Both VTOL closed loops are defective (ROADMAP, modal propagation).
+        signal = topology.periodic_signal(2, vtol.DWELL, vtol.HORIZON)
+        loop = simulator.build_closed_loop(vtol.A, vtol.B, vtol_design.k,
+                                           vtol_design.alpha, vtol_graphs, signal)
+        for mode in loop.modes:
+            self.check(mode, [vtol.DT, 0.37 * vtol.DT, vtol.DWELL])
+
+    def test_random_digraph_modes(self):
+        # Long-schedule style: N = 10 double integrators, dt = tau* / 3 and
+        # fragments of it next to switches.
+        rng = np.random.default_rng(4242)
+        modes, design = double_integrator_modes(
+            [random_spanning_digraph(rng, 10) for _ in range(2)], 1.0)
+        dt = design.dwell_threshold / 3.0
+        for mode in modes:
+            self.check(mode, [dt, 0.213 * dt])
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]),
+        np.diag([-3.0, 0.5, 2.0]),
+        np.zeros((3, 3)),
+    ], ids=["nilpotent", "diagonal", "zero"])
+    def test_structured(self, m):
+        self.check(m, [0.01, 1.0, 7.5])
+
+    def test_overflow_is_not_finite(self):
+        assert not np.isfinite(linalg.expm(np.diag([800.0, 800.0]), [1.0])).all()
+
+    def test_large_n_modes_match_scipy(self):
+        # N = 200 double integrators on a ring and a leader-pinned path: the
+        # 400x400 modes of the large-n benchmark, at dt and a fragment.
+        n = 200
+        ring = [(i, i % n + 1) for i in range(1, n + 1)]
+        path = [(i, i + 1) for i in range(1, n - 1)]
+        path += [(i + 1, i) for i in range(1, n - 1)] + [(n, 1)]
+        docs = [{"node_count": n, "edges": [{"from": s, "to": d, "weight": 1.0}
+                                            for s, d in edges]}
+                for edges in (ring, path)]
+        modes, _ = double_integrator_modes(docs, 2.0)
+        for mode in modes:
+            steps = [0.01, 0.0047]
+            for got, h in zip(linalg.expm(mode, steps), steps):
+                assert relative_error(got, sla.expm(mode * h)) < 1e-11
 
 
 class TestMaxGeneralizedEigenvalue:

@@ -30,6 +30,7 @@ from conftest import (
     dense_modes,
     dense_simulate,
     disagreement_transform,
+    grid_targets,
     random_spd,
     random_stable,
     single_process_csv,
@@ -288,18 +289,18 @@ class TestSimulate:
     def test_grid_aligned_schedule_needs_one_expm_per_mode(
         self, demo_closed_loop, monkeypatch
     ):
-        matrices = []
+        calls = []
         expm = simulator.linalg.expm
 
-        def counting_expm(m):
-            matrices.extend(m.reshape(-1, *m.shape[-2:]))
-            return expm(m)
+        def counting_expm(mode, steps):
+            calls.append(list(steps))
+            return expm(mode, steps)
 
         monkeypatch.setattr(simulator.linalg, "expm", counting_expm)
         rng = np.random.default_rng(27)
         record = simulate(demo_closed_loop, rng.uniform(-1, 1, size=20), vtol.DT)
         assert len(record.switches) == 19
-        assert len(matrices) == 2
+        assert calls == [[vtol.DT], [vtol.DT]]
 
     def test_rejects_wrong_initial_length(self, demo_closed_loop):
         with pytest.raises(ValueError, match="length"):
@@ -372,12 +373,13 @@ class TestBlockedPropagation:
         assert record.switches == reference.switches
 
     def test_each_distinct_step_exponentiated_once(self, small_setup, monkeypatch):
-        matrices, flows = [], []
+        matrices, calls, flows = [], [], []
         expm, dot = simulator.linalg.expm, simulator.np.dot
 
-        def counting_expm(m):
-            matrices.extend(m.reshape(-1, *m.shape[-2:]))
-            return expm(m)
+        def counting_expm(mode, steps):
+            calls.append(mode.tobytes())
+            matrices.extend((mode.tobytes(), h) for h in steps)
+            return expm(mode, steps)
 
         def recording_dot(a, b, out=None):
             if out is not None:
@@ -393,8 +395,9 @@ class TestBlockedPropagation:
         steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
         # The stored index is right-continuous: the mode of the next step.
         keys = set(zip(record.indices[:-1].tolist(), steps.tolist()))
-        slices = [m.tobytes() for m in matrices]
-        assert len(set(slices)) == len(slices) == len(keys)
+        assert len(set(matrices)) == len(matrices) == len(keys)
+        # One kernel call per topology and block: both topologies, 3 blocks.
+        assert len(calls) == 6 and len(set(calls)) == 2
         # Each step's flow is applied once; a full step's flow owns its
         # memory, so holding it for the run does not keep a block's
         # fragments alive.
@@ -479,8 +482,9 @@ class TestForkedExponentials:
 
     def test_one_child_per_extra_part_and_block(self, forks, small_setup,
                                                 monkeypatch):
-        # Every block of the irregular loop holds at least three new keys,
-        # so each forks cpus - 1 children.
+        # Every block of the irregular loop holds new keys of both
+        # topologies, and a part gets whole topologies, so each block forks
+        # one child, not cpus - 1.
         splits = []
         part_bounds = simulator._part_bounds
 
@@ -492,12 +496,13 @@ class TestForkedExponentials:
         made = forks(3)
         cl = irregular_loop(small_setup, TestBlockedPropagation.INTERVALS, 30)
         simulate(cl, np.random.default_rng(3).uniform(-1, 1, 6), 0.1)
-        assert [len(bounds) - 1 for bounds in splits] == [3, 3, 3]
-        assert len(made) == 6
+        assert [len(bounds) - 1 for bounds in splits] == [2, 2, 2]
+        assert len(made) == 3
 
     def test_keys_are_dealt_round_robin_by_mode(self, forks, small_setup,
                                                  monkeypatch):
-        # Modes can differ in cost, so each part gets its share of each.
+        # A part gets whole topologies, so no two processes form the powers
+        # of one mode; the keys of a mode are grouped into one kernel call.
         a, b, graphs, design = small_setup
         cl = build_closed_loop(a, b, design.k, design.alpha, graphs,
                                periodic_signal(2, 1.0, 2.0))
@@ -506,10 +511,10 @@ class TestForkedExponentials:
         monkeypatch.setattr(simulator, "_flows", lambda modes, keys, m:
                             own.append(keys) or real_flows(modes, keys, m))
         made = forks(2)
-        keys = [(1, 0.1), (1, 0.2), (1, 0.3), (2, 0.1), (2, 0.2)]
+        keys = [(1, 0.1), (2, 0.1), (1, 0.2), (2, 0.2), (1, 0.3)]
         flows = simulator._exponentiate(cl.modes, keys, 4)
         assert len(made) == 1
-        assert own == [[(1, 0.1), (2, 0.1)]]  # the child's keys stay in it
+        assert own == [[(1, 0.1), (1, 0.2), (1, 0.3)]]  # the child's stay in it
         assert flows.keys() == set(keys)
         for key in keys:
             assert np.array_equal(flows[key], real_flows(cl.modes, [key], 4)[0])
@@ -649,6 +654,84 @@ class TestSplitProperties:
         for got, want in zip(record_fields(record), record_fields(reference)):
             assert np.array_equal(got, want)
         assert record.switches == reference.switches
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8),
+           count=st.integers(1, 12), magnitude=st.floats(-3.0, 3.0))
+    def test_flow_alone_among_others_and_forked(self, seed, size, count,
+                                                magnitude):
+        # A step's flow has the same bits whichever steps share its kernel
+        # call and whichever process makes it.
+        rng = np.random.default_rng(seed)
+        modes = [rng.normal(size=(size, size)) * 10.0**magnitude for _ in range(2)]
+        steps = rng.uniform(0.0, 2.0, count) * 10.0 ** rng.uniform(-6.0, 0.0, count)
+        keys = list(dict.fromkeys(zip(rng.integers(1, 3, count).tolist(),
+                                      steps.tolist())))
+        m = size // 2
+        with mock.patch.object(simulator, "_usable_cpus", lambda: 2), \
+             mock.patch.object(simulator, "MIN_FORK_WORK", 0):
+            forked = simulator._exponentiate(modes, keys, m)
+        for mode in (1, 2):
+            mine = [h for k, h in keys if k == mode]
+            among = linalg.expm(modes[mode - 1], mine)
+            among[:, :m, m:] = 0.0
+            for h, flow in zip(mine, among):
+                alone = linalg.expm(modes[mode - 1], [h])[0]
+                alone[:m, m:] = 0.0
+                assert flow.tobytes() == alone.tobytes()
+                assert forked[mode, h].tobytes() == alone.tobytes()
+
+
+class TestSampleGrid:
+    """The vectorized sample grid against the loop that tests each point."""
+
+    @staticmethod
+    def loop_grid(edges, dt):
+        grids = [grid_targets(t0, t1, dt) for t0, t1 in zip(edges[:-1], edges[1:])]
+        times = np.array([0.0] + [t for grid in grids for t in grid])
+        return times, np.cumsum([len(grid) for grid in grids])
+
+    def check(self, edges, dt):
+        times, ends = simulator._sample_grid(edges, dt)
+        want_times, want_ends = self.loop_grid(edges, dt)
+        assert times.tobytes() == want_times.tobytes()
+        assert np.array_equal(ends, want_ends)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dt=st.floats(1e-3, 10.0),
+           gaps=st.lists(st.tuples(st.integers(0, 6), st.floats(-3.0, 3.0),
+                                   st.sampled_from([0.0, 1.0, -1.0, 0.5])),
+                         min_size=1, max_size=12),
+           dwell=st.floats(0.05, 3.0))
+    def test_matches_the_loop_near_grid_points(self, dt, gaps, dwell):
+        # Edges land within a few 1e-9 dt of grid points, exactly on them,
+        # or exactly 1e-9 dt away; a dwell that dt need not divide separates
+        # them.
+        edges = [0.0]
+        for k, jitter, snap in gaps:
+            near = (round(edges[-1] / dt) + k) * dt
+            near += (snap or jitter) * 1e-9 * dt
+            edges.append(max(near, edges[-1] + dwell * dt))
+        assert all(t1 > t0 for t0, t1 in zip(edges, edges[1:]))
+        self.check(edges, dt)
+
+    @pytest.mark.parametrize("dt, edge", [
+        (0.6706363400917386, 61383.344208597504),  # k = ceil((t - eps) / dt) too low
+        (0.1033388700686982, 388.760829198546),  # ... too high
+        (0.90834746757907, 51235.33890879653),  # floor(t / dt + 1e-9) + 1 too low
+    ], ids=["upper-estimate-low", "upper-estimate-high", "lower-estimate-low"])
+    def test_matches_the_loop_where_the_estimates_are_off(self, dt, edge):
+        # Edges where the float division misjudges which grid points lie
+        # inside, found by search; as an interval's start and as its end.
+        self.check([edge - 3.5 * dt, edge, edge + 2.5 * dt], dt)
+
+    @pytest.mark.parametrize("dwell, dt, horizon", [
+        (0.35, 0.1, 1000.0), (vtol.DWELL, vtol.DT, vtol.HORIZON),
+        (3.0, 4.5, 1000.0), (0.5, 0.07, 350.0), (1.0, 0.1, 500.0)])
+    def test_matches_the_loop_on_periodic_schedules(self, dwell, dt, horizon):
+        signal = periodic_signal(2, dwell, horizon)
+        self.check(signal.breakpoints.tolist() + [signal.horizon], dt)
 
 
 def first_order_loop(n, horizon=1.0):
