@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from . import simulator, synthesis, topology, vtol
+from . import schema, simulator, synthesis, topology, vtol
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -250,13 +250,12 @@ def _add_common_flags(parser):
 
 
 def _apply_overrides(rc, args):
+    """Apply the flags that override config fields, each checked as its field."""
     if args.seed is not None:
-        if args.seed < 0:
-            raise cfg.ConfigError("--seed must be non-negative")
-        rc.seed = args.seed
+        rc.seed = schema.check(args.seed, "simulation.seed", "--seed")
         rc.x0 = None
     if args.dwell is not None:
-        dwell = cfg._positive(args.dwell, "--dwell")
+        dwell = schema.check(args.dwell, "switching.periodic.dwell", "--dwell")
         if rc.switching_kind != "periodic":
             raise cfg.ConfigError(
                 "--dwell only applies to periodic switching specifications"
@@ -264,7 +263,8 @@ def _apply_overrides(rc, args):
         rc.switching["dwell"] = dwell
     for name in ("beta", "alpha", "kappa0"):
         if getattr(args, name) is not None:
-            setattr(rc, name, cfg._positive(getattr(args, name), f"--{name}"))
+            setattr(rc, name, schema.check(getattr(args, name), f"synthesis.{name}",
+                                           f"--{name}"))
     if args.alpha is not None:
         rc.alpha_margin = None
 
@@ -311,13 +311,10 @@ def main(argv=None):
         out_dir = args.out or rc.out_dir or "out"
         os.makedirs(out_dir, exist_ok=True)
         return globals()[f"cmd_{args.command.replace('-', '_')}"](rc, out_dir)
-    except cfg.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except synthesis.InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,13 +12,12 @@ from node `from` to node `to`, i.e. it contributes the adjacency weight
 
 import json
 import numbers
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, schema
 
 # Row sums of a Laplacian may deviate from zero by this much (relative to
 # the largest weight) before the matrix is rejected.
@@ -58,11 +57,11 @@ class DirectedGraph:
             raise ValueError(f"weight matrix must be square, got shape {w.shape}")
         if w.shape[0] < 1:
             raise ValueError("graph needs at least one node")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights contain non-finite entries")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be non-negative")
-        if np.any(np.diag(w) != 0):
+        if w.diagonal().any():
             raise ValueError("self-weights a_ii must be zero")
         self.weights = w
 
@@ -72,19 +71,40 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, node_count, edges):
-        """Build a graph from 1-based ``(from, to)`` or ``(from, to, weight)`` tuples."""
-        w = np.zeros((node_count, node_count))
+        """Build a graph from 1-based ``(from, to)`` or ``(from, to, weight)`` tuples.
+
+        The ends are integers, not bools, and an ordered pair may appear once.
+        """
+        edges = list(edges)
         for edge in edges:
-            try:
-                src, dst = operator.index(edge[0]), operator.index(edge[1])
-            except TypeError:
+            if not all(isinstance(end, numbers.Integral) and not isinstance(end, bool)
+                       for end in edge[:2]):
                 raise ValueError(f"edge ({edge[0]!r}, {edge[1]!r}): nodes must be "
-                                 "integers") from None
-            weight = edge[2] if len(edge) > 2 else 1.0
-            if not (1 <= src <= node_count and 1 <= dst <= node_count):
-                raise ValueError(f"edge ({src}, {dst}) out of range 1..{node_count}")
-            w[dst - 1, src - 1] = weight
-        return cls(w)
+                                 "integers")
+        return cls._from_columns(node_count, [e[0] for e in edges],
+                                 [e[1] for e in edges],
+                                 [e[2] if len(e) > 2 else 1.0 for e in edges])
+
+    @classmethod
+    def _from_columns(cls, node_count, src, dst, weights):
+        """Build a graph from lists of the 1-based ends and the weights of its edges.
+
+        An ordered pair may appear once; a repeat is rejected, naming both edges.
+        """
+        cells = [(d - 1) * node_count + s - 1 for s, d in zip(src, dst)]  # w[d-1, s-1]
+        ends = src + dst
+        if ends and not 1 <= min(ends) <= max(ends) <= node_count \
+                or len(set(cells)) < len(cells):
+            first = {}
+            for k, pair in enumerate(zip(src, dst)):  # the naming loop
+                if not 1 <= min(pair) <= max(pair) <= node_count:
+                    raise ValueError(f"edges[{k}]: {pair} out of range 1..{node_count}")
+                if first.setdefault(pair, k) != k:
+                    raise ValueError(f"edges[{first[pair]}] and edges[{k}] are both "
+                                     f"the edge {pair}")
+        w = np.zeros(node_count * node_count)
+        w[cells] = weights
+        return cls(w.reshape(node_count, node_count))
 
     def edges(self):
         """Edge list as 1-based ``(from, to, weight)`` tuples, sorted by (from, to)."""
@@ -354,22 +374,13 @@ def graph_to_dict(g):
 def graph_from_dict(doc):
     """Inverse of :func:`graph_to_dict`; round-trips weights bit-exactly.
 
-    `node_count` must be an integer or an integral float and every weight a
-    number, neither a bool nor a string; the first that is not is named.
+    The document is checked against the ``graphs[]`` fields of
+    `schema.FIELDS`; the first entry that breaks them is named.
     """
-    try:
-        n = doc["node_count"]
-        edges = [(e["from"], e["to"], e["weight"]) for e in doc["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph document: missing field {exc}") from exc
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"node_count: expected an integer, got {n!r}")
-    for k, (_, _, weight) in enumerate(edges):
-        if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
-            raise ValueError(f"edges[{k}].weight: expected a number, got {weight!r}")
-    return DirectedGraph.from_edges(int(n), [(s, d, float(w)) for s, d, w in edges])
+    doc = schema.fields(doc, "graphs[]")
+    edges = doc["edges"]
+    return DirectedGraph._from_columns(doc["node_count"], edges["from"], edges["to"],
+                                       edges["weight"])
 
 
 def save_graph(g, path):

@@ -2,11 +2,13 @@ import copy
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from switched_consensus import cli, linalg, simulator, synthesis, topology, vtol
+from switched_consensus import (cli, linalg, schema, simulator, synthesis, topology,
+                                vtol)
 from switched_consensus.config import (
     ConfigError,
     build_signal,
@@ -196,7 +198,7 @@ def _switching(doc, **explicit):
 BAD_NUMBERS = [
     pytest.param(lambda d: d["switching"]["periodic"].update(horizon=math.inf),
                  "switching.periodic.horizon: must be finite", id="inf-horizon"),
-    pytest.param(_nan_x0, "simulation.x0: contains non-finite entries",
+    pytest.param(_nan_x0, "simulation.x0[0]: must be finite, got nan",
                  id="nan-x0"),
     pytest.param(lambda d: d["synthesis"].update(beta=math.inf),
                  "synthesis.beta: must be finite", id="inf-beta"),
@@ -205,13 +207,14 @@ BAD_NUMBERS = [
     pytest.param(lambda d: d["synthesis"].update(kappa0=math.inf),
                  "synthesis.kappa0: must be finite", id="inf-kappa0"),
     pytest.param(lambda d: _switching(d, breakpoints=[0.0, math.nan]),
-                 "switching.explicit: breakpoints must be finite",
+                 "switching.explicit.breakpoints[1]: must be finite, got nan",
                  id="nan-breakpoint"),
     pytest.param(lambda d: _switching(d, tau0=math.inf),
-                 "switching.explicit: tau0 must be positive and finite",
+                 "switching.explicit.tau0: must be finite, got inf",
                  id="inf-tau0"),
     pytest.param(lambda d: _switching(d, tau1=math.nan),
-                 "switching.explicit: tau1 must exceed tau0", id="nan-tau1"),
+                 "switching.explicit.tau1: must be positive, got nan",
+                 id="nan-tau1"),
     pytest.param(lambda d: _switching(d, indices=[1.7, 2.2]),
                  "switching.explicit.indices[0]: expected an integer, got 1.7",
                  id="fractional-indices"),
@@ -284,7 +287,8 @@ WRONG_TYPES = [
     pytest.param(_edit("switching", periodic=[1]),
                  "switching.periodic: expected an object, got [1]", id="periodic"),
     pytest.param(lambda d: d["graphs"][0]["edges"][0].update({"from": "a"}),
-                 "graphs[0]: edge ('a', ", id="edge-from"),
+                 "graphs[0]: edges[0].from: expected an integer, got 'a'",
+                 id="edge-from"),
     pytest.param(_edit("synthesis", beta=True),
                  "synthesis.beta: expected a number, got True", id="bool-beta"),
     pytest.param(_edit("simulation", dt=True),
@@ -321,6 +325,29 @@ WRONG_TYPES = [
     pytest.param(lambda d: d["graphs"][0].update(node_count=True),
                  "graphs[0]: node_count: expected an integer, got True",
                  id="bool-node-count"),
+    pytest.param(lambda d: d["graphs"][0]["edges"][1].update({"to": True}),
+                 "graphs[0]: edges[1].to: expected an integer, got True",
+                 id="bool-edge-end"),
+    pytest.param(lambda d: d["graphs"][1]["edges"].append(
+                     dict(d["graphs"][1]["edges"][2], weight=7.0)),
+                 "graphs[1]: edges[2] and edges[5] are both the edge (2, 3)",
+                 id="repeated-edge"),
+    pytest.param(lambda d: d["graphs"][0].update(edges="abc"),
+                 "graphs[0]: edges: expected a list, got 'abc'", id="text-edges"),
+    pytest.param(lambda d: _switching(d, breakpoints=["0", "0.6"]),
+                 "switching.explicit.breakpoints[0]: expected a number, got '0'",
+                 id="text-breakpoints"),
+    pytest.param(lambda d: _switching(d, breakpoints=[False, 0.6]),
+                 "switching.explicit.breakpoints[0]: expected a number, got False",
+                 id="bool-breakpoint"),
+    pytest.param(lambda d: d.update(output={"dir": 5}),
+                 "output.dir: expected a string, got 5", id="number-output-dir"),
+    pytest.param(lambda d: d.update(output="somewhere"),
+                 "output: expected an object, got 'somewhere'", id="text-output"),
+    pytest.param(_edit("simulation", dtt=0.5), "simulation.dtt: unknown field",
+                 id="unknown-field"),
+    pytest.param(lambda d: d["graphs"][0]["edges"][0].update(wieght=1.0),
+                 "graphs[0]: edges[0].wieght: unknown field", id="unknown-edge-field"),
 ]
 
 
@@ -332,6 +359,80 @@ def test_wrong_json_type_names_the_field(tmp_path, demo_doc, capsys, edit, named
     assert cli.main(["analyze", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
     assert f"error: {named}" in capsys.readouterr().err
+
+
+def test_output_dir_of_wrong_type_is_input_error(tmp_path, demo_doc, capsys,
+                                                 monkeypatch):
+    # Without --out the config's output.dir is used, so it must be checked
+    # before any directory is made.
+    monkeypatch.chdir(tmp_path)
+    demo_doc["output"] = {"dir": 5}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(demo_doc))
+    assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_INPUT
+    assert "error: output.dir: expected a string, got 5" in capsys.readouterr().err
+
+
+def test_graph_file_fields_are_named(tmp_path, demo_doc, capsys):
+    demo_doc["graphs"][1]["edges"][3]["from"] = True
+    (tmp_path / "g2.json").write_text(json.dumps(demo_doc["graphs"][1]))
+    demo_doc["graphs"][1] = "g2.json"
+    with pytest.raises(ConfigError, match=r"^graphs\[1\]: edges\[3\]\.from: expected "
+                                          r"an integer, got True$"):
+        parse_config(demo_doc, base_dir=str(tmp_path))
+
+
+def test_integral_float_edge_ends_are_integers(demo_doc):
+    edges = demo_doc["graphs"][0]["edges"]
+    expected = parse_config(demo_doc).graphs[0].weights
+    edges[0].update({"from": float(edges[0]["from"]), "to": float(edges[0]["to"])})
+    assert np.array_equal(parse_config(demo_doc).graphs[0].weights, expected)
+
+
+def _at(doc, path, value):
+    """Put `value` at table `path` of `doc`, making what is missing; ``[]`` is [0]."""
+    *sections, last = path.split(".")
+    for section in sections:
+        key = section.removesuffix("[]")
+        doc = doc.setdefault(key, [{}] if section.endswith("[]") else {})
+        if section.endswith("[]"):
+            doc = doc[0]
+    if last.endswith("[]"):
+        doc.setdefault(last.removesuffix("[]"), [None])[0] = value
+    else:
+        doc[last] = value
+
+
+def _named(path):
+    """The name an error gives the table `path` at element 0 of each list."""
+    return path.replace("[]", "[0]").replace("graphs[0].", "graphs[0]: ")
+
+
+TABLE_CASES = [
+    pytest.param(path, value, id=f"{path}={value!r}")
+    for path, (kind, _, _) in schema.FIELDS.items()
+    for value in (True, "text", None, math.nan)
+    if not (kind == "string" and value == "text")
+]
+
+
+@pytest.mark.parametrize("path, value", TABLE_CASES)
+def test_every_table_field_rejects_wrong_values(tmp_path, demo_doc, capsys, path,
+                                                value):
+    # Driven by the table, so a field added to it later is covered too.
+    _at(demo_doc, path, value)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(demo_doc))
+    assert cli.main(["analyze", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert f"error: {_named(path)}" in capsys.readouterr().err
+
+
+def test_readme_lists_every_table_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    missing = [path for path in schema.FIELDS if f"`{path}`" not in section]
+    assert not missing
 
 
 class TestCommandExitCodes:
@@ -577,6 +678,13 @@ class TestCommandExitCodes:
     def test_flag_overrides_validated(self, demo_config_file, tmp_path):
         assert cli.main(["analyze", "--config", demo_config_file,
                          "--out", str(tmp_path / "o"), "--beta", "-3"]) == 3
+
+    def test_negative_seed_override_names_its_flag(self, demo_config_file,
+                                                   tmp_path, capsys):
+        assert cli.main(["analyze", "--config", demo_config_file,
+                         "--out", str(tmp_path / "o"), "--seed", "-1"]) == 3
+        assert "error: --seed: must be non-negative, got -1" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--dwell", "--beta", "--alpha", "--kappa0"])
     def test_nonpositive_override_names_its_flag(self, demo_config_file,

@@ -74,7 +74,7 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="square"):
             DirectedGraph(np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("edge", [("a", 2), (1, 2.0), (None, 1)])
+    @pytest.mark.parametrize("edge", [("a", 2), (1, 2.0), (None, 1), (True, 2)])
     def test_from_edges_rejects_non_integer_nodes(self, edge):
         with pytest.raises(ValueError, match="nodes must be integers"):
             DirectedGraph.from_edges(2, [edge])
