@@ -8,8 +8,6 @@ reduction, derive the dwell-time threshold, and validate the whole design by
 exact piecewise-exponential simulation of the switched closed loop.
 """
 
-# scipy.linalg imports ~20 ms faster here than via `from . import linalg`.
-import scipy.linalg  # noqa: F401
 from .simulator import (
     SimulationDiverged,
     build_closed_loop,

@@ -125,14 +125,23 @@ def cmd_synthesize(rc, out_dir, reference=None):
 
 
 def _load_report(rc, out_dir):
+    """The synthesis report in `out_dir`, as its document and its design.
+
+    A report that is not valid JSON, breaks the report fields of the schema,
+    or was written for another configuration is an input error naming it.
+    """
     path = os.path.join(out_dir, REPORT_NAME)
     if not os.path.exists(path):
         raise cfg.ConfigError(
             f"no synthesis report at {path}; run `synthesize` first or supply "
             "an explicit gain in the config"
         )
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        design = synthesis.design_from_dict(doc)
+    except ValueError as exc:  # ConfigError and JSONDecodeError included
+        raise cfg.ConfigError(f"{path}: {exc}") from exc
     stored = doc.get("config_digest")
     current = cfg.config_digest(rc)
     if stored != current:
@@ -140,7 +149,7 @@ def _load_report(rc, out_dir):
             f"synthesis report {path} is stale: its config digest {stored!r} "
             f"does not match the current configuration {current!r}"
         )
-    return doc
+    return doc, design
 
 
 def cmd_simulate(rc, out_dir):
@@ -150,7 +159,7 @@ def cmd_simulate(rc, out_dir):
     if rc.gain is not None:
         k_gain, alpha = rc.gain["k"], rc.gain["alpha"]
     else:
-        design = synthesis.design_from_dict(_load_report(rc, out_dir))
+        _, design = _load_report(rc, out_dir)
         k_gain, alpha = design.k, design.alpha
     closed_loop = simulator.build_closed_loop(
         rc.a, rc.b, k_gain, alpha, rc.graphs, signal
@@ -175,8 +184,7 @@ def cmd_simulate(rc, out_dir):
 
 def cmd_verify(rc, out_dir):
     """Re-validate a synthesis report from raw data, item by item."""
-    report = _load_report(rc, out_dir)
-    design = synthesis.design_from_dict(report)
+    report, design = _load_report(rc, out_dir)
     signal = cfg.build_signal(rc)
     try:
         schedule = synthesis.check_schedule(
@@ -222,7 +230,7 @@ def cmd_demo_vtol(rc, out_dir):
     print("== verify ==")
     ver_code = cmd_verify(rc, out_dir)
 
-    report = _load_report(rc, out_dir)
+    report, _ = _load_report(rc, out_dir)
     print("== computed vs published reference ==")
     print(f"{'quantity':<16}{'computed':>14}{'reference':>14}")
     rows = [

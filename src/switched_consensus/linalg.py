@@ -6,17 +6,20 @@ functions over numpy arrays.  Every solver verifies its own output (residual
 or spectrum check) before returning, so downstream synthesis code can treat
 a returned matrix as a certificate.
 
-The factorizations are delegated to LAPACK through numpy/scipy; this module
-adds the input contracts, the residual verification, and a Newton-Kleinman
-polish for the Riccati solve.  The matrix exponential is not delegated to
-scipy: `expm` is a Taylor kernel of its own that exponentiates many steps
-of one matrix from shared powers, using only matrix products.
+The factorizations are delegated to LAPACK; this module adds the input
+contracts, the residual verification, and a Newton-Kleinman polish for the
+Riccati solve.  Only `solve_lyapunov` (real Schur form and trsyl) and
+`solve_care` (`solve_continuous_are`) need scipy, and they import it when
+they run, so a process that never synthesizes never loads it.  Everything
+else is numpy's: the generalized eigenvalue of `max_generalized_eigenvalue`
+is a Cholesky reduction to a symmetric eigenproblem, and `expm` is a Taylor
+kernel of its own that exponentiates many steps of one matrix from shared
+powers, using only matrix products.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg as sla
 
 # Relative asymmetry accepted before an input is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-9
@@ -143,6 +146,8 @@ def solve_lyapunov(a, c):
     normwise backward error bound
     ``LYAPUNOV_RESIDUAL_RTOL * (1 + ||c|| + 2 ||a|| ||X||)``.
     """
+    import scipy.linalg as sla
+
     a = _as_square(a, "a")
     c = _symmetrize(c, "c")
     if a.shape != c.shape:
@@ -207,6 +212,8 @@ def solve_care(a, b, w):
     residual drops below ``CARE_RESIDUAL_RTOL * (1 + ||w||)``.  The returned
     X is verified symmetric positive definite with ``a - b b^T X`` Hurwitz.
     """
+    import scipy.linalg as sla
+
     a = _as_square(a, "a")
     b = _as_matrix(b, "b")
     w = _symmetrize(w, "w")
@@ -340,17 +347,39 @@ def max_generalized_eigenvalue(q1, q2):
     """Largest lambda with  q2 v = lambda q1 v  for SPD q1, q2.
 
     Equals the largest eigenvalue of ``inv(q1) @ q2``.  Computed by Cholesky
-    reduction of the symmetric-definite pencil (factor q1, transform q2), so
-    the result is a real positive scalar with no complex round-off.
+    reduction of the symmetric-definite pencil (Golub and Van Loan, Matrix
+    Computations, 8.7): with ``q1 = L L^T``, the pencil's eigenvalues are
+    those of the symmetric ``C = inv(L) q2 inv(L)^T``, so the result is a
+    real scalar with no complex round-off.  The solve itself tests both
+    inputs: q1 is positive definite iff its Cholesky factorization exists,
+    and q2 iff C's smallest eigenvalue is positive (Sylvester's law of
+    inertia).  A failed test raises ValueError naming the matrix.
+
+    C's smallest eigenvalue is exact only to round-off of C's largest, so
+    when its sign fails, q2's own smallest eigenvalue decides; a pencil
+    spread wider than 1 / eps does not reject a positive definite q2.
     """
     q1 = _symmetrize(q1, "q1")
     q2 = _symmetrize(q2, "q2")
     if q1.shape != q2.shape:
         raise ValueError(f"dimension mismatch: q1 is {q1.shape}, q2 is {q2.shape}")
-    for name, q in (("q1", q1), ("q2", q2)):
-        ok, cert = is_positive_definite(q)
-        if not ok:
-            raise ValueError(
-                f"{name} is not positive definite (smallest eigenvalue {cert:.3e})"
-            )
-    return float(sla.eigh(q2, q1, eigvals_only=True)[-1])
+    try:
+        chol = np.linalg.cholesky(q1)
+    except np.linalg.LinAlgError:
+        raise _not_definite("q1", np.linalg.eigvalsh(q1)[0]) from None
+    # inv(L)^T = inv(L^T), and numpy's LU of the upper triangular L^T
+    # neither pivots nor eliminates, so its inverse is back-substitution.
+    z = np.linalg.inv(chol.T)
+    c = z.T @ q2 @ z
+    spectrum = np.linalg.eigvalsh((c + c.T) / 2.0)
+    if not spectrum[0] > 0.0:
+        smallest = np.linalg.eigvalsh(q2)[0]
+        if not smallest > 0.0:
+            raise _not_definite("q2", smallest)
+    return float(spectrum[-1])
+
+
+def _not_definite(name, smallest):
+    return ValueError(
+        f"{name} is not positive definite (smallest eigenvalue {smallest:.3e})"
+    )

@@ -1,15 +1,17 @@
 """The accepted input fields, and the one validator that reads them.
 
-`FIELDS` lists each field of a run configuration, and under ``graphs[]``
-each field of a graph document, inline or loaded from a path.  A list's
-elements are at its path plus ``[]``.  A field the table does not list,
-and a value of the wrong kind (``null`` included), are rejected by name,
-down to the element (``system.a[1][2]``, ``edges[3].from``).  An integer
-is an int, or a float with an integral value, and never a bool; a number
-is an int or a float, never a bool, and finite unless its kind says
+`FIELDS` lists each field of a run configuration, under ``graphs[]``
+each field of a graph document, inline or loaded from a path, and under
+``report`` each field of a synthesis report.  A list's elements are at its
+path plus ``[]``.  A field the table does not list, and a value of the
+wrong kind (``null`` included, unless the kind names it), are rejected by
+name, down to the element (``system.a[1][2]``, ``edges[3].from``).  An
+integer is an int, or a float with an integral value, and never a bool; a
+number is an int or a float, never a bool, and finite unless its kind says
 otherwise.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -77,10 +79,33 @@ FIELDS = {
     "gain.alpha": ("number", "positive", REQUIRED),
     "output": ("object", None, None),
     "output.dir": ("string", None, None),
+    "report.schema_version": ("integer", str(SCHEMA_VERSION), REQUIRED),
+    "report.beta": ("number", "positive", REQUIRED),
+    "report.alpha": ("number", "positive", REQUIRED),
+    "report.alpha_min": ("number", None, REQUIRED),
+    "report.c0": ("number", None, REQUIRED),
+    "report.beta_bound": ("number or null", None, REQUIRED),
+    "report.gain": ("object", None, REQUIRED),
+    "report.gain.k": ("matrix", None, REQUIRED),
+    "report.gain.p": ("matrix", None, REQUIRED),
+    "report.certificates": ("list", None, REQUIRED),
+    "report.certificates[]": ("object", None, REQUIRED),
+    "report.certificates[].index": ("integer", None, REQUIRED),
+    "report.certificates[].c": ("number", "positive", REQUIRED),
+    "report.certificates[].q": ("matrix", None, REQUIRED),
+    "report.certificates[].lmi_margin": ("number", None, REQUIRED),
+    "report.lambda_max": ("number", None, REQUIRED),
+    "report.dwell_threshold": ("number", None, REQUIRED),
+    "report.config_digest": ("string", None, None),
+    "report.reference": ("object", None, None),
+    "report.reference.lambda_max": ("number", None, REQUIRED),
+    "report.reference.dwell_threshold": ("number", None, REQUIRED),
+    "report.reference.alpha_min": ("number", None, REQUIRED),
 }
 
 # What a document's root is called in errors, by the table path of its fields.
-ROOTS = {"": "top level", "graphs[]": "malformed graph document"}
+ROOTS = {"": "top level", "graphs[]": "malformed graph document",
+         "report": "malformed synthesis report"}
 
 _CHILDREN = {}  # object path -> {key: field path}
 for _path in FIELDS:
@@ -122,11 +147,13 @@ def check(value, path, where):
     if kind == "object":
         return fields(value, path, where)
     if kind in ("matrix", "array"):
-        value = _numbers(value, where)
-        try:
-            array = np.asarray(value, dtype=float)
-        except ValueError:  # ragged
-            raise ConfigError(f"{where}: expected a nested numeric array") from None
+        array = _rows(value)
+        if array is None:
+            value = _numbers(value, where)
+            try:
+                array = np.asarray(value, dtype=float)
+            except ValueError:  # ragged
+                raise ConfigError(f"{where}: expected a nested numeric array") from None
         if kind == "matrix" and array.ndim != 2:
             raise ConfigError(f"{where}: expected a 2-d matrix, "
                               f"got shape {array.shape}")
@@ -149,13 +176,15 @@ def _scalar(value, kind, rule, where):
         if type(value) is not int:
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
     elif kind.startswith("number"):
+        if value is None and kind == "number or null":
+            return value
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
         try:
             value = float(value)
         except OverflowError:  # an int beyond the float range
             value = math.inf if value > 0 else -math.inf
-        if kind == "number" and not math.isfinite(value):
+        if kind != "number or Infinity" and not math.isfinite(value):
             raise ConfigError(f"{where}: must be finite, got {value}")
     elif not isinstance(value, str if kind == "string" else (str, dict)):
         raise ConfigError(f"{where}: expected a {kind}, got {value!r}")
@@ -199,6 +228,26 @@ def _columns(items, path, where):
         columns[key] = _elements(columns[key], *FIELDS[child][:2],
                                  lambda i, v: check(v, child, f"{where}[{i}].{key}"))
     return columns
+
+
+def _rows(value):
+    """`value` as a 2-d float array if it is rows of one length holding finite
+    floats only, else None.
+
+    The fast check for a matrix: one type count over all its entries, and the
+    array read from the same iterator, cost less than the row-by-row fast
+    checks of `_numbers` and a nested `np.asarray`.
+    """
+    if (not value or type(value) is not list
+            or list(map(type, value)).count(list) != len(value)
+            or len(set(map(len, value))) > 1):
+        return None
+    shape = (len(value), len(value[0]))
+    entries = itertools.chain.from_iterable
+    if list(map(type, entries(value))).count(float) != shape[0] * shape[1]:
+        return None
+    array = np.fromiter(entries(value), float, shape[0] * shape[1]).reshape(shape)
+    return array if np.isfinite(array).all() else None
 
 
 def _numbers(value, where):

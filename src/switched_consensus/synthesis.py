@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, topology
+from . import linalg, schema, topology
 
 DEFAULT_C_FRACTION = 0.9
 DEFAULT_ALPHA_MARGIN = 1.05
@@ -266,11 +266,8 @@ def _matches(stored, recomputed):
 
 
 def _stored(report, key):
-    """A report number as a float, null as inf; NaN (fails) if unreadable."""
-    try:
-        return math.inf if report[key] is None else float(report[key])
-    except (KeyError, TypeError, ValueError):
-        return math.nan
+    """A number of a checked report as a float, null as inf."""
+    return math.inf if report[key] is None else float(report[key])
 
 
 def design_checks(design, a, b, reduced, report=None, lambdas=None):
@@ -279,7 +276,8 @@ def design_checks(design, a, b, reduced, report=None, lambdas=None):
     Per certificate, :func:`certificate_checks` on its topology in `reduced`
     and the stored `lmi_margin` matching the recomputed, positive one; then
     :func:`gain_checks`; then the summary numbers of `report` (default: the
-    design's own document) re-derived, `lambda_max` over every ordered
+    design's own document; else one :func:`design_from_dict` accepts)
+    re-derived, `lambda_max` over every ordered
     certificate pair.  `lambdas` (``{(i, j): lambda_ij}``) holds pairs
     already solved, which are not solved again.  A certificate of no known
     topology fails one check.
@@ -493,27 +491,25 @@ def design_to_dict(design, config_digest=None, reference=None):
 
 
 def design_from_dict(doc):
-    """Rebuild a :class:`GainDesign` from a synthesis-report document."""
-    try:
-        certificates = [
-            TopologyCertificate(
-                index=int(c["index"]),
-                c=float(c["c"]),
-                q=np.asarray(c["q"], dtype=float),
-                lmi_margin=float(c["lmi_margin"]),
-            )
-            for c in doc["certificates"]
-        ]
-        bound = doc.get("beta_bound")
-        return GainDesign(
-            beta=float(doc["beta"]),
-            p=np.asarray(doc["gain"]["p"], dtype=float),
-            k=np.asarray(doc["gain"]["k"], dtype=float),
-            alpha=float(doc["alpha"]),
-            certificates=certificates,
-            lambda_max=float(doc["lambda_max"]),
-            dwell_threshold=float(doc["dwell_threshold"]),
-            beta_bound=math.inf if bound is None else float(bound),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed synthesis report: {exc}") from exc
+    """Rebuild a :class:`GainDesign` from a synthesis-report document.
+
+    The document is checked against the ``report`` fields of `schema.FIELDS`;
+    the first field that breaks them is named.
+    """
+    doc = schema.fields(doc, "report")
+    certs = doc["certificates"]
+    bound = doc["beta_bound"]
+    return GainDesign(
+        beta=doc["beta"],
+        p=doc["gain"]["p"],
+        k=doc["gain"]["k"],
+        alpha=doc["alpha"],
+        certificates=[
+            TopologyCertificate(index=index, c=c, q=q, lmi_margin=margin)
+            for index, c, q, margin in zip(certs["index"], certs["c"], certs["q"],
+                                           certs["lmi_margin"])
+        ],
+        lambda_max=doc["lambda_max"],
+        dwell_threshold=doc["dwell_threshold"],
+        beta_bound=math.inf if bound is None else bound,
+    )

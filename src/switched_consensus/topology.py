@@ -12,6 +12,7 @@ from node `from` to node `to`, i.e. it contributes the adjacency weight
 
 import json
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,15 +91,18 @@ class DirectedGraph:
         """Build a graph from lists of the 1-based ends and the weights of its edges.
 
         An ordered pair may appear once; a repeat is rejected, naming both edges.
+        A self-loop is rejected whatever its weight, naming the edge.
         """
         cells = [(d - 1) * node_count + s - 1 for s, d in zip(src, dst)]  # w[d-1, s-1]
         ends = src + dst
         if ends and not 1 <= min(ends) <= max(ends) <= node_count \
-                or len(set(cells)) < len(cells):
+                or len(set(cells)) < len(cells) or any(map(operator.eq, src, dst)):
             first = {}
             for k, pair in enumerate(zip(src, dst)):  # the naming loop
                 if not 1 <= min(pair) <= max(pair) <= node_count:
                     raise ValueError(f"edges[{k}]: {pair} out of range 1..{node_count}")
+                if pair[0] == pair[1]:
+                    raise ValueError(f"edges[{k}]: {pair} is a self-loop")
                 if first.setdefault(pair, k) != k:
                     raise ValueError(f"edges[{first[pair]}] and edges[{k}] are both "
                                      f"the edge {pair}")

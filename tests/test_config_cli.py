@@ -332,6 +332,15 @@ WRONG_TYPES = [
                      dict(d["graphs"][1]["edges"][2], weight=7.0)),
                  "graphs[1]: edges[2] and edges[5] are both the edge (2, 3)",
                  id="repeated-edge"),
+    pytest.param(lambda d: d["graphs"][1]["edges"].append(
+                     {"from": 2, "to": 2, "weight": 1.0}),
+                 "graphs[1]: edges[5]: (2, 2) is a self-loop", id="self-loop"),
+    pytest.param(lambda d: d["graphs"][0]["edges"].append(
+                     {"from": 1, "to": 1, "weight": 0.0}),
+                 "graphs[0]: edges[5]: (1, 1) is a self-loop",
+                 id="zero-weight-self-loop"),
+    pytest.param(lambda d: d["system"]["a"][2].__setitem__(3, math.inf),
+                 "system.a[2][3]: must be finite, got inf", id="infinite-a"),
     pytest.param(lambda d: d["graphs"][0].update(edges="abc"),
                  "graphs[0]: edges: expected a list, got 'abc'", id="text-edges"),
     pytest.param(lambda d: _switching(d, breakpoints=["0", "0.6"]),
@@ -349,6 +358,17 @@ WRONG_TYPES = [
     pytest.param(lambda d: d["graphs"][0]["edges"][0].update(wieght=1.0),
                  "graphs[0]: edges[0].wieght: unknown field", id="unknown-edge-field"),
 ]
+
+
+@pytest.mark.parametrize("value", [
+    [[0.5, -2.0], [1e300, 3.0]], [[0, 1], [2, 3]], [[1.0, 2], [3.0, 4.0]],
+    [[7.5]], [[]], [[], []],
+], ids=["floats", "ints", "mixed", "one-entry", "empty-row", "empty-rows"])
+def test_matrix_fast_check_reads_as_the_naming_walk(value):
+    got = schema.check(value, "system.a", "system.a")
+    want = np.asarray(schema._numbers(value, "system.a"), dtype=float)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("edit, named", WRONG_TYPES)
@@ -408,12 +428,19 @@ def _named(path):
     return path.replace("[]", "[0]").replace("graphs[0].", "graphs[0]: ")
 
 
-TABLE_CASES = [
-    pytest.param(path, value, id=f"{path}={value!r}")
-    for path, (kind, _, _) in schema.FIELDS.items()
-    for value in (True, "text", None, math.nan)
-    if not (kind == "string" and value == "text")
-]
+def _wrong_values(report):
+    """A wrong value per field of the configuration table, or of its report part."""
+    return [
+        pytest.param(path, value, id=f"{path}={value!r}")
+        for path, (kind, _, _) in schema.FIELDS.items()
+        if path.startswith("report.") == report
+        for value in (True, "text", None, math.nan)
+        if not (kind == "string" and value == "text")
+        and not (kind == "number or null" and value is None)
+    ]
+
+
+TABLE_CASES = _wrong_values(report=False)
 
 
 @pytest.mark.parametrize("path, value", TABLE_CASES)
@@ -426,6 +453,77 @@ def test_every_table_field_rejects_wrong_values(tmp_path, demo_doc, capsys, path
     assert cli.main(["analyze", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
     assert f"error: {_named(path)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", _wrong_values(report=True))
+def test_every_report_field_rejects_wrong_values(vtol_design, path, value):
+    # Driven by the table's report fields, like the configuration's above.
+    doc = json.loads(json.dumps(synthesis.design_to_dict(
+        vtol_design, config_digest="digest", reference=vtol.REFERENCE)))
+    path = path.removeprefix("report.")
+    _at(doc, path, value)
+    with pytest.raises(ConfigError) as info:
+        synthesis.design_from_dict(doc)
+    assert str(info.value).startswith(f"{_named(path)}: ")
+
+
+@pytest.fixture(scope="module")
+def demo_synthesized(tmp_path_factory):
+    """The demo config's path and the text of the report `synthesize` wrote."""
+    root = tmp_path_factory.mktemp("demo")
+    config = root / "config.json"
+    config.write_text(json.dumps(vtol.demo_config()))
+    assert cli.main(["synthesize", "--config", str(config),
+                     "--out", str(root)]) == 0
+    return str(config), (root / "synthesis.json").read_text()
+
+
+# One wrong report per kind of field, with the name its error must give.
+REPORT_KIND_CASES = {
+    "integer": (lambda r: r["certificates"][0].update(index=True),
+                "certificates[0].index: expected an integer, got True"),
+    "number": (lambda r: r.update(alpha=str(r["alpha"])),
+               "alpha: expected a number, got '8.1'"),
+    "number-or-null": (lambda r: r.update(beta_bound="inf"),
+                       "beta_bound: expected a number, got 'inf'"),
+    "matrix": (lambda r: r["gain"].update(k=[[1.0, 2.0], [3.0]]),
+               "gain.k: expected a nested numeric array"),
+    "list": (lambda r: r.update(certificates={}),
+             "certificates: expected a list, got {}"),
+    "object": (lambda r: r.update(gain=[]), "gain: expected an object, got []"),
+    "string": (lambda r: r.update(config_digest=5),
+               "config_digest: expected a string, got 5"),
+    "unknown": (lambda r: r.update(lamda_max=1.0), "lamda_max: unknown field"),
+    "missing": (lambda r: r.pop("c0"),
+                "malformed synthesis report: missing required field 'c0'"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("kind", REPORT_KIND_CASES)
+def test_malformed_report_is_input_error(demo_synthesized, tmp_path, capsys,
+                                         command, kind):
+    # A report field is read by the same table as a config field: a string
+    # alpha or a bool index is not coerced into a design that then passes.
+    config, text = demo_synthesized
+    tamper, named = REPORT_KIND_CASES[kind]
+    report = json.loads(text)
+    tamper(report)
+    path = tmp_path / "synthesis.json"
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main([command, "--config", config,
+                     "--out", str(tmp_path)]) == cli.EXIT_INPUT
+    assert f"error: {path}: {named}" in capsys.readouterr().err
+
+
+def test_report_that_is_not_json_is_named(demo_synthesized, tmp_path, capsys):
+    config, text = demo_synthesized
+    path = tmp_path / "synthesis.json"
+    path.write_text(text[:-10])
+    assert cli.main(["verify", "--config", config,
+                     "--out", str(tmp_path)]) == cli.EXIT_INPUT
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_readme_lists_every_table_field():
@@ -871,9 +969,10 @@ class TestSpectralFacts:
             names = [c for c in calls if isinstance(c, str)]
             assert names == ["certificate_checks"] * 2 + ["gain_checks"], command
             # Order N-1 = 5: Q > 0 and the inequality margin per topology,
-            # then two definiteness input checks per ordered pair, which
-            # synthesize solves for tau* and verify for the switch margins.
-            assert [c for c in calls if c == 5] == [5] * 8, command
+            # then one pencil per ordered pair, which synthesize solves for
+            # tau* and verify for the switch margins; the pencil reads both
+            # definiteness facts from its own solve.
+            assert [c for c in calls if c == 5] == [5] * 6, command
 
     def test_analysis_spectrum_is_laplacian_spectrum(self, tmp_path):
         rng = np.random.default_rng(11)

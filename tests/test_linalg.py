@@ -2,6 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switched_consensus import linalg, simulator, synthesis, topology, vtol
 
@@ -203,7 +205,7 @@ class TestSolveLyapunov:
 
             return solve
 
-        monkeypatch.setattr(linalg.sla, "get_lapack_funcs", perturbed)
+        monkeypatch.setattr(sla, "get_lapack_funcs", perturbed)
         with pytest.raises(ValueError, match="residual"):
             linalg.solve_lyapunov(a, c)
 
@@ -345,17 +347,37 @@ def relative_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-def double_integrator_modes(graph_docs, beta):
-    """Closed-loop modes of double integrators on `graph_docs` under a
-    synthesized design, as the simulator builds them."""
-    a, b = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+DOUBLE_INTEGRATOR = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+
+
+def double_integrator_design(graph_docs, beta):
+    """The graphs of `graph_docs` and the design synthesized for double
+    integrators on them."""
     graphs = topology.GraphSet(tuple(topology.graph_from_dict(g) for g in graph_docs))
     reduced = [topology.reduce_laplacian(topology.laplacian(g), pos)
                for pos, g in enumerate(graphs, start=1)]
-    design = synthesis.synthesize(a, b, reduced, beta)
+    return graphs, synthesis.synthesize(*DOUBLE_INTEGRATOR, reduced, beta)
+
+
+def double_integrator_modes(graph_docs, beta):
+    """Closed-loop modes of double integrators on `graph_docs` under a
+    synthesized design, as the simulator builds them."""
+    graphs, design = double_integrator_design(graph_docs, beta)
     signal = topology.periodic_signal(len(graphs), 1.0, 2.0 * len(graphs))
-    loop = simulator.build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
+    loop = simulator.build_closed_loop(*DOUBLE_INTEGRATOR, design.k, design.alpha,
+                                       graphs, signal)
     return loop.modes, design
+
+
+def large_n_docs(n=200):
+    """The large-n benchmark's graphs: a directed ring and a leader-pinned
+    bidirectional path on `n` agents."""
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    path = [(i, i + 1) for i in range(1, n - 1)]
+    path += [(i + 1, i) for i in range(1, n - 1)] + [(n, 1)]
+    return [{"node_count": n, "edges": [{"from": s, "to": d, "weight": 1.0}
+                                        for s, d in edges]}
+            for edges in (ring, path)]
 
 
 def random_spanning_digraph(rng, n):
@@ -414,14 +436,7 @@ class TestExpmAccuracy:
     def test_large_n_modes_match_scipy(self):
         # N = 200 double integrators on a ring and a leader-pinned path: the
         # 400x400 modes of the large-n benchmark, at dt and a fragment.
-        n = 200
-        ring = [(i, i % n + 1) for i in range(1, n + 1)]
-        path = [(i, i + 1) for i in range(1, n - 1)]
-        path += [(i + 1, i) for i in range(1, n - 1)] + [(n, 1)]
-        docs = [{"node_count": n, "edges": [{"from": s, "to": d, "weight": 1.0}
-                                            for s, d in edges]}
-                for edges in (ring, path)]
-        modes, _ = double_integrator_modes(docs, 2.0)
+        modes, _ = double_integrator_modes(large_n_docs(), 2.0)
         for mode in modes:
             steps = [0.01, 0.0047]
             for got, h in zip(linalg.expm(mode, steps), steps):
@@ -467,6 +482,83 @@ class TestMaxGeneralizedEigenvalue:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             linalg.max_generalized_eigenvalue(np.diag([1.0, -1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("q1, q2, name, smallest", [
+        (np.diag([1.0, -1.0]), np.eye(2), "q1", "-1.000e+00"),
+        (np.diag([2.0, 0.0]), np.eye(2), "q1", "0.000e+00"),
+        (np.eye(2), np.diag([1.0, -1.0]), "q2", "-1.000e+00"),
+        (np.eye(2), np.diag([2.0, 0.0]), "q2", "0.000e+00"),
+        (np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]), "q1", "-1.000e+00"),
+    ], ids=["q1-indefinite", "q1-singular", "q2-indefinite", "q2-singular",
+            "both"])
+    def test_names_the_matrix_that_is_not_definite(self, q1, q2, name, smallest):
+        with pytest.raises(ValueError) as info:
+            linalg.max_generalized_eigenvalue(q1, q2)
+        assert str(info.value) == (f"{name} is not positive definite "
+                                   f"(smallest eigenvalue {smallest})")
+
+    @staticmethod
+    def assert_matches_scipy(q1, q2):
+        got = linalg.max_generalized_eigenvalue(q1, q2)
+        want = sla.eigh(q2, q1, eigvals_only=True)[-1]
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def check_every_ordered_pair(self, certificates):
+        for c1 in certificates:
+            for c2 in certificates:
+                if c1 is not c2:
+                    self.assert_matches_scipy(c1.q, c2.q)
+
+    def test_vtol_certificates_match_scipy(self, vtol_design):
+        self.check_every_ordered_pair(vtol_design.certificates)
+
+    def test_large_n_certificates_match_scipy(self):
+        # The 199x199 certificates of the large-n benchmark.
+        _, design = double_integrator_design(large_n_docs(), 2.0)
+        self.check_every_ordered_pair(design.certificates)
+
+    def test_long_schedule_certificates_match_scipy(self):
+        # Long-schedule style: four random digraphs on N = 10, beta = 1.
+        rng = np.random.default_rng(4242)
+        _, design = double_integrator_design(
+            [random_spanning_digraph(rng, 10) for _ in range(4)], 1.0)
+        self.check_every_ordered_pair(design.certificates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           spread1=st.floats(0.0, 9.0), spread2=st.floats(0.0, 9.0),
+           scale=st.floats(-3.0, 3.0))
+    def test_random_pairs_match_scipy(self, seed, n, spread1, spread2, scale):
+        # q = D H D: H has its eigenvalues in [1, 10] and the diagonal D
+        # spreads over 10^(spread / 2), so cond(q) <= 10^(spread + 1) <= 1e10.
+        # The ill-conditioning lies in the scaling, which the Cholesky
+        # reduction keeps, so the largest eigenvalue is determined to a few
+        # ulps and both solvers must find it.  (For a pair ill-conditioned
+        # in a rotated basis the eigenvalue itself is determined only to
+        # about eps * cond, and two backward-stable solvers differ by that.)
+        rng = np.random.default_rng(seed)
+
+        def graded(spread):
+            u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            h = (u * rng.uniform(1.0, 10.0, n)) @ u.T
+            d = 10.0 ** rng.uniform(0.0, spread / 2, n)
+            return d[:, None] * h * d
+
+        q1, q2 = graded(spread1), 10.0**scale * graded(spread2)
+        self.assert_matches_scipy((q1 + q1.T) / 2, (q2 + q2.T) / 2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_wide_pencil_keeps_a_definite_q2(self, seed):
+        # Pencil eigenvalues 1e-12, 1 and 1e12: the reduction gets the
+        # smallest only to about eps * 1e12 = 1e-4, so its sign is round-off,
+        # and on about half of these seeds it comes out negative.  q2 is
+        # positive definite all the same, and the largest eigenvalue is
+        # returned.
+        u, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        q1 = (u * [1.0, 1e-6, 1e-12]) @ u.T
+        q2 = (u * [1e-12, 1e-6, 1.0]) @ u.T
+        lam = linalg.max_generalized_eigenvalue((q1 + q1.T) / 2, (q2 + q2.T) / 2)
+        assert lam == pytest.approx(1e12, rel=1e-3)
 
 
 class TestUncontrollableModes:

@@ -413,6 +413,16 @@ class TestGraphInterchange:
         with pytest.raises(ValueError, match="malformed"):
             graph_from_dict({"edges": []})
 
+    @pytest.mark.parametrize("weight", [1.0, 0.0])
+    def test_rejects_self_loop_whatever_its_weight(self, weight):
+        # A zero weight would leave no trace in the matrix; it is still named.
+        doc = {"node_count": 3, "edges": [{"from": 1, "to": 2, "weight": 1.0},
+                                          {"from": 3, "to": 3, "weight": weight}]}
+        with pytest.raises(ValueError, match=r"^edges\[1\]: \(3, 3\) is a self-loop$"):
+            graph_from_dict(doc)
+        with pytest.raises(ValueError, match=r"^edges\[0\]: \(2, 2\) is a self-loop$"):
+            DirectedGraph.from_edges(2, [(2, 2, weight)])
+
     def test_demo_files_match_narrative(self, vtol_graphs):
         # Graph 1: chain 1->2->3->4 with the 5->4 link and 1->5.
         assert vtol_graphs[0].edges() == [
