@@ -3,7 +3,9 @@
 Shows each constructive step behind `synthesize`: the per-topology
 certificate Q from a shifted Lyapunov equation, the feedback gain from the
 Riccati reduction of the design inequality, the coupling-strength threshold,
-and the dwell-time threshold with its published reference values.
+and the dwell-time threshold with its published reference values.  Last,
+`check_schedule` judges a schedule: it returns one column per quantity,
+one entry per switch, so the worst margin is the column's minimum.
 """
 
 import numpy as np
@@ -67,7 +69,8 @@ print("\nstep 5: check the 0.5 s round-robin schedule against the "
       "switching condition")
 signal = periodic_signal(2, vtol.DWELL, vtol.HORIZON)
 schedule = check_schedule(signal, certificates, vtol.BETA)
-worst = min(chk.margin for chk in schedule.checks)
-print(f"  {len(schedule.checks)} switch margins, worst {worst:.4f} "
+# One column entry per switch: its interval, pair, lambda and margin.
+worst = schedule.margin.min()
+print(f"  {schedule.margin.size} switch margins, worst {worst:.4f} "
       f"> kappa0 = {schedule.kappa0}: "
       f"{'PASS' if schedule.passed else 'FAIL'}")

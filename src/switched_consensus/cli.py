@@ -165,16 +165,22 @@ def cmd_simulate(rc, out_dir):
         rc.a, rc.b, k_gain, alpha, rc.graphs, signal
     )
     x0 = cfg.make_x0(rc)
+    path = os.path.join(out_dir, TRAJECTORY_NAME)
     try:
         record = simulator.simulate(closed_loop, x0, rc.dt)
+        monitor = None
+        if design is not None:
+            monitor = simulator.lyapunov_monitor(record, design.certificates,
+                                                 design.p)
+        simulator.write_trajectory_csv(record, path, monitor)
     except simulator.SimulationDiverged as exc:
         print(f"simulation aborted: {exc}")
         return EXIT_VERDICT
-    monitor = None
-    if design is not None:
-        monitor = simulator.lyapunov_monitor(record, design.certificates, design.p)
-    path = os.path.join(out_dir, TRAJECTORY_NAME)
-    simulator.write_trajectory_csv(record, path, monitor)
+    except MemoryError:  # samples: the start, <= 1 per dt, each interval's end
+        samples = 1 + int(np.ceil(signal.horizon / rc.dt)) + signal.breakpoints.size
+        raise cfg.ConfigError(f"a run of horizon {signal.horizon:g} s at simulation.dt "
+                              f"{rc.dt:g} s takes up to {samples:,} samples, more "
+                              "than memory holds") from None
     verdict, ratio = simulator.consensus_verdict(record, rc.tolerance, rc.window)
     print(f"trajectory written to {path} ({record.times.size} samples)")
     print(f"consensus: {'PASS' if verdict else 'FAIL'} "
@@ -187,20 +193,21 @@ def cmd_verify(rc, out_dir):
     report, design = _load_report(rc, out_dir)
     signal = cfg.build_signal(rc)
     try:
-        schedule = synthesis.check_schedule(
-            signal, design.certificates, design.beta, rc.kappa0
-        ).checks
-        unpaired = []
+        schedule = synthesis.check_schedule(signal, design.certificates,
+                                            design.beta, rc.kappa0)
+        solved, unpaired = schedule.pairs, []
+        rows = zip(schedule.t_start.tolist(), schedule.t_end.tolist(),
+                   schedule.from_index.tolist(), schedule.to_index.tolist(),
+                   schedule.checks.tolist(), schedule.margin.tolist())
     except ValueError as exc:  # certificates that cannot be paired
-        schedule, unpaired = [], [("switching condition", False, str(exc))]
-    solved = {(chk.from_index, chk.to_index): chk.lambda_max for chk in schedule}
+        solved, rows = {}, []
+        unpaired = [("switching condition", False, str(exc))]
     checks = synthesis.design_checks(design, rc.a, rc.b, _reduced(rc), report,
                                      solved)
     checks += unpaired + [
-        (f"switch margin on [{chk.t_start:g}, {chk.t_end:g}) "
-         f"({chk.from_index}->{chk.to_index})",
-         chk.passed, f"margin {chk.margin:.6g} vs kappa0 {rc.kappa0:g}")
-        for chk in schedule
+        (f"switch margin on [{t0:g}, {t1:g}) ({i}->{j})", ok,
+         f"margin {margin:.6g} vs kappa0 {rc.kappa0:g}")
+        for t0, t1, i, j, ok, margin in rows
     ]
 
     all_ok = True

@@ -420,15 +420,16 @@ def _interval_rates(times, values, lo, counts, cols):
 def lyapunov_monitor(record, certificates, p):
     """Per-topology energy traces with decay rates and switch-jump ratios.
 
-    The observed jump ratio at each switch is checked against its algebraic
-    bound (the largest generalized eigenvalue of the certificate pair); a
-    violation indicates corrupted inputs and raises RuntimeError.
+    The observed jump ratio at every switch is checked against its bound
+    from `synthesis.switch_lambdas`, all switches at once; a violation
+    indicates corrupted inputs and raises RuntimeError at the first switch
+    that breaks its bound.
     """
     by_index = {cert.index: cert for cert in certificates}
-    for idx in np.unique(record.indices):
-        if int(idx) not in by_index:
-            raise ValueError(f"no certificate for topology index {int(idx)}")
     order = sorted(by_index)
+    unknown = np.setdiff1d(record.indices, order)
+    if unknown.size:
+        raise ValueError(f"no certificate for topology index {int(unknown[0])}")
     p_inv = np.linalg.inv(np.asarray(p, dtype=float))
     p_inv = (p_inv + p_inv.T) / 2.0
     weights = [np.kron(by_index[i].q, p_inv) for i in order]
@@ -436,35 +437,35 @@ def lyapunov_monitor(record, certificates, p):
     values = np.column_stack(
         [np.einsum("sj,sj->s", errors @ w, errors) for w in weights]
     )
-    col = {idx: pos for pos, idx in enumerate(order)}
 
     # Interval j spans samples pos[j] .. pos[j + 1] (both ends); every
     # boundary is a sample time, and the inner ones are the switches.
-    boundaries = [float(record.times[0])] + [float(t) for t, _, _ in record.switches]
-    boundaries.append(float(record.times[-1]))
+    t_switch, outgoing, incoming = list(zip(*record.switches)) or ((), (), ())
+    boundaries = [float(t) for t in (record.times[0], *t_switch, record.times[-1])]
     pos = np.searchsorted(record.times, boundaries)
     lo, counts = pos[:-1], np.diff(pos) + 1
-    active = record.indices[lo].tolist()
-    rates = _interval_rates(
-        record.times, values, lo, counts, np.array([col[i] for i in active])
-    )
-    interval_rates = list(zip(boundaries[:-1], boundaries[1:], active, rates))
+    active = record.indices[lo]
+    rates = _interval_rates(record.times, values, lo, counts,
+                            np.searchsorted(order, active))
+    interval_rates = list(zip(boundaries[:-1], boundaries[1:], active.tolist(), rates))
 
-    bounds = synthesis.pair_lambdas(
-        certificates, [(old, new) for _, old, new in record.switches]
-    )
-    switch_jumps = []
-    for s, (t_s, old, new) in zip(pos[1:-1].tolist(), record.switches):
-        v_old = values[s, col[old]]
-        v_new = values[s, col[new]]
-        bound = bounds[old, new]
-        ratio = float(v_new / v_old) if v_old > 0 else None
-        if ratio is not None and ratio > bound * (1 + 1e-9):
-            raise RuntimeError(
-                f"energy jump ratio {ratio:.12g} exceeds its algebraic bound "
-                f"{bound:.12g} at t={t_s:.6g}; certificates do not match the run"
-            )
-        switch_jumps.append((float(t_s), old, new, ratio, float(bound)))
+    bounds, _, _ = synthesis.switch_lambdas(certificates, outgoing, incoming)
+    v_old, v_new = (values[pos[1:-1], np.searchsorted(order, ends)]
+                    for ends in (outgoing, incoming))
+    observed = v_old > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(observed, v_new / v_old, np.nan)
+    broken = np.flatnonzero(ratios > bounds * (1 + 1e-9))
+    if broken.size:
+        k = broken[0]
+        raise RuntimeError(
+            f"energy jump ratio {ratios[k]:.12g} exceeds its algebraic bound "
+            f"{bounds[k]:.12g} at t={boundaries[k + 1]:.6g}; certificates do "
+            "not match the run"
+        )
+    seen = [r if ok else None for r, ok in zip(ratios.tolist(), observed.tolist())]
+    switch_jumps = list(zip(boundaries[1:-1], outgoing, incoming, seen,
+                            bounds.tolist()))
     return LyapunovMonitor(order, values, interval_rates, switch_jumps)
 
 

@@ -4,7 +4,7 @@ Builds the full certificate chain: a per-topology matrix inequality solved
 through a shifted Lyapunov equation, a gain matrix obtained from an algebraic
 Riccati reduction of the design inequality, the coupling-strength threshold,
 the dwell-time threshold, and a per-switch margin check for an explicit
-schedule.
+schedule.  Every per-switch jump bound comes from `switch_lambdas`.
 
 Both matrix inequalities are solved constructively rather than through a
 general-purpose SDP solver:
@@ -40,7 +40,6 @@ CHECK_RTOL = 1e-6
 __all__ = [
     "GainDesign",
     "InfeasibleError",
-    "ScheduleCheck",
     "ScheduleReport",
     "TopologyCertificate",
     "certificate_checks",
@@ -56,6 +55,7 @@ __all__ = [
     "pair_lambdas",
     "solve_gain_lmi",
     "solve_topology_lmi",
+    "switch_lambdas",
     "synthesize",
 ]
 
@@ -105,23 +105,26 @@ class GainDesign:
 
 
 @dataclass
-class ScheduleCheck:
-    """Margin of the per-switch condition for one interval of a signal."""
-
-    t_start: float
-    t_end: float
-    from_index: int
-    to_index: int
-    lambda_max: float
-    margin: float
-    passed: bool
-
-
-@dataclass
 class ScheduleReport:
+    """The per-switch condition of a signal, as columns with one entry per switch.
+
+    Entry k is the interval ``[t_start[k], t_end[k])`` and the switch from
+    topology ``from_index[k]`` to ``to_index[k]`` that ends it, with its jump
+    bound `lambda_max` and ``margin = beta (t_end - t_start) - ln lambda_max``.
+    `checks` flags margins above `kappa0`; `passed` holds iff all are.
+    `pairs` is ``{(i, j): lambda_ij}`` over the distinct pairs.
+    """
+
     kappa0: float
-    checks: list
+    t_start: np.ndarray
+    t_end: np.ndarray
+    from_index: np.ndarray
+    to_index: np.ndarray
+    lambda_max: np.ndarray
+    margin: np.ndarray
+    checks: np.ndarray
     passed: bool
+    pairs: dict
 
 
 def choose_c(margin, fraction=DEFAULT_C_FRACTION):
@@ -330,13 +333,39 @@ def pair_lambdas(certificates, pairs):
 
     ``lambda_ij``, the largest generalized eigenvalue of ``(Q_i, Q_j)``,
     bounds the energy jump ``V_j / V_i`` at a switch from topology i to j.
-    Each distinct pair is solved once, however often it occurs.
+    Each distinct pair is solved once, however often it occurs.  A pair
+    ``(i, i)`` is no switch of energy: ``lambda_ii`` is 1.0 exactly, with no
+    solve, so round-off on an ill-conditioned ``Q_i`` cannot move it.
     """
     q = {cert.index: cert.q for cert in certificates}
     return {
-        (i, j): linalg.max_generalized_eigenvalue(q[i], q[j])
+        (i, j): 1.0 if i == j else linalg.max_generalized_eigenvalue(q[i], q[j])
         for i, j in dict.fromkeys(pairs)
     }
+
+
+def switch_lambdas(certificates, outgoing, incoming):
+    """Jump bounds of the switches from ``outgoing[k]`` to ``incoming[k]``.
+
+    Returns the columns ``lambda_k`` and ``ln lambda_k`` and the table
+    ``{(i, j): lambda_ij}`` of the distinct pairs.  Each distinct pair is
+    solved once by :func:`pair_lambdas` and its log taken once by
+    ``math.log``, so each entry is bit for bit the value of a per-switch
+    computation.  An index with no certificate raises ValueError.
+    """
+    ends = np.array([outgoing, incoming], dtype=np.int64)
+    known = np.unique([cert.index for cert in certificates])
+    unknown = ends[~np.isin(ends, known)]
+    if unknown.size:
+        raise ValueError(f"no certificate for topology index {int(unknown[0])}")
+    pos = np.searchsorted(known, ends)
+    codes, inverse = np.unique(pos[0] * known.size + pos[1], return_inverse=True)
+    out, into = np.divmod(codes, known.size)
+    keys = list(zip(known[out].tolist(), known[into].tolist()))
+    table = pair_lambdas(certificates, keys)
+    lam = np.array([table[key] for key in keys], dtype=float)
+    log_lam = np.array([math.log(v) for v in lam.tolist()], dtype=float)
+    return lam[inverse], log_lam[inverse], table
 
 
 def dwell_threshold(certificates, beta):
@@ -372,36 +401,19 @@ def _tau_star(lam, beta):
 
 
 def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0):
-    """Per-interval margins of the switching condition for an explicit signal.
+    """The per-switch condition of an explicit signal, as a :class:`ScheduleReport`.
 
-    For every breakpoint with a successor, the margin is
-    ``beta * (t_{k+1} - t_k) - ln(lambda_max_k)`` with lambda_max_k the
-    largest generalized eigenvalue of the outgoing/incoming certificate pair.
-    The report passes iff every margin strictly exceeds kappa0.
+    Switch k at breakpoint k + 1 has margin ``beta * (t_{k+1} - t_k) -
+    ln lambda_k``, with ``lambda_k`` from :func:`switch_lambdas`; the report
+    passes iff every margin strictly exceeds kappa0.
     """
-    known = {cert.index for cert in certificates}
-    for idx in np.unique(signal.indices):
-        if int(idx) not in known:
-            raise ValueError(f"no certificate for topology index {int(idx)}")
-    pairs = list(zip(signal.indices[:-1].tolist(), signal.indices[1:].tolist()))
-    table = pair_lambdas(certificates, pairs)
-    checks = []
     t = signal.breakpoints
-    for k, (i_from, i_to) in enumerate(pairs):
-        lam = table[i_from, i_to]
-        margin = beta * (t[k + 1] - t[k]) - math.log(lam)
-        checks.append(
-            ScheduleCheck(
-                t_start=float(t[k]),
-                t_end=float(t[k + 1]),
-                from_index=i_from,
-                to_index=i_to,
-                lambda_max=float(lam),
-                margin=float(margin),
-                passed=margin > kappa0,
-            )
-        )
-    return ScheduleReport(kappa0, checks, all(c.passed for c in checks))
+    outgoing, incoming = signal.indices[:-1], signal.indices[1:]
+    lam, log_lam, pairs = switch_lambdas(certificates, outgoing, incoming)
+    margin = beta * np.diff(t) - log_lam
+    checks = margin > kappa0
+    return ScheduleReport(kappa0, t[:-1], t[1:], outgoing, incoming, lam, margin,
+                          checks, bool(checks.all()), pairs)
 
 
 def synthesize(

@@ -1,3 +1,4 @@
+import math
 import os
 
 # Pin BLAS to one thread before numpy loads it, so the test process runs
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from switched_consensus import linalg, simulator, topology, vtol
+from switched_consensus import linalg, simulator, synthesis, topology, vtol
 
 # Reduced Laplacians of the two demo topologies, known in closed form
 # (graph 1 is lower triangular after reduction, graph 2 block triangular).
@@ -46,8 +47,6 @@ def vtol_reduced(vtol_graphs):
 
 @pytest.fixture(scope="session")
 def vtol_design(vtol_reduced):
-    from switched_consensus import synthesis
-
     return synthesis.synthesize(
         vtol.A,
         vtol.B,
@@ -98,6 +97,12 @@ def grid_targets(t_start, t_end, dt):
 def random_spd(rng, n, shift=0.1):
     m = rng.normal(size=(n, n))
     return m @ m.T + shift * np.eye(n)
+
+
+def three_certificates():
+    rng = np.random.default_rng(14)
+    return [synthesis.TopologyCertificate(i, 0.5, random_spd(rng, 4), 1.0)
+            for i in (1, 2, 3)]
 
 
 def random_stable(rng, n, gap=0.5):
@@ -267,3 +272,61 @@ def single_process_csv(record, path, monitor=None):
             body = ",".join(map(repr, row.tolist()))
             for i in switch_at.get(t, (index,)):
                 fh.write(f"{t!r},{i},{body}\r\n")
+
+
+def reference_schedule(signal, certificates, beta, kappa0):
+    """Oracle: the per-interval loop the column `check_schedule` replaced.
+
+    Returns ``(rows, passed)``; row k is ``(t_start, t_end, from_index,
+    to_index, lambda_max, margin, passed)`` of the interval that ends in
+    switch k, each margin taken with its own ``math.log``.
+    """
+    known = {cert.index for cert in certificates}
+    for idx in np.unique(signal.indices):
+        if int(idx) not in known:
+            raise ValueError(f"no certificate for topology index {int(idx)}")
+    pairs = list(zip(signal.indices[:-1].tolist(), signal.indices[1:].tolist()))
+    table = synthesis.pair_lambdas(certificates, pairs)
+    t = signal.breakpoints
+    rows = []
+    for k, (i_from, i_to) in enumerate(pairs):
+        lam = table[i_from, i_to]
+        margin = beta * (t[k + 1] - t[k]) - math.log(lam)
+        rows.append((float(t[k]), float(t[k + 1]), i_from, i_to, float(lam),
+                     float(margin), bool(margin > kappa0)))
+    return rows, all(row[-1] for row in rows)
+
+
+def schedule_rows(report):
+    """The columns of a `ScheduleReport` as `reference_schedule`'s rows."""
+    return list(zip(report.t_start.tolist(), report.t_end.tolist(),
+                    report.from_index.tolist(), report.to_index.tolist(),
+                    report.lambda_max.tolist(), report.margin.tolist(),
+                    report.checks.tolist()))
+
+
+def reference_switch_jumps(record, certificates, values, order):
+    """Oracle: the per-switch loop the column jump check of the monitor replaced.
+
+    `values` and `order` are a monitor's energy columns and their topology
+    indices.  Returns the ``(t, old, new, ratio, bound)`` rows, or raises
+    RuntimeError at the first switch whose ratio exceeds its bound.
+    """
+    col = {idx: pos for pos, idx in enumerate(order)}
+    bounds = synthesis.pair_lambdas(
+        certificates, [(old, new) for _, old, new in record.switches]
+    )
+    at = np.searchsorted(record.times, [t for t, _, _ in record.switches])
+    jumps = []
+    for s, (t_s, old, new) in zip(at.tolist(), record.switches):
+        v_old = values[s, col[old]]
+        v_new = values[s, col[new]]
+        bound = bounds[old, new]
+        ratio = float(v_new / v_old) if v_old > 0 else None
+        if ratio is not None and ratio > bound * (1 + 1e-9):
+            raise RuntimeError(
+                f"energy jump ratio {ratio:.12g} exceeds its algebraic bound "
+                f"{bound:.12g} at t={t_s:.6g}; certificates do not match the run"
+            )
+        jumps.append((float(t_s), old, new, ratio, float(bound)))
+    return jumps

@@ -655,6 +655,43 @@ class TestCommandExitCodes:
         assert fails == ["FAIL  report lambda_max = max lambda_ij over ordered "
                          "pairs  [stored 12.6589, derived 81.1286]"]
 
+    def test_verify_repeated_topology_margin_is_beta_times_gap(self, tmp_path,
+                                                               capsys):
+        # cond(Q) ~ 2e13: solving the pencil (Q, Q) would give 1.00124 and a
+        # margin of 0.998762.
+        doc = _double_integrator_doc(
+            [_edges_doc(3, [(1, 2, 1e-6), (2, 3, 1e6)])], 1.0, 3.0)
+        doc["switching"] = {"explicit": {"breakpoints": [0.0, 1.0, 2.0],
+                                         "indices": [1, 1, 1], "horizon": 3.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", str(path), "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", str(path), "--out", out]) == 0
+        margins = [line for line in capsys.readouterr().out.splitlines()
+                   if "switch margin" in line]
+        assert margins == [
+            "PASS  switch margin on [0, 1) (1->1)  [margin 1 vs kappa0 0.001]",
+            "PASS  switch margin on [1, 2) (1->1)  [margin 1 vs kappa0 0.001]",
+        ]
+
+    def test_run_too_large_to_hold_is_input_error(self, demo_config_file,
+                                                  tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", demo_config_file,
+                         "--out", out]) == 0
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(simulator, "simulate", out_of_memory)
+        assert cli.main(["simulate", "--config", demo_config_file,
+                         "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            "error: a run of horizon 10 s at simulation.dt 0.01 s takes up to "
+            "1,021 samples, more than memory holds\n")
+
     def test_kappa0_override_keeps_report_fresh(self, demo_config_file,
                                                 tmp_path, capsys):
         out = str(tmp_path / "out")

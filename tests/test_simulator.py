@@ -33,7 +33,9 @@ from conftest import (
     grid_targets,
     random_spd,
     random_stable,
+    reference_switch_jumps,
     single_process_csv,
+    three_certificates,
     xi_matrix,
 )
 
@@ -973,6 +975,50 @@ class TestLyapunovMonitor:
             lyapunov_monitor(
                 demo_record, vtol_design.certificates[:1], vtol_design.p
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(indices=st.lists(st.integers(1, 3), min_size=1, max_size=30),
+           seed=st.integers(0, 2**32 - 1),
+           shrink=st.sampled_from([1.0, 1.0 - 1e-12, 0.9, 0.5]))
+    def test_jump_check_matches_the_reference_loop(self, indices, seed, shrink):
+        # Interval j holds samples 2j .. 2j + 2; some disagreements are zero,
+        # so their jump is not observed.  Bounds scaled by `shrink` make the
+        # check raise, at the first switch that breaks one.
+        count = len(indices)
+        rng = np.random.default_rng(seed)
+        errors = rng.normal(size=(2 * count + 1, 4))
+        errors[rng.random(errors.shape[0]) < 0.2] = 0.0
+        record = TrajectoryRecord(
+            times=np.arange(2 * count + 1) * 0.5,
+            states=np.zeros((2 * count + 1, 5)),
+            errors=errors,
+            error_norms=np.linalg.norm(errors, axis=1),
+            indices=np.array(indices)[np.minimum(np.arange(2 * count + 1) // 2,
+                                                 count - 1)],
+            switches=[(float(k), indices[k - 1], indices[k])
+                      for k in range(1, count)],
+            node_count=5,
+            state_dim=1,
+        )
+        certs, p = three_certificates(), np.array([[2.0]])
+        monitor = lyapunov_monitor(record, certs, p)
+        assert monitor.switch_jumps == reference_switch_jumps(
+            record, certs, monitor.values, monitor.topology_indices)
+        pair_lambdas = synthesis.pair_lambdas
+
+        def scaled(certificates, pairs):
+            return {k: shrink * v for k, v in pair_lambdas(certificates, pairs).items()}
+
+        with mock.patch.object(synthesis, "pair_lambdas", scaled):
+            try:
+                want = reference_switch_jumps(record, certs, monitor.values,
+                                              monitor.topology_indices)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError) as got:
+                    lyapunov_monitor(record, certs, p)
+                assert str(got.value) == str(exc)
+            else:
+                assert lyapunov_monitor(record, certs, p).switch_jumps == want
 
 
 class TestTrajectoryCsv:

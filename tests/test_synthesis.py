@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switched_consensus import linalg, synthesis, topology, vtol
 from switched_consensus.synthesis import (
@@ -19,7 +21,14 @@ from switched_consensus.synthesis import (
     synthesize,
 )
 
-from conftest import draw_stabilizable, interval_count, random_spd
+from conftest import (
+    draw_stabilizable,
+    interval_count,
+    random_spd,
+    reference_schedule,
+    schedule_rows,
+    three_certificates,
+)
 
 
 def scalar_reduced(value):
@@ -242,11 +251,6 @@ class TestDwellThreshold:
         assert tau_s == pytest.approx(tau, rel=1e-10)
 
 
-def three_certificates():
-    rng = np.random.default_rng(14)
-    return [TopologyCertificate(i, 0.5, random_spd(rng, 4), 1.0) for i in (1, 2, 3)]
-
-
 class TestPairLambdas:
     def test_dwell_threshold_bit_identical_to_per_pair_solves(self):
         certs = three_certificates()
@@ -273,7 +277,7 @@ class TestPairLambdas:
         expected = []
         for k in range(interval_count(signal) - 1):
             i, j = int(signal.indices[k]), int(signal.indices[k + 1])
-            lam = linalg.max_generalized_eigenvalue(q[i], q[j])
+            lam = 1.0 if i == j else linalg.max_generalized_eigenvalue(q[i], q[j])
             expected.append((lam, 1.5 * (t[k + 1] - t[k]) - math.log(lam)))
 
         calls = []
@@ -285,9 +289,9 @@ class TestPairLambdas:
 
         monkeypatch.setattr(linalg, "max_generalized_eigenvalue", counting)
         report = check_schedule(signal, certs, beta=1.5)
-        assert [(c.lambda_max, c.margin) for c in report.checks] == expected
-        # (1,2), (2,2), (2,3), (3,1); (1,2) and (2,3) recur.
-        assert len(calls) == 4
+        assert list(zip(report.lambda_max.tolist(), report.margin.tolist())) == expected
+        # (1,2), (2,3), (3,1); (1,2) and (2,3) recur, and (2,2) is 1 unsolved.
+        assert len(calls) == 3
 
 
 class TestCheckSchedule:
@@ -298,9 +302,8 @@ class TestCheckSchedule:
         certs = [vtol_design.certificates[0]]
         report = check_schedule(self.constant_signal(), certs, beta=3.0, kappa0=1e-3)
         assert report.passed
-        for chk in report.checks:
-            assert chk.lambda_max == pytest.approx(1.0)
-            assert chk.margin == pytest.approx(3.0 * 0.5)
+        assert report.lambda_max.tolist() == [1.0] * len(report.checks)
+        assert report.margin == pytest.approx(3.0 * 0.5)
 
     def test_single_topology_passes_any_kappa_below_beta_dwell(self, vtol_design):
         certs = [vtol_design.certificates[0]]
@@ -319,7 +322,7 @@ class TestCheckSchedule:
         signal = topology.periodic_signal(2, 0.01, 0.1)
         report = check_schedule(signal, vtol_design.certificates, vtol.BETA)
         assert not report.passed
-        assert any(chk.margin < 0 for chk in report.checks)
+        assert (report.margin < 0).any()
 
     def test_scaling_leaves_verdicts_unchanged(self, vtol_design):
         signal = topology.periodic_signal(2, vtol.DWELL, vtol.HORIZON)
@@ -329,12 +332,76 @@ class TestCheckSchedule:
         ]
         base = check_schedule(signal, vtol_design.certificates, vtol.BETA)
         after = check_schedule(signal, scaled, vtol.BETA)
-        assert [c.passed for c in base.checks] == [c.passed for c in after.checks]
+        assert base.checks.tolist() == after.checks.tolist()
 
     def test_missing_certificate(self, vtol_design):
         signal = topology.periodic_signal(2, 0.5, 2.0)
         with pytest.raises(ValueError, match="certificate"):
             check_schedule(signal, [vtol_design.certificates[0]], 3.0)
+
+    def test_repeated_topology_is_a_jump_of_exactly_one(self):
+        # Weights 1e-6 and 1e6 give cond(Q) ~ 2e13, and the pencil (Q, Q)
+        # solves to 1.00124; a switch from a topology to itself must not
+        # solve it.
+        g = topology.DirectedGraph.from_edges(3, [(1, 2, 1e-6), (2, 3, 1e6)])
+        reduced = topology.reduce_laplacian(topology.laplacian(g), 1)
+        design = synthesize(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                            np.array([[0.0], [1.0]]), [reduced], 1.0)
+        q = design.certificates[0].q
+        assert np.linalg.cond(q) > 1e13
+        assert linalg.max_generalized_eigenvalue(q, q) > 1.001
+        signal = topology.SwitchingSignal(np.array([0.0, 1.0, 2.0]),
+                                          np.array([1, 1, 1]), 3.0)
+        report = check_schedule(signal, design.certificates, 1.0)
+        assert report.lambda_max.tolist() == [1.0, 1.0]
+        assert report.margin.tolist() == [1.0, 1.0]
+        assert report.pairs == {(1, 1): 1.0}
+
+
+KAPPA0 = 1e-3
+BETA = 1.5
+
+
+@st.composite
+def explicit_schedules(draw):
+    """Topologies of 1 to 40 intervals over {1, 2, 3}, repeats included, and
+    per interval a factor on the gap whose margin is exactly kappa0."""
+    count = draw(st.integers(1, 40))
+    indices = draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+    factors = draw(st.lists(
+        st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0])
+        | st.floats(0.05, 3.0), min_size=count, max_size=count))
+    return indices, factors
+
+
+class TestScheduleColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=explicit_schedules())
+    def test_columns_match_the_reference_loop(self, schedule):
+        indices, factors = schedule
+        certs = three_certificates()
+        pairs = list(zip(indices[:-1], indices[1:]))
+        table = synthesis.pair_lambdas(certs, pairs)
+        gaps = [(KAPPA0 + math.log(table[pair])) / BETA * factor
+                for pair, factor in zip(pairs, factors)]
+        breakpoints = np.concatenate([[0.0], np.cumsum(gaps)])
+        signal = topology.SwitchingSignal(breakpoints, np.array(indices),
+                                          breakpoints[-1] + 1.0)
+        report = check_schedule(signal, certs, BETA, KAPPA0)
+        rows, passed = reference_schedule(signal, certs, BETA, KAPPA0)
+        assert schedule_rows(report) == rows
+        assert report.passed == passed
+        assert report.pairs == table
+
+    def test_long_periodic_schedule_matches_the_reference_loop(self, vtol_design):
+        signal = topology.periodic_signal(2, 1.5 * vtol_design.dwell_threshold,
+                                          1e5 * 1.5 * vtol_design.dwell_threshold)
+        assert interval_count(signal) == 10**5
+        report = check_schedule(signal, vtol_design.certificates, vtol.BETA)
+        rows, passed = reference_schedule(signal, vtol_design.certificates,
+                                          vtol.BETA, synthesis.DEFAULT_KAPPA0)
+        assert schedule_rows(report) == rows
+        assert report.passed and passed
 
 
 class TestSynthesize:
