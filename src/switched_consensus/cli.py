@@ -32,16 +32,53 @@ ANALYSIS_NAME = "analysis.json"
 def _write_json(doc, path):
     """Write a report object with one top-level key per line.
 
-    Each value is encoded by ``json.dumps`` without indentation, which runs
-    the C encoder; the document parses exactly as an indented dump would.
-    Values are written one at a time, so only one is held as text.
+    Each value is encoded as ``json.dumps`` encodes it without indentation,
+    so the document parses exactly as an indented dump would.  Values are
+    written one at a time, so only one is held as text.  See `_json` for
+    the arrays a value may hold.
     """
     with open(path, "w") as fh:
         fh.write("{")
         for pos, (key, value) in enumerate(doc.items()):
             fh.write(f"{',' if pos else ''}\n{json.dumps(key)}: ")
-            fh.write(json.dumps(value))
+            fh.write(_json(value))
         fh.write("\n}\n")
+
+
+def _json(value):
+    """``json.dumps(value)``, where a square float64 ndarray held in an object
+    or a list of objects stands for its ``.tolist()`` (see `_square_json`)."""
+    if isinstance(value, np.ndarray):
+        return _square_json(value)
+    if isinstance(value, dict):
+        items = (f"{json.dumps(key)}: {_json(item)}" for key, item in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return json.dumps(value)
+
+
+def _square_json(m):
+    """``json.dumps(m.tolist())`` for a square float64 matrix, bytes included.
+
+    The upper triangle is encoded in one C-encoder call, and its text for
+    entry (i, j) stands for (j, i) too wherever the two are bitwise equal
+    (compared as int64, so ``-0.0`` never stands for ``0.0``); any other
+    entry below the diagonal is formatted on its own.  A symmetric Q_i is
+    so formatted once per mirrored pair.
+    """
+    row = np.arange(len(m))[:, None]
+    upper = row <= row.T
+    text = np.array(json.dumps(m[upper].tolist())[1:-1].split(", "), dtype=object)
+    # Entry (lo, hi), lo <= hi, is number lo n - lo (lo - 1) / 2 + hi - lo
+    # of the upper triangle in row-major order.
+    lo, hi = np.minimum(row, row.T), np.maximum(row, row.T)
+    cells = text[lo * len(m) - lo * (lo - 1) // 2 + hi - lo]
+    bits = m.view(np.int64)
+    odd = (bits != bits.T) & ~upper
+    if odd.any():
+        cells[odd] = json.dumps(m[odd].tolist())[1:-1].split(", ")
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in cells.tolist()) + "]"
 
 
 def _matrix_str(m):
@@ -111,6 +148,10 @@ def cmd_synthesize(rc, out_dir, reference=None):
     report = synthesis.design_to_dict(
         design, config_digest=cfg.config_digest(rc), reference=reference
     )
+    # Each Q_i goes to the writer as its array, which formats a mirrored
+    # pair of entries once; the bytes are those of its nested list.
+    for entry, cert in zip(report["certificates"], design.certificates):
+        entry["q"] = cert.q
     path = os.path.join(out_dir, REPORT_NAME)
     _write_json(report, path)
     bound = design.beta_bound

@@ -50,6 +50,7 @@ TAYLOR_MAX_SCALE = 2.0**50
 __all__ = [
     "eigenvalues",
     "expm",
+    "extreme_eigenvalues",
     "is_positive_definite",
     "max_generalized_eigenvalue",
     "solve_care",
@@ -108,6 +109,15 @@ def eigenvalues(m):
         raise ValueError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
+def extreme_eigenvalues(m):
+    """``(smallest, largest)`` eigenvalue of a symmetric matrix, from one solve.
+
+    Raises ValueError if the input is asymmetric beyond tolerance.
+    """
+    spectrum = np.linalg.eigvalsh(_symmetrize(m))
+    return float(spectrum[0]), float(spectrum[-1])
+
+
 def is_positive_definite(m):
     """Test a symmetric matrix for positive definiteness.
 
@@ -116,7 +126,7 @@ def is_positive_definite(m):
     so both come from one spectral fact.  Raises ValueError if the input is
     asymmetric beyond tolerance.
     """
-    certificate = float(np.linalg.eigvalsh(_symmetrize(m))[0])
+    certificate, _ = extreme_eigenvalues(m)
     return certificate > 0.0, certificate
 
 

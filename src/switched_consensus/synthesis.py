@@ -149,23 +149,43 @@ def _require(checks):
 def certificate_checks(reduced, c, q):
     """``(checks, lmi_margin)`` for one topology's certificate Q.
 
-    `checks` holds ``(name, passed, detail)`` for c below the antistability
-    margin and for ``Q > 0`` (a non-symmetric Q fails it); `lmi_margin` is
-    the smallest eigenvalue of ``Lh^T Q + Q Lh - 2 c Q``, positive iff the
-    inequality holds.
+    `lmi_margin` is the smallest eigenvalue of ``G = Lh^T Q + Q Lh - 2 c Q``,
+    positive iff the inequality holds.  `checks` holds ``(name, passed,
+    detail)`` for c below the antistability margin and for ``Q > 0`` (a
+    non-symmetric Q fails it).
+
+    The pair (Q, G) certifies the margin without solving the spectrum of Lh
+    (Lyapunov's theorem).  For an eigenpair ``Lh v = lambda v`` (v complex,
+    Lh real, so ``v^* Lh^T = conj(lambda) v^*``),
+
+        v^* G v = (conj(lambda) + lambda - 2 c) v^* Q v
+                = 2 (Re lambda - c) v^* Q v,
+
+    and with ``Q > 0`` and ``G > 0``, ``v^* G v >= lambda_min(G) |v|^2`` and
+    ``0 < v^* Q v <= lambda_max(Q) |v|^2`` give, for every eigenvalue,
+
+        Re lambda >= c + lambda_min(G) / (2 lambda_max(Q)) > c.
+
+    So the row passes iff ``Q > 0`` and ``lambda_min(G) > 0``, and prints that
+    certified lower bound on the margin; the extreme eigenvalues of Q come
+    from the one symmetric solve that tests ``Q > 0``.
     """
     index = reduced.source_index
-    margin = topology.antistability_margin(reduced)
     try:
-        spd, smallest = linalg.is_positive_definite(q)
-        spd_detail = f"smallest eigenvalue {smallest:.3e}"
+        q_low, q_high = linalg.extreme_eigenvalues(q)
+        spd, spd_detail = q_low > 0.0, f"smallest eigenvalue {q_low:.3e}"
     except ValueError as exc:
         spd, spd_detail = False, str(exc)
     gram = reduced.matrix.T @ q + q @ reduced.matrix - 2.0 * c * q
     lmi_margin = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[0])
+    certified = spd and lmi_margin > 0.0
+    if certified:
+        bound = f"margin >= {c + lmi_margin / (2.0 * q_high):.6g}"
+    else:
+        bound = "not certified: needs Q > 0 and a positive inequality margin"
     checks = [
-        (f"certificate {index}: c below antistability margin", c < margin,
-         f"c={c:.6g}, margin={margin:.6g}"),
+        (f"certificate {index}: c below antistability margin", certified,
+         f"c={c:.6g}, {bound}"),
         (f"certificate {index}: Q positive definite", spd, spd_detail),
     ]
     return checks, lmi_margin
@@ -191,8 +211,9 @@ def solve_topology_lmi(reduced, c):
     n = reduced.matrix.shape[0]
     q = linalg.solve_lyapunov(reduced.matrix - c * np.eye(n), np.eye(n))
     checks, lmi_margin = certificate_checks(reduced, c, q)
-    _require(checks + [(f"certificate {reduced.source_index}: inequality margin",
-                        lmi_margin > 0, f"margin {lmi_margin:.3e}")])
+    # checks[0], the certified margin, holds iff the two checks left do.
+    _require(checks[1:] + [(f"certificate {reduced.source_index}: inequality margin",
+                            lmi_margin > 0, f"margin {lmi_margin:.3e}")])
     return TopologyCertificate(reduced.source_index, float(c), q, lmi_margin)
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switched_consensus import (cli, linalg, schema, simulator, synthesis, topology,
                                 vtol)
@@ -981,11 +983,14 @@ class TestSpectralFacts:
         solve = linalg.eigenvalues
         monkeypatch.setattr(linalg, "eigenvalues",
                             lambda m: orders.append(len(m)) or solve(m))
-        for command in ("analyze", "synthesize", "verify"):
+        # verify certifies each margin from its certificate (Q, G), so it
+        # solves no reduced spectrum at all.
+        for command, solves in (("analyze", [5, 5]), ("synthesize", [5, 5]),
+                                ("verify", [])):
             orders.clear()
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / "out")]) == 0, command
-            assert [k for k in orders if k > 2] == [5, 5], command
+            assert [k for k in orders if k > 2] == solves, command
 
     def test_each_check_runs_once_per_command(self, tmp_path, monkeypatch):
         path = tmp_path / "config.json"
@@ -1067,6 +1072,63 @@ class TestSpectralFacts:
             '{\n"a": [0.1, -0.0, 1e-300, 1.4142135623730951],\n"b": null,\n'
             '"c": {"nested": [true, "s"]},\n"d": 3\n}\n'
         )
+
+
+# Where repr switches notation (exponents -5 and 16), signed zeros,
+# subnormals and integral values.
+REPR_EDGES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1.0, -3.0,
+              2.0 ** 53, 1e16, -1e16, 9999999999999998.0, 1e-4, -1e-4,
+              9.999999999999999e-05, 0.00010000000000000002]
+
+
+@st.composite
+def mirrored_matrices(draw):
+    """Square matrices of order 1 to 8 drawn symmetric, then given mirrored
+    ``0.0``/``-0.0`` pairs and a few entries that break symmetry."""
+    n = draw(st.integers(1, 8))
+    index = st.integers(0, n - 1)
+    value = (st.sampled_from(REPR_EDGES) | st.floats()
+             | st.floats(-2.3e-308, 2.3e-308) | st.integers(-10**6, 10**6).map(float)
+             | st.floats(1e15, 1e17) | st.floats(-1e-3, -1e-5) | st.floats(1e-5, 1e-3))
+    upper = np.triu_indices(n)
+    m = np.zeros((n, n))
+    m[upper] = m[upper[::-1]] = draw(st.lists(value, min_size=upper[0].size,
+                                              max_size=upper[0].size))
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        m[i, j], m[j, i] = 0.0, -0.0
+    for i, j, v in draw(st.lists(st.tuples(index, index, value), max_size=3)):
+        m[i, j] = v
+    return m
+
+
+def _dumps_layout(doc):
+    """The report layout written by ``json.dumps`` alone."""
+    lines = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+    return "{\n" + lines + "\n}\n"
+
+
+class TestMatrixEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(m=mirrored_matrices())
+    def test_text_is_json_dumps_of_the_nested_list(self, m):
+        assert cli._square_json(m) == json.dumps(m.tolist())
+
+    def test_arrays_in_lists_of_objects_are_written_as_nested_lists(self, tmp_path):
+        q = np.array([[2.0, -0.0, 0.1], [0.0, 1e-300, 3.0], [0.1, 3.0, 1e16]])
+        doc = {"certificates": [{"index": 1, "q": q}, {"index": 2, "q": q.T}],
+               "n": 3}
+        cli._write_json(doc, tmp_path / "report.json")
+        plain = {"certificates": [{"index": 1, "q": q.tolist()},
+                                  {"index": 2, "q": q.T.tolist()}], "n": 3}
+        assert (tmp_path / "report.json").read_text() == _dumps_layout(plain)
+
+    def test_synthesis_report_is_the_json_dumps_layout(self, demo_config_file,
+                                                       tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", "--config", demo_config_file,
+                         "--out", str(out)]) == 0
+        text = (out / "synthesis.json").read_text()
+        assert text == _dumps_layout(json.loads(text))
 
 
 PATH_3 = [_edges_doc(3, [(1, 2, 1.0), (2, 3, 1.0)]),

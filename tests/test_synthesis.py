@@ -192,6 +192,75 @@ class TestDesignChecks:
             assert all(passed for _, passed, _ in checks), checks
 
 
+@st.composite
+def spanning_digraphs(draw):
+    """Weight matrices of 2 to 8 nodes holding a directed spanning tree, each
+    weight log-uniform in [1e-3, 1e3]."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    weight = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    w = np.zeros((n, n))
+    for pos in range(1, n):  # each node hears one node earlier in `order`
+        parent = order[draw(st.integers(0, pos - 1))]
+        w[order[pos], parent] = draw(weight)
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    weight), max_size=2 * n))
+    for i, j, value in extra:
+        if i != j:
+            w[i, j] = value
+    return w
+
+
+class TestCertifiedMargin:
+    @settings(max_examples=300, deadline=None)
+    @given(w=spanning_digraphs(), fraction=st.floats(0.001, 0.999))
+    def test_bound_lies_between_c_and_the_margin(self, w, fraction):
+        reduced = topology.reduce_laplacian(
+            topology.laplacian(topology.DirectedGraph(w)), 1)
+        lh = reduced.matrix
+        margin = float(np.linalg.eigvals(lh).real.min())  # oracle
+        c = fraction * margin
+        # The Lyapunov solution solve_topology_lmi checks, taken as it is.
+        q = linalg.solve_lyapunov(lh - c * np.eye(len(lh)), np.eye(len(lh)))
+        checks, lmi_margin = synthesis.certificate_checks(reduced, c, q)
+        name, passed, detail = checks[0]
+        assert name == "certificate 1: c below antistability margin"
+        q_low, q_high = linalg.extreme_eigenvalues(q)
+        # Near a defective Lh (a path of equal weights) with c close to the
+        # margin, round-off can cost Q its definiteness; the row then fails.
+        assert passed == (q_low > 0 and lmi_margin > 0)
+        if passed:
+            bound = c + lmi_margin / (2.0 * q_high)
+            # eigvals is exact only to about eps ||Lh||, which exceeds 1e-9
+            # of the margin where ||Lh|| / margin nears 1e9.
+            roundoff = np.finfo(float).eps * np.abs(lh).sum(axis=0).max()
+            assert c < bound <= margin * (1 + 1e-9) + roundoff
+            assert detail == f"c={c:.6g}, margin >= {bound:.6g}"
+
+    def test_symmetric_topology_bound_is_the_margin(self):
+        # Lh = diag(1, 3) is normal: Q = diag(1/(2 (1 - c)), 1/(2 (3 - c))),
+        # G = I, and the bound c + 1/(2 lambda_max(Q)) is the margin 1.
+        reduced = topology.ReducedLaplacian(np.diag([1.0, 3.0]), 1)
+        q = np.diag([1.0 / (2 * 0.5), 1.0 / (2 * 2.5)])
+        checks, lmi_margin = synthesis.certificate_checks(reduced, 0.5, q)
+        assert lmi_margin == 1.0
+        assert checks[0] == ("certificate 1: c below antistability margin", True,
+                             "c=0.5, margin >= 1")
+
+    @pytest.mark.parametrize("c, q", [
+        (1.5, np.diag([1.0, 0.2])),  # c above the margin: G has a negative eigenvalue
+        (0.5, np.diag([1.0, -0.2])),  # Q indefinite
+        (0.5, np.array([[1.0, 1.0], [0.0, 1.0]])),  # Q not symmetric
+    ], ids=["c-above-margin", "q-indefinite", "q-asymmetric"])
+    def test_row_fails_without_a_certificate(self, c, q, monkeypatch):
+        monkeypatch.setattr(linalg, "eigenvalues", None)  # never solved
+        reduced = topology.ReducedLaplacian(np.diag([1.0, 3.0]), 1)
+        checks, _ = synthesis.certificate_checks(reduced, c, q)
+        assert checks[0] == (
+            "certificate 1: c below antistability margin", False,
+            f"c={c:.6g}, not certified: needs Q > 0 and a positive inequality margin")
+
+
 class TestCouplingThreshold:
     def cert(self, c):
         return TopologyCertificate(1, c, np.eye(2), 1.0)
