@@ -46,10 +46,14 @@ def _write_json(doc, path):
 
 
 def _json(value):
-    """``json.dumps(value)``, where a square float64 ndarray held in an object
-    or a list of objects stands for its ``.tolist()`` (see `_square_json`)."""
+    """``json.dumps(value)``, where an ndarray held in an object or a list of
+    objects stands for its ``.tolist()``; a square float64 one is formatted
+    by `_square_json`."""
     if isinstance(value, np.ndarray):
-        return _square_json(value)
+        square = value.ndim == 2 and value.shape[0] == value.shape[1]
+        if square and value.dtype == np.float64:
+            return _square_json(value)
+        return json.dumps(value.tolist())
     if isinstance(value, dict):
         items = (f"{json.dumps(key)}: {_json(item)}" for key, item in value.items())
         return "{" + ", ".join(items) + "}"
@@ -148,10 +152,6 @@ def cmd_synthesize(rc, out_dir, reference=None):
     report = synthesis.design_to_dict(
         design, config_digest=cfg.config_digest(rc), reference=reference
     )
-    # Each Q_i goes to the writer as its array, which formats a mirrored
-    # pair of entries once; the bytes are those of its nested list.
-    for entry, cert in zip(report["certificates"], design.certificates):
-        entry["q"] = cert.q
     path = os.path.join(out_dir, REPORT_NAME)
     _write_json(report, path)
     bound = design.beta_bound
@@ -169,7 +169,8 @@ def _load_report(rc, out_dir):
     """The synthesis report in `out_dir`, as its document and its design.
 
     A report that is not valid JSON, breaks the report fields of the schema,
-    or was written for another configuration is an input error naming it.
+    was written for another configuration, or holds a matrix whose shape
+    does not fit the configuration is an input error naming it.
     """
     path = os.path.join(out_dir, REPORT_NAME)
     if not os.path.exists(path):
@@ -190,6 +191,15 @@ def _load_report(rc, out_dir):
             f"synthesis report {path} is stale: its config digest {stored!r} "
             f"does not match the current configuration {current!r}"
         )
+    n, inputs = rc.b.shape
+    size = rc.graphs.node_count - 1
+    shapes = [("gain.k", design.k, (inputs, n)), ("gain.p", design.p, (n, n))]
+    shapes += [(f"certificates[{pos}].q", cert.q, (size, size))
+               for pos, cert in enumerate(design.certificates)]
+    for field, m, shape in shapes:
+        if m.shape != shape:
+            raise cfg.ConfigError(f"{path}: {field}: expected shape {shape}, "
+                                  f"got {m.shape}")
     return doc, design
 
 

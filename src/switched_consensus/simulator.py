@@ -13,7 +13,7 @@ Norms, verdicts, energies and the divergence rule use e itself, never a
 difference of agent states, so they keep full precision while the agreement
 grows.  A run diverges at the first sample whose disagreement max-norm
 exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
-run in blocks of switching intervals: each block's new transition matrices
+run in blocks of switching intervals: each block's transition matrices
 are exponentiated before it is propagated, one `linalg.expm` call per
 topology, and its samples are checked for divergence at once, so a flow
 that overflows is reported as a divergence too.  Where a block's matrices
@@ -39,14 +39,14 @@ from . import linalg, synthesis, topology
 # finite time at double precision).
 DIVERGENCE_CUTOFF = 1e12
 # Switching intervals whose transition matrices are exponentiated together;
-# bounds the fragment flows held at once.
+# bounds the flows held at once.
 BLOCK_INTERVALS = 256
 # Values a trajectory CSV part must format for its fork to pay.  In a 70 to
 # 100 MB process, the fork, the child's exit and the page faults the parent
 # takes afterwards, in this command and the next, cost about as much as
 # formatting 20 000 floats.
 MIN_PART_VALUES = 100_000
-# Work a part of a block's new transition matrices must hold for its fork
+# Work a part of a block's transition matrices must hold for its fork
 # to pay, counted as n**3 per n-by-n exponential.  A 400x400 exponential
 # takes about 1 ns per unit (more for small matrices), and a fork costs
 # about 10 ms in a 100 MB process, so this is about five forks.
@@ -269,27 +269,21 @@ def _exponentiate(modes, keys, m):
     return {key: flow for part, stack in done for key, flow in zip(part, stack)}
 
 
-def _propagate(modes, samples, times, indices, steps, ends, dt, m):
+def _propagate(modes, samples, times, indices, steps, ends, m):
     """Fill ``samples[1:]`` from ``samples[0]``, one block of intervals at a time.
 
     Step s advances sample s by ``steps[s]`` under mode ``indices[s]``;
     ``ends[j]`` is the sample that ends interval j.  See `simulate`.
     """
     z = samples[0]
-    held = {}
     first = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, ends.size, BLOCK_INTERVALS):
             last = int(ends[min(lo + BLOCK_INTERVALS, ends.size) - 1])
-            block_modes = indices[first - 1 : last].tolist()
-            hs = steps[first - 1 : last].tolist()
-            new = [k for k in dict.fromkeys(zip(block_modes, hs)) if k not in held]
-            flows = _exponentiate(modes, new, m) if new else {}
-            # Full steps are copied out of their stack, so holding them does
-            # not keep a block's fragments alive.
-            held.update((key, flows[key].copy()) for key in new if key[1] == dt)
-            flows.update(held)
-            for s, key in enumerate(zip(block_modes, hs), start=first):
+            keys = list(zip(indices[first - 1 : last].tolist(),
+                            steps[first - 1 : last].tolist()))
+            flows = _exponentiate(modes, list(dict.fromkeys(keys)), m)
+            for s, key in enumerate(keys, start=first):
                 z = np.dot(flows[key], z, out=samples[s])
             _check_divergence(samples[first : last + 1], times[first : last + 1], m)
             first = last + 1
@@ -301,15 +295,14 @@ def simulate(closed_loop, x0, dt):
     Propagates ``z = (e, x_N)`` with one mat-vec per sample, working through
     the schedule in blocks of `BLOCK_INTERVALS` switching intervals.  Each
     step is keyed ``(mode, h)``, with a step within 1e-9*dt of dt snapped to
-    dt so float jitter on the grid never splits a key.  Per block, the keys
-    not yet held are exponentiated, one kernel call per topology, in this
+    dt so float jitter on the grid never splits a key.  Per block, the
+    distinct keys are exponentiated, one kernel call per topology, in this
     process or a forked one (see `_exponentiate`); a step's flow does not
     depend on the steps it shares a call with, so each flow is the same
-    either way.  Then the block is propagated and its samples are
-    checked for divergence at once.  Full steps ``(mode, dt)`` are kept for
-    the whole run; the off-grid fragments next to switches are dropped with
-    their block, so memory stays bounded.  A flow that overflows is not
-    finite, nor are the samples after it, so it ends the run as a divergence.
+    either way.  Then the block is propagated, its samples are checked for
+    divergence at once, and its flows are dropped, so memory stays bounded.
+    A flow that overflows is not finite, nor are the samples after it, so
+    it ends the run as a divergence.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -332,7 +325,7 @@ def simulate(closed_loop, x0, dt):
     steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
     samples = np.empty((times.size, z.size))
     samples[0] = z
-    _propagate(closed_loop.modes, samples, times, indices, steps, ends, dt, m)
+    _propagate(closed_loop.modes, samples, times, indices, steps, ends, m)
     errors = samples[:, :m].copy()
     states = np.tile(samples[:, m:], n_nodes)
     states[:, :m] += errors
@@ -470,10 +463,8 @@ def lyapunov_monitor(record, certificates, p):
 
 
 def _usable_cpus():
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """Number of CPUs this process may run on (Linux only)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _part_bounds(count, units, min_units):

@@ -264,16 +264,23 @@ def solve_gain_lmi(a, b, beta, bound=None):
 
 
 def gain_checks(design, a, b):
-    """``(name, passed, detail)`` checks of ``K = (1/2) B^T inv(P)``, the gain
-    inequality ``A P + P A^T - B B^T + beta P < 0`` and ``alpha > 2/c0``.
+    """``(name, passed, detail)`` checks of ``P > 0`` (a non-symmetric P fails
+    it), ``K = (1/2) B^T inv(P)``, the gain inequality
+    ``A P + P A^T - B B^T + beta P < 0`` and ``alpha > 2/c0``.
     """
     p = design.p
+    try:
+        p_low, _ = linalg.extreme_eigenvalues(p)
+        spd, spd_detail = p_low > 0.0, f"smallest eigenvalue {p_low:.3e}"
+    except ValueError as exc:
+        spd, spd_detail = False, str(exc)
     k_expected = 0.5 * b.T @ np.linalg.inv(p)
     k_err = np.abs(design.k - k_expected).max()
     expr = a @ p + p @ a.T - b @ b.T + design.beta * p
     top = float(np.linalg.eigvalsh((expr + expr.T) / 2.0)[-1])
     alpha_min = coupling_threshold(design.certificates)
     return [
+        ("P positive definite", spd, spd_detail),
         ("gain identity K = (1/2) B^T inv(P)",
          k_err <= CHECK_RTOL * (1 + np.abs(k_expected).max()),
          f"max deviation {k_err:.3e}"),
@@ -490,10 +497,12 @@ def _derived_numbers(design):
 
 
 def design_to_dict(design, config_digest=None, reference=None):
-    """Serialize a design to the synthesis-report document (plain JSON types).
+    """Serialize a design to the synthesis-report document.
 
-    Matrices are nested row-major lists at full double precision.  An
-    unbounded beta (controllable pair) serializes as null.  `reference`
+    Matrices are the design's own float64 arrays, to be encoded as their
+    ``.tolist()``, nested row-major lists at full double precision (the
+    CLI's report writer does so).  Every other value is a plain JSON type.
+    An unbounded beta (controllable pair) serializes as null.  `reference`
     attaches externally published comparison values without mixing them into
     the computed fields.
     """
@@ -503,12 +512,12 @@ def design_to_dict(design, config_digest=None, reference=None):
         "alpha": design.alpha,
         **_derived_numbers(design),
         "beta_bound": None if math.isinf(design.beta_bound) else design.beta_bound,
-        "gain": {"k": design.k.tolist(), "p": design.p.tolist()},
+        "gain": {"k": design.k, "p": design.p},
         "certificates": [
             {
                 "index": cert.index,
                 "c": cert.c,
-                "q": cert.q.tolist(),
+                "q": cert.q,
                 "lmi_margin": cert.lmi_margin,
             }
             for cert in design.certificates

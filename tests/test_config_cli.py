@@ -460,7 +460,7 @@ def test_every_table_field_rejects_wrong_values(tmp_path, demo_doc, capsys, path
 @pytest.mark.parametrize("path, value", _wrong_values(report=True))
 def test_every_report_field_rejects_wrong_values(vtol_design, path, value):
     # Driven by the table's report fields, like the configuration's above.
-    doc = json.loads(json.dumps(synthesis.design_to_dict(
+    doc = json.loads(cli._json(synthesis.design_to_dict(
         vtol_design, config_digest="digest", reference=vtol.REFERENCE)))
     path = path.removeprefix("report.")
     _at(doc, path, value)
@@ -526,6 +526,26 @@ def test_report_that_is_not_json_is_named(demo_synthesized, tmp_path, capsys):
     assert cli.main(["verify", "--config", config,
                      "--out", str(tmp_path)]) == cli.EXIT_INPUT
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, field, value, shapes", [
+    ("verify", "gain.p", np.eye(3), "expected shape (4, 4), got (3, 3)"),
+    ("simulate", "gain.p", np.eye(3), "expected shape (4, 4), got (3, 3)"),
+    ("verify", "certificates[0].q", np.eye(1), "expected shape (4, 4), got (1, 1)"),
+    ("verify", "gain.k", np.ones((1, 3)), "expected shape (2, 4), got (1, 3)"),
+], ids=["p-verify", "p-simulate", "q-verify", "k-verify"])
+def test_report_matrix_of_wrong_shape_is_named(demo_synthesized, tmp_path, capsys,
+                                               command, field, value, shapes):
+    config, text = demo_synthesized
+    report = json.loads(text)
+    section, name = field.split(".")
+    entry = report["certificates"][0] if "[" in section else report[section]
+    entry[name] = value.tolist()
+    path = tmp_path / "synthesis.json"
+    path.write_text(json.dumps(report))
+    assert cli.main([command, "--config", config,
+                     "--out", str(tmp_path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: {field}: {shapes}\n"
 
 
 def test_readme_lists_every_table_field():
@@ -677,6 +697,23 @@ class TestCommandExitCodes:
             "PASS  switch margin on [0, 1) (1->1)  [margin 1 vs kappa0 0.001]",
             "PASS  switch margin on [1, 2) (1->1)  [margin 1 vs kappa0 0.001]",
         ]
+
+    def test_verify_fails_an_indefinite_p(self, tmp_path, capsys):
+        # K = (1/2) B^T inv(P) holds and the gain inequality's largest
+        # eigenvalue is -2, so only P > 0 catches this report.
+        doc = _double_integrator_doc(PATH_3, 6.0, 60.0)
+        doc["system"] = {"a": [[0.5, 0.0], [0.0, -1.5]], "b": [[1.0], [1.0]]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+
+        def indefinite_p(report):
+            report["gain"].update(p=[[-1.0, 0.0], [0.0, 1.0]], k=[[-0.5, 0.5]])
+
+        out = _verify_tampered(str(path), tmp_path, capsys, indefinite_p)
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  P positive definite  [smallest eigenvalue -1.000e+00]"]
+        assert ("PASS  gain inequality A P + P A^T - B B^T + beta P < 0  "
+                "[largest eigenvalue -2.000e+00]") in out
 
     def test_run_too_large_to_hold_is_input_error(self, demo_config_file,
                                                   tmp_path, capsys, monkeypatch):
@@ -1120,6 +1157,18 @@ class TestMatrixEncoder:
         cli._write_json(doc, tmp_path / "report.json")
         plain = {"certificates": [{"index": 1, "q": q.tolist()},
                                   {"index": 2, "q": q.T.tolist()}], "n": 3}
+        assert (tmp_path / "report.json").read_text() == _dumps_layout(plain)
+
+    def test_design_document_is_written_as_its_nested_lists(self, vtol_design,
+                                                            tmp_path):
+        doc = synthesis.design_to_dict(vtol_design, config_digest="digest",
+                                       reference=vtol.REFERENCE)
+        assert vtol_design.k.shape == (2, 4)
+        cli._write_json(doc, tmp_path / "report.json")
+        plain = {**doc, "gain": {"k": vtol_design.k.tolist(),
+                                 "p": vtol_design.p.tolist()},
+                 "certificates": [{**entry, "q": entry["q"].tolist()}
+                                  for entry in doc["certificates"]]}
         assert (tmp_path / "report.json").read_text() == _dumps_layout(plain)
 
     def test_synthesis_report_is_the_json_dumps_layout(self, demo_config_file,

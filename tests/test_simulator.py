@@ -375,13 +375,18 @@ class TestBlockedPropagation:
         assert record.switches == reference.switches
 
     def test_each_distinct_step_exponentiated_once(self, small_setup, monkeypatch):
-        matrices, calls, flows = [], [], []
+        blocks, calls, flows = [], [], []
         expm, dot = simulator.linalg.expm, simulator.np.dot
+        exponentiate = simulator._exponentiate
 
         def counting_expm(mode, steps):
             calls.append(mode.tobytes())
-            matrices.extend((mode.tobytes(), h) for h in steps)
+            blocks[-1][1].extend((mode.tobytes(), h) for h in steps)
             return expm(mode, steps)
+
+        def recording_exponentiate(modes, keys, m):
+            blocks.append((keys, []))
+            return exponentiate(modes, keys, m)
 
         def recording_dot(a, b, out=None):
             if out is not None:
@@ -389,6 +394,7 @@ class TestBlockedPropagation:
             return dot(a, b, out=out)
 
         monkeypatch.setattr(simulator.linalg, "expm", counting_expm)
+        monkeypatch.setattr(simulator, "_exponentiate", recording_exponentiate)
         monkeypatch.setattr(simulator.np, "dot", recording_dot)
         cl = irregular_loop(small_setup, self.INTERVALS, 31)
         dt = 0.1
@@ -396,17 +402,22 @@ class TestBlockedPropagation:
         steps = np.diff(record.times)
         steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
         # The stored index is right-continuous: the mode of the next step.
-        keys = set(zip(record.indices[:-1].tolist(), steps.tolist()))
-        assert len(set(matrices)) == len(matrices) == len(keys)
+        keys = list(zip(record.indices[:-1].tolist(), steps.tolist()))
+        ends = record.times.searchsorted([t for t, _, _ in record.switches])
+        bounds = [0, *ends[simulator.BLOCK_INTERVALS - 1 :: simulator.BLOCK_INTERVALS],
+                  steps.size]
+        assert len(blocks) == 3
+        for (block_keys, matrices), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+            # Within a block, each distinct step is exponentiated once.
+            assert block_keys == list(dict.fromkeys(keys[lo:hi]))
+            assert len(set(matrices)) == len(matrices) == len(block_keys)
+        # Every step of the run is exponentiated, full steps in every block.
+        assert set().union(*(set(b) for b, _ in blocks)) == set(keys)
+        assert all(any(h == dt for _, h in b) for b, _ in blocks)
         # One kernel call per topology and block: both topologies, 3 blocks.
         assert len(calls) == 6 and len(set(calls)) == 2
-        # Each step's flow is applied once; a full step's flow owns its
-        # memory, so holding it for the run does not keep a block's
-        # fragments alive.
+        # Each step's flow is applied once.
         assert len(flows) == steps.size
-        full = [flow for flow, h in zip(flows, steps.tolist()) if h == dt]
-        assert full and all(flow.base is None for flow in full)
-        assert any(flow.base is not None for flow in flows)
 
     def test_divergence_in_late_block_reports_first_bad_sample(self):
         # e(t) = e^(4t) first exceeds the cutoff at the sample t = 6.91, in
@@ -484,7 +495,7 @@ class TestForkedExponentials:
 
     def test_one_child_per_extra_part_and_block(self, forks, small_setup,
                                                 monkeypatch):
-        # Every block of the irregular loop holds new keys of both
+        # Every block of the irregular loop holds keys of both
         # topologies, and a part gets whole topologies, so each block forks
         # one child, not cpus - 1.
         splits = []

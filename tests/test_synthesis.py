@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switched_consensus import linalg, synthesis, topology, vtol
+from switched_consensus import cli, linalg, synthesis, topology, vtol
 from switched_consensus.synthesis import (
     InfeasibleError,
     TopologyCertificate,
@@ -163,6 +164,7 @@ class TestDesignChecks:
             "certificate 2: c below antistability margin",
             "certificate 2: Q positive definite",
             "certificate 2: inequality margin",
+            "P positive definite",
             "gain identity K = (1/2) B^T inv(P)",
             "gain inequality A P + P A^T - B B^T + beta P < 0",
             "coupling strength alpha > 2/c0",
@@ -510,9 +512,7 @@ class TestReportRoundTrip:
     def test_design_document_round_trip(self, vtol_design):
         doc = design_to_dict(vtol_design, config_digest="abc",
                              reference=vtol.REFERENCE)
-        import json
-
-        rebuilt = design_from_dict(json.loads(json.dumps(doc)))
+        rebuilt = design_from_dict(json.loads(cli._json(doc)))
         assert np.array_equal(rebuilt.p, vtol_design.p)
         assert np.array_equal(rebuilt.k, vtol_design.k)
         assert rebuilt.beta == vtol_design.beta
