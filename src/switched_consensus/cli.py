@@ -212,6 +212,10 @@ def cmd_simulate(rc, out_dir):
     else:
         _, design = _load_report(rc, out_dir)
         k_gain, alpha = design.k, design.alpha
+        spd, detail, _ = synthesis.definite_check(design.p)
+        if not spd:  # the monitor's energies need P > 0
+            raise cfg.ConfigError(f"{os.path.join(out_dir, REPORT_NAME)}: gain.p: "
+                                  f"not positive definite ({detail})")
     closed_loop = simulator.build_closed_loop(
         rc.a, rc.b, k_gain, alpha, rc.graphs, signal
     )
@@ -242,25 +246,8 @@ def cmd_simulate(rc, out_dir):
 def cmd_verify(rc, out_dir):
     """Re-validate a synthesis report from raw data, item by item."""
     report, design = _load_report(rc, out_dir)
-    signal = cfg.build_signal(rc)
-    try:
-        schedule = synthesis.check_schedule(signal, design.certificates,
-                                            design.beta, rc.kappa0)
-        solved, unpaired = schedule.pairs, []
-        rows = zip(schedule.t_start.tolist(), schedule.t_end.tolist(),
-                   schedule.from_index.tolist(), schedule.to_index.tolist(),
-                   schedule.checks.tolist(), schedule.margin.tolist())
-    except ValueError as exc:  # certificates that cannot be paired
-        solved, rows = {}, []
-        unpaired = [("switching condition", False, str(exc))]
     checks = synthesis.design_checks(design, rc.a, rc.b, _reduced(rc), report,
-                                     solved)
-    checks += unpaired + [
-        (f"switch margin on [{t0:g}, {t1:g}) ({i}->{j})", ok,
-         f"margin {margin:.6g} vs kappa0 {rc.kappa0:g}")
-        for t0, t1, i, j, ok, margin in rows
-    ]
-
+                                     cfg.build_signal(rc), rc.kappa0)
     all_ok = True
     for name, ok, detail in checks:
         all_ok = all_ok and ok

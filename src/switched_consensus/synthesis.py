@@ -46,6 +46,7 @@ __all__ = [
     "check_schedule",
     "choose_c",
     "coupling_threshold",
+    "definite_check",
     "design_checks",
     "design_from_dict",
     "design_to_dict",
@@ -171,11 +172,7 @@ def certificate_checks(reduced, c, q):
     from the one symmetric solve that tests ``Q > 0``.
     """
     index = reduced.source_index
-    try:
-        q_low, q_high = linalg.extreme_eigenvalues(q)
-        spd, spd_detail = q_low > 0.0, f"smallest eigenvalue {q_low:.3e}"
-    except ValueError as exc:
-        spd, spd_detail = False, str(exc)
+    spd, spd_detail, q_high = definite_check(q)
     gram = reduced.matrix.T @ q + q @ reduced.matrix - 2.0 * c * q
     lmi_margin = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[0])
     certified = spd and lmi_margin > 0.0
@@ -263,18 +260,24 @@ def solve_gain_lmi(a, b, beta, bound=None):
     return p, k
 
 
+def definite_check(m):
+    """``(passed, detail, largest eigenvalue)`` of ``m > 0`` from one symmetric
+    solve; a non-symmetric `m` fails, with its asymmetry as the detail."""
+    try:
+        low, high = linalg.extreme_eigenvalues(m)
+    except ValueError as exc:
+        return False, str(exc), math.nan
+    return low > 0.0, f"smallest eigenvalue {low:.3e}", high
+
+
 def gain_checks(design, a, b):
-    """``(name, passed, detail)`` checks of ``P > 0`` (a non-symmetric P fails
-    it), ``K = (1/2) B^T inv(P)``, the gain inequality
-    ``A P + P A^T - B B^T + beta P < 0`` and ``alpha > 2/c0``.
+    """``(name, passed, detail)`` checks of ``P > 0`` (by :func:`definite_check`),
+    ``K = (1/2) B^T inv(P)`` (failed, with no inverse taken, unless P > 0), the
+    gain inequality ``A P + P A^T - B B^T + beta P < 0`` and ``alpha > 2/c0``.
     """
     p = design.p
-    try:
-        p_low, _ = linalg.extreme_eigenvalues(p)
-        spd, spd_detail = p_low > 0.0, f"smallest eigenvalue {p_low:.3e}"
-    except ValueError as exc:
-        spd, spd_detail = False, str(exc)
-    k_expected = 0.5 * b.T @ np.linalg.inv(p)
+    spd, spd_detail, _ = definite_check(p)
+    k_expected = 0.5 * b.T @ np.linalg.inv(p) if spd else math.nan
     k_err = np.abs(design.k - k_expected).max()
     expr = a @ p + p @ a.T - b @ b.T + design.beta * p
     top = float(np.linalg.eigvalsh((expr + expr.T) / 2.0)[-1])
@@ -283,7 +286,7 @@ def gain_checks(design, a, b):
         ("P positive definite", spd, spd_detail),
         ("gain identity K = (1/2) B^T inv(P)",
          k_err <= CHECK_RTOL * (1 + np.abs(k_expected).max()),
-         f"max deviation {k_err:.3e}"),
+         f"max deviation {k_err:.3e}" if spd else "P is not positive definite"),
         ("gain inequality A P + P A^T - B B^T + beta P < 0", top < 0,
          f"largest eigenvalue {top:.3e}"),
         ("coupling strength alpha > 2/c0", design.alpha > alpha_min,
@@ -301,18 +304,26 @@ def _stored(report, key):
     return math.inf if report[key] is None else float(report[key])
 
 
-def design_checks(design, a, b, reduced, report=None, lambdas=None):
-    """Every ``(name, passed, detail)`` check of a design against raw data.
+def design_checks(design, a, b, reduced, report, signal, kappa0):
+    """Every ``(name, passed, detail)`` row ``verify`` prints for a design.
 
     Per certificate, :func:`certificate_checks` on its topology in `reduced`
-    and the stored `lmi_margin` matching the recomputed, positive one; then
-    :func:`gain_checks`; then the summary numbers of `report` (default: the
-    design's own document; else one :func:`design_from_dict` accepts)
-    re-derived, `lambda_max` over every ordered
-    certificate pair.  `lambdas` (``{(i, j): lambda_ij}``) holds pairs
-    already solved, which are not solved again.  A certificate of no known
-    topology fails one check.
+    and its stored `lmi_margin` against the recomputed one; a failed row per
+    topology of `reduced` without exactly one certificate; :func:`gain_checks`;
+    the numbers of `report` re-derived, `lambda_max` over every ordered pair,
+    reusing the pairs :func:`check_schedule` solved for `signal`; then its
+    switch margins against `kappa0`, or one failed ``switching condition`` row
+    when the certificates cannot be paired.
     """
+    try:
+        s = check_schedule(signal, design.certificates, design.beta, kappa0)
+        solved, switches = s.pairs, [
+            (f"switch margin on [{t0:g}, {t1:g}) ({i}->{j})", ok,
+             f"margin {margin:.6g} vs kappa0 {kappa0:g}")
+            for t0, t1, i, j, ok, margin in zip(*(column.tolist() for column in (
+                s.t_start, s.t_end, s.from_index, s.to_index, s.checks, s.margin)))]
+    except ValueError as exc:  # certificates that cannot be paired
+        solved, switches = {}, [("switching condition", False, str(exc))]
     by_index = {r.source_index: r for r in reduced}
     checks = []
     for cert in design.certificates:
@@ -329,9 +340,11 @@ def design_checks(design, a, b, reduced, report=None, lambdas=None):
              recomputed > 0 and _matches(stored, recomputed),
              f"recomputed {recomputed:.6g}, stored {stored:.6g}")
         )
-    report = design_to_dict(design) if report is None else report
+    found = [cert.index for cert in design.certificates]
+    checks += [(f"certificate {i}: one per topology", False, f"{found.count(i)} found")
+               for i in by_index if found.count(i) != 1]
     try:
-        lam = _lambda_max(design.certificates, lambdas)
+        lam = _lambda_max(design.certificates, solved)
     except ValueError:  # a Q that is not positive definite fails its own row
         lam = math.nan
     derived = {**_derived_numbers(design), "beta_bound": max_feasible_beta(a, b),
@@ -346,7 +359,7 @@ def design_checks(design, a, b, reduced, report=None, lambdas=None):
                              ("dwell_threshold", "ln(lambda_max)/beta"),
                              ("lambda_max", "max lambda_ij over ordered pairs"))
     ]
-    return checks + gain_checks(design, a, b) + summary
+    return checks + gain_checks(design, a, b) + summary + switches
 
 
 def coupling_threshold(certificates):

@@ -634,9 +634,11 @@ class TestCommandExitCodes:
          "report dwell_threshold = ln(lambda_max)/beta"),
         (lambda r: r.update(lambda_max=1.0001),
          "report lambda_max = max lambda_ij over ordered pairs"),
+        (lambda r: r["gain"].update(p=np.zeros_like(r["gain"]["p"]).tolist()),
+         "gain identity K = (1/2) B^T inv(P)"),
     ], ids=["c-above-margin", "q-negated", "lmi-margin", "alpha-low",
             "unknown-index", "q-asymmetric", "c0", "alpha-min", "beta-bound",
-            "dwell-threshold", "lambda-max"])
+            "dwell-threshold", "lambda-max", "p-zeroed"])
     def test_verify_fails_the_tampered_check(self, demo_config_file, tmp_path,
                                              capsys, tamper, failed):
         out = _verify_tampered(demo_config_file, tmp_path, capsys, tamper)
@@ -700,7 +702,8 @@ class TestCommandExitCodes:
 
     def test_verify_fails_an_indefinite_p(self, tmp_path, capsys):
         # K = (1/2) B^T inv(P) holds and the gain inequality's largest
-        # eigenvalue is -2, so only P > 0 catches this report.
+        # eigenvalue is -2, so only P > 0 catches this report; the K identity,
+        # which needs P > 0 to take inv(P), fails with it.
         doc = _double_integrator_doc(PATH_3, 6.0, 60.0)
         doc["system"] = {"a": [[0.5, 0.0], [0.0, -1.5]], "b": [[1.0], [1.0]]}
         path = tmp_path / "config.json"
@@ -711,9 +714,93 @@ class TestCommandExitCodes:
 
         out = _verify_tampered(str(path), tmp_path, capsys, indefinite_p)
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert fails == ["FAIL  P positive definite  [smallest eigenvalue -1.000e+00]"]
+        assert fails == ["FAIL  P positive definite  [smallest eigenvalue -1.000e+00]",
+                         "FAIL  gain identity K = (1/2) B^T inv(P)  "
+                         "[P is not positive definite]"]
         assert ("PASS  gain inequality A P + P A^T - B B^T + beta P < 0  "
                 "[largest eigenvalue -2.000e+00]") in out
+
+    def test_verify_fails_a_topology_without_certificate(self, tmp_path, demo_doc,
+                                                         capsys):
+        # Topology 2 is configured but never scheduled; with its certificate
+        # gone, every stored number is consistent with certificate 1 alone
+        # (c0 = 0.25, so alpha 8.1 clears 2/c0 = 8, not the true 20).
+        demo_doc["synthesis"].update(c_values=[0.25, 0.1], alpha=21.0)
+        demo_doc["switching"] = {"explicit": {"breakpoints": [0.0], "indices": [1],
+                                              "horizon": 10.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(demo_doc))
+
+        def drop_certificate_2(report):
+            del report["certificates"][1]
+            report.update(c0=0.25, alpha_min=8.0, lambda_max=1.0,
+                          dwell_threshold=0.0, alpha=8.1)
+
+        out = _verify_tampered(str(path), tmp_path, capsys, drop_certificate_2)
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  certificate 2: one per topology  [0 found]"]
+
+    def test_verify_fails_a_topology_with_two_certificates(self, demo_config_file,
+                                                           tmp_path, capsys):
+        def duplicate_certificate_1(report):
+            report["certificates"][1] = copy.deepcopy(report["certificates"][0])
+
+        out = _verify_tampered(demo_config_file, tmp_path, capsys,
+                               duplicate_certificate_1)
+        assert "FAIL  certificate 1: one per topology  [2 found]" in out
+        assert "FAIL  certificate 2: one per topology  [0 found]" in out
+
+    @pytest.mark.parametrize("three_topologies", [False, True],
+                             ids=["demo", "three-topology-explicit"])
+    def test_design_checks_rows_are_the_printed_rows(self, tmp_path, demo_doc,
+                                                     capsys, three_topologies):
+        doc = demo_doc
+        if three_topologies:
+            doc = _double_integrator_doc([
+                _edges_doc(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)]),
+                _edges_doc(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 2, 1.0)]),
+                _edges_doc(3, [(1, 2, 10.0), (1, 3, 0.1)]),
+            ], 3.0, 12.0)
+            doc["switching"] = {"explicit": {"breakpoints": [0.0, 3.0, 4.0, 8.0],
+                                             "indices": [1, 3, 2, 1],
+                                             "horizon": 12.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", str(path), "--out", out]) == 0
+        capsys.readouterr()
+        code = cli.main(["verify", "--config", str(path), "--out", out])
+        printed = capsys.readouterr().out.splitlines()
+        rc = parse_config(doc)
+        report, design = cli._load_report(rc, out)
+        rows = synthesis.design_checks(design, rc.a, rc.b, cli._reduced(rc), report,
+                                       build_signal(rc), rc.kappa0)
+        assert printed[:-1] == [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]"
+                                for name, ok, detail in rows]
+        assert sum("switch margin" in line for line in printed) == (
+            3 if three_topologies else 19)
+        passed = all(ok for _, ok, _ in rows)
+        assert code == (cli.EXIT_OK if passed else cli.EXIT_VERDICT)
+
+    @pytest.mark.parametrize("p", [np.zeros((4, 4)), np.diag([-1.0, 1.0, 1.0, 1.0])],
+                             ids=["zero", "indefinite"])
+    def test_simulate_refuses_a_p_not_positive_definite(self, demo_config_file,
+                                                        tmp_path, capsys, p):
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", "--config", demo_config_file,
+                         "--out", str(out)]) == 0
+        report_path = out / "synthesis.json"
+        report = json.loads(report_path.read_text())
+        report["gain"]["p"] = p.tolist()
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", demo_config_file,
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        smallest = np.linalg.eigvalsh(p)[0]
+        assert capsys.readouterr().err == (
+            f"error: {report_path}: gain.p: not positive definite "
+            f"(smallest eigenvalue {smallest:.3e})\n")
+        assert not (out / "trajectory.csv").exists()
 
     def test_run_too_large_to_hold_is_input_error(self, demo_config_file,
                                                   tmp_path, capsys, monkeypatch):

@@ -155,8 +155,10 @@ class TestMaxFeasibleBeta:
 
 class TestDesignChecks:
     def test_vtol_design_passes_every_check(self, vtol_design, vtol_reduced):
-        checks = synthesis.design_checks(vtol_design, vtol.A, vtol.B,
-                                         vtol_reduced)
+        signal = topology.periodic_signal(2, vtol.DWELL, 3 * vtol.DWELL)
+        checks = synthesis.design_checks(vtol_design, vtol.A, vtol.B, vtol_reduced,
+                                         design_to_dict(vtol_design), signal,
+                                         synthesis.DEFAULT_KAPPA0)
         assert [name for name, _, _ in checks] == [
             "certificate 1: c below antistability margin",
             "certificate 1: Q positive definite",
@@ -173,6 +175,8 @@ class TestDesignChecks:
             "report beta_bound = sup feasible beta",
             "report dwell_threshold = ln(lambda_max)/beta",
             "report lambda_max = max lambda_ij over ordered pairs",
+            f"switch margin on [0, {vtol.DWELL:g}) (1->2)",
+            f"switch margin on [{vtol.DWELL:g}, {2 * vtol.DWELL:g}) (2->1)",
         ]
         assert all(passed for _, passed, _ in checks)
 
@@ -190,7 +194,14 @@ class TestDesignChecks:
                 lap = topology.laplacian(topology.DirectedGraph(w))
                 reduced.append(topology.reduce_laplacian(lap, index))
             design = synthesize(a, b, reduced, float(rng.uniform(0.5, 3.0)))
-            checks = synthesis.design_checks(design, a, b, reduced)
+            # One switch each way, each after a dwell of tau* + 1: every
+            # margin is at least beta.
+            gap = design.dwell_threshold + 1.0
+            signal = topology.SwitchingSignal(np.array([0.0, gap, 2 * gap]),
+                                              np.array([1, 2, 1]), 3 * gap)
+            checks = synthesis.design_checks(design, a, b, reduced,
+                                             design_to_dict(design), signal,
+                                             synthesis.DEFAULT_KAPPA0)
             assert all(passed for _, passed, _ in checks), checks
 
 
