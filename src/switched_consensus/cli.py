@@ -206,7 +206,7 @@ def _load_report(rc, out_dir):
 def cmd_simulate(rc, out_dir):
     """Run the closed loop, write the trajectory CSV, report the verdict."""
     signal = cfg.build_signal(rc)
-    design = None
+    design, report_path = None, os.path.join(out_dir, REPORT_NAME)
     if rc.gain is not None:
         k_gain, alpha = rc.gain["k"], rc.gain["alpha"]
     else:
@@ -214,8 +214,8 @@ def cmd_simulate(rc, out_dir):
         k_gain, alpha = design.k, design.alpha
         spd, detail, _ = synthesis.definite_check(design.p)
         if not spd:  # the monitor's energies need P > 0
-            raise cfg.ConfigError(f"{os.path.join(out_dir, REPORT_NAME)}: gain.p: "
-                                  f"not positive definite ({detail})")
+            raise cfg.ConfigError(f"{report_path}: gain.p: not positive definite "
+                                  f"({detail})")
     closed_loop = simulator.build_closed_loop(
         rc.a, rc.b, k_gain, alpha, rc.graphs, signal
     )
@@ -225,8 +225,11 @@ def cmd_simulate(rc, out_dir):
         record = simulator.simulate(closed_loop, x0, rc.dt)
         monitor = None
         if design is not None:
-            monitor = simulator.lyapunov_monitor(record, design.certificates,
-                                                 design.p)
+            try:
+                monitor = simulator.lyapunov_monitor(record, design.certificates,
+                                                     design.p)
+            except ValueError as exc:  # a Q_i that cannot be paired, say
+                raise cfg.ConfigError(f"{report_path}: {exc}") from None
         simulator.write_trajectory_csv(record, path, monitor)
     except simulator.SimulationDiverged as exc:
         print(f"simulation aborted: {exc}")

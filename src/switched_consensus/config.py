@@ -192,6 +192,11 @@ def build_signal(rc):
         signal.validate_against(len(rc.graphs))
     except ValueError as exc:
         raise ConfigError(f"switching.{rc.switching_kind}: {exc}") from exc
+    except MemoryError:  # an explicit signal's arrays are already held
+        horizon, dwell = rc.switching["horizon"], rc.switching["dwell"]
+        raise ConfigError(f"switching.periodic: a horizon of {horizon:g} s at dwell "
+                          f"{dwell:g} s takes {int(np.ceil(horizon / dwell)):,} "
+                          "intervals, more than memory holds") from None
     return signal
 
 

@@ -413,38 +413,37 @@ def _interval_rates(times, values, lo, counts, cols):
 def lyapunov_monitor(record, certificates, p):
     """Per-topology energy traces with decay rates and switch-jump ratios.
 
-    The observed jump ratio at every switch is checked against its bound
-    from `synthesis.switch_lambdas`, all switches at once; a violation
-    indicates corrupted inputs and raises RuntimeError at the first switch
-    that breaks its bound.
+    Columns follow the rows of `synthesis.pair_lambdas`, which every topology
+    of the run needs, and each switch's observed jump ratio is checked
+    against its bound there, all at once; a violation indicates corrupted
+    inputs and raises RuntimeError at the first switch that breaks its bound.
     """
-    by_index = {cert.index: cert for cert in certificates}
-    order = sorted(by_index)
-    unknown = np.setdiff1d(record.indices, order)
-    if unknown.size:
-        raise ValueError(f"no certificate for topology index {int(unknown[0])}")
+    order, lam = synthesis.pair_lambdas(certificates)
+    cols = synthesis.pair_rows(order, record.indices)
+    q = {cert.index: cert.q for cert in certificates}
     p_inv = np.linalg.inv(np.asarray(p, dtype=float))
     p_inv = (p_inv + p_inv.T) / 2.0
-    weights = [np.kron(by_index[i].q, p_inv) for i in order]
+    weights = [np.kron(q[i], p_inv) for i in order]
     errors = record.errors
     values = np.column_stack(
         [np.einsum("sj,sj->s", errors @ w, errors) for w in weights]
     )
 
     # Interval j spans samples pos[j] .. pos[j + 1] (both ends); every
-    # boundary is a sample time, and the inner ones are the switches.
+    # boundary is a sample time, and the inner ones are the switches (the
+    # sample before one holds its outgoing topology).
     t_switch, outgoing, incoming = list(zip(*record.switches)) or ((), (), ())
     boundaries = [float(t) for t in (record.times[0], *t_switch, record.times[-1])]
     pos = np.searchsorted(record.times, boundaries)
     lo, counts = pos[:-1], np.diff(pos) + 1
-    active = record.indices[lo]
-    rates = _interval_rates(record.times, values, lo, counts,
-                            np.searchsorted(order, active))
-    interval_rates = list(zip(boundaries[:-1], boundaries[1:], active.tolist(), rates))
+    rates = _interval_rates(record.times, values, lo, counts, cols[lo])
+    interval_rates = list(zip(boundaries[:-1], boundaries[1:],
+                              record.indices[lo].tolist(), rates))
 
-    bounds, _, _ = synthesis.switch_lambdas(certificates, outgoing, incoming)
-    v_old, v_new = (values[pos[1:-1], np.searchsorted(order, ends)]
-                    for ends in (outgoing, incoming))
+    at = pos[1:-1]
+    old, new = cols[at - 1], cols[at]
+    bounds = lam[old, new]
+    v_old, v_new = values[at, old], values[at, new]
     observed = v_old > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(observed, v_new / v_old, np.nan)

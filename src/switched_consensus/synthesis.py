@@ -4,7 +4,8 @@ Builds the full certificate chain: a per-topology matrix inequality solved
 through a shifted Lyapunov equation, a gain matrix obtained from an algebraic
 Riccati reduction of the design inequality, the coupling-strength threshold,
 the dwell-time threshold, and a per-switch margin check for an explicit
-schedule.  Every per-switch jump bound comes from `switch_lambdas`.
+schedule.  Every jump bound is an entry of the one table `pair_lambdas`
+solves, lambda_ij for each ordered pair of topologies.
 
 Both matrix inequalities are solved constructively rather than through a
 general-purpose SDP solver:
@@ -23,7 +24,6 @@ Each design check is defined once, in the ``*_checks`` functions: synthesis
 raises on the first failed check and the CLI's ``verify`` reports them all.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,9 +54,9 @@ __all__ = [
     "gain_checks",
     "max_feasible_beta",
     "pair_lambdas",
+    "pair_rows",
     "solve_gain_lmi",
     "solve_topology_lmi",
-    "switch_lambdas",
     "synthesize",
 ]
 
@@ -113,7 +113,7 @@ class ScheduleReport:
     topology ``from_index[k]`` to ``to_index[k]`` that ends it, with its jump
     bound `lambda_max` and ``margin = beta (t_end - t_start) - ln lambda_max``.
     `checks` flags margins above `kappa0`; `passed` holds iff all are.
-    `pairs` is ``{(i, j): lambda_ij}`` over the distinct pairs.
+    `lambdas` is the :func:`pair_lambdas` table ``(indices, lam)`` they read.
     """
 
     kappa0: float
@@ -125,7 +125,7 @@ class ScheduleReport:
     margin: np.ndarray
     checks: np.ndarray
     passed: bool
-    pairs: dict
+    lambdas: tuple
 
 
 def choose_c(margin, fraction=DEFAULT_C_FRACTION):
@@ -310,20 +310,20 @@ def design_checks(design, a, b, reduced, report, signal, kappa0):
     Per certificate, :func:`certificate_checks` on its topology in `reduced`
     and its stored `lmi_margin` against the recomputed one; a failed row per
     topology of `reduced` without exactly one certificate; :func:`gain_checks`;
-    the numbers of `report` re-derived, `lambda_max` over every ordered pair,
-    reusing the pairs :func:`check_schedule` solved for `signal`; then its
-    switch margins against `kappa0`, or one failed ``switching condition`` row
-    when the certificates cannot be paired.
+    the numbers of `report` re-derived, `lambda_max` from the pair table
+    :func:`check_schedule` read for `signal`; then its switch margins against
+    `kappa0`, or one failed ``switching condition`` row when the schedule
+    cannot be checked.
     """
     try:
         s = check_schedule(signal, design.certificates, design.beta, kappa0)
-        solved, switches = s.pairs, [
+        table, switches = s.lambdas, [
             (f"switch margin on [{t0:g}, {t1:g}) ({i}->{j})", ok,
              f"margin {margin:.6g} vs kappa0 {kappa0:g}")
             for t0, t1, i, j, ok, margin in zip(*(column.tolist() for column in (
                 s.t_start, s.t_end, s.from_index, s.to_index, s.checks, s.margin)))]
-    except ValueError as exc:  # certificates that cannot be paired
-        solved, switches = {}, [("switching condition", False, str(exc))]
+    except ValueError as exc:  # unpairable certificates or a topology without one
+        table, switches = None, [("switching condition", False, str(exc))]
     by_index = {r.source_index: r for r in reduced}
     checks = []
     for cert in design.certificates:
@@ -344,7 +344,7 @@ def design_checks(design, a, b, reduced, report, signal, kappa0):
     checks += [(f"certificate {i}: one per topology", False, f"{found.count(i)} found")
                for i in by_index if found.count(i) != 1]
     try:
-        lam = _lambda_max(design.certificates, solved)
+        lam = _lambda_max((table or pair_lambdas(design.certificates))[1])
     except ValueError:  # a Q that is not positive definite fails its own row
         lam = math.nan
     derived = {**_derived_numbers(design), "beta_bound": max_feasible_beta(a, b),
@@ -369,71 +369,59 @@ def coupling_threshold(certificates):
     return 2.0 / min(cert.c for cert in certificates)
 
 
-def pair_lambdas(certificates, pairs):
-    """``{(i, j): lambda_ij}`` for the ordered topology pairs in `pairs`.
+def pair_lambdas(certificates):
+    """The jump bound of every ordered topology pair, as ``(indices, lam)``.
 
-    ``lambda_ij``, the largest generalized eigenvalue of ``(Q_i, Q_j)``,
-    bounds the energy jump ``V_j / V_i`` at a switch from topology i to j.
-    Each distinct pair is solved once, however often it occurs.  A pair
-    ``(i, i)`` is no switch of energy: ``lambda_ii`` is 1.0 exactly, with no
-    solve, so round-off on an ill-conditioned ``Q_i`` cannot move it.
+    `indices` are the certificates' topology indices, sorted; of a repeated
+    index, the last certificate counts.  ``lam[a, b]`` is ``lambda_ij``, the
+    largest generalized eigenvalue of ``(Q_i, Q_j)`` for ``i = indices[a]``,
+    ``j = indices[b]``; it bounds the energy jump ``V_j / V_i`` at a switch
+    from i to j.  Each pair is solved once.  ``lambda_ii`` is 1.0 exactly,
+    with no solve (no switch of energy), so round-off on an ill-conditioned
+    ``Q_i`` cannot move it.  A pair that cannot be solved raises ValueError
+    naming it.
     """
     q = {cert.index: cert.q for cert in certificates}
-    return {
-        (i, j): 1.0 if i == j else linalg.max_generalized_eigenvalue(q[i], q[j])
-        for i, j in dict.fromkeys(pairs)
-    }
+    indices = sorted(q)
+    lam = np.ones((len(indices), len(indices)))
+    for a, b in np.argwhere(~np.eye(len(indices), dtype=bool)).tolist():
+        i, j = indices[a], indices[b]
+        try:
+            lam[a, b] = linalg.max_generalized_eigenvalue(q[i], q[j])
+        except ValueError as exc:
+            raise ValueError(f"topologies {i} -> {j}: {exc}") from None
+    return indices, lam
 
 
-def switch_lambdas(certificates, outgoing, incoming):
-    """Jump bounds of the switches from ``outgoing[k]`` to ``incoming[k]``.
-
-    Returns the columns ``lambda_k`` and ``ln lambda_k`` and the table
-    ``{(i, j): lambda_ij}`` of the distinct pairs.  Each distinct pair is
-    solved once by :func:`pair_lambdas` and its log taken once by
-    ``math.log``, so each entry is bit for bit the value of a per-switch
-    computation.  An index with no certificate raises ValueError.
-    """
-    ends = np.array([outgoing, incoming], dtype=np.int64)
-    known = np.unique([cert.index for cert in certificates])
-    unknown = ends[~np.isin(ends, known)]
+def pair_rows(indices, topologies):
+    """Rows of the :func:`pair_lambdas` table `indices` for `topologies` (any
+    shape); a topology index with no certificate raises ValueError."""
+    topologies = np.asarray(topologies, dtype=np.int64)
+    unknown = topologies[~np.isin(topologies, indices)]
     if unknown.size:
         raise ValueError(f"no certificate for topology index {int(unknown[0])}")
-    pos = np.searchsorted(known, ends)
-    codes, inverse = np.unique(pos[0] * known.size + pos[1], return_inverse=True)
-    out, into = np.divmod(codes, known.size)
-    keys = list(zip(known[out].tolist(), known[into].tolist()))
-    table = pair_lambdas(certificates, keys)
-    lam = np.array([table[key] for key in keys], dtype=float)
-    log_lam = np.array([math.log(v) for v in lam.tolist()], dtype=float)
-    return lam[inverse], log_lam[inverse], table
+    return np.searchsorted(indices, topologies)
 
 
 def dwell_threshold(certificates, beta):
     """Dwell-time threshold from the worst certificate-pair eigenvalue ratio.
 
-    Returns ``(lambda_max, tau_star)`` where lambda_max is the largest
-    generalized eigenvalue of ``(Q_i, Q_j)`` over ordered pairs i != j and
-    ``tau_star = ln(lambda_max) / beta``.  A single topology (or
-    lambda_max <= 1) needs no dwell bound and returns tau_star = 0.
+    Returns ``(lambda_max, tau_star)``: the largest lambda_ij, i != j, of the
+    :func:`pair_lambdas` table and ``tau_star = ln(lambda_max) / beta``.  A
+    single topology (or lambda_max <= 1) needs no dwell bound: tau_star = 0.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if not certificates:
         raise ValueError("need at least one topology certificate")
-    lam = _lambda_max(certificates)
-    return float(lam), _tau_star(lam, beta)
+    lam = _lambda_max(pair_lambdas(certificates)[1])
+    return lam, _tau_star(lam, beta)
 
 
-def _lambda_max(certificates, solved=None):
-    """Largest ``lambda_ij`` over ordered pairs i != j; 1.0 with one topology.
-
-    Pairs in `solved` (``{(i, j): lambda_ij}``) are not solved again.
-    """
-    pairs = list(itertools.permutations([cert.index for cert in certificates], 2))
-    table = dict(solved or {})
-    table.update(pair_lambdas(certificates, [p for p in pairs if p not in table]))
-    return max((table[p] for p in pairs), default=1.0)
+def _lambda_max(lam):
+    """Largest off-diagonal entry of a pair table; 1.0 with one topology."""
+    off = lam[~np.eye(len(lam), dtype=bool)]
+    return float(off.max()) if off.size else 1.0
 
 
 def _tau_star(lam, beta):
@@ -445,16 +433,19 @@ def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0):
     """The per-switch condition of an explicit signal, as a :class:`ScheduleReport`.
 
     Switch k at breakpoint k + 1 has margin ``beta * (t_{k+1} - t_k) -
-    ln lambda_k``, with ``lambda_k`` from :func:`switch_lambdas`; the report
-    passes iff every margin strictly exceeds kappa0.
+    ln lambda_k``, with ``lambda_k`` and its log (one ``math.log`` per entry)
+    read from the :func:`pair_lambdas` table; the report passes iff every
+    margin strictly exceeds kappa0.
     """
     t = signal.breakpoints
     outgoing, incoming = signal.indices[:-1], signal.indices[1:]
-    lam, log_lam, pairs = switch_lambdas(certificates, outgoing, incoming)
-    margin = beta * np.diff(t) - log_lam
+    indices, lam = table = pair_lambdas(certificates)
+    out, into = pair_rows(indices, [outgoing, incoming])
+    log_lam = np.reshape([math.log(v) for v in lam.ravel().tolist()], lam.shape)
+    margin = beta * np.diff(t) - log_lam[out, into]
     checks = margin > kappa0
-    return ScheduleReport(kappa0, t[:-1], t[1:], outgoing, incoming, lam, margin,
-                          checks, bool(checks.all()), pairs)
+    return ScheduleReport(kappa0, t[:-1], t[1:], outgoing, incoming, lam[out, into],
+                          margin, checks, bool(checks.all()), table)
 
 
 def synthesize(

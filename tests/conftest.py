@@ -281,16 +281,16 @@ def reference_schedule(signal, certificates, beta, kappa0):
     to_index, lambda_max, margin, passed)`` of the interval that ends in
     switch k, each margin taken with its own ``math.log``.
     """
-    known = {cert.index for cert in certificates}
+    indices, table = synthesis.pair_lambdas(certificates)
+    pos = {idx: a for a, idx in enumerate(indices)}
     for idx in np.unique(signal.indices):
-        if int(idx) not in known:
+        if int(idx) not in pos:
             raise ValueError(f"no certificate for topology index {int(idx)}")
     pairs = list(zip(signal.indices[:-1].tolist(), signal.indices[1:].tolist()))
-    table = synthesis.pair_lambdas(certificates, pairs)
     t = signal.breakpoints
     rows = []
     for k, (i_from, i_to) in enumerate(pairs):
-        lam = table[i_from, i_to]
+        lam = table[pos[i_from], pos[i_to]]
         margin = beta * (t[k + 1] - t[k]) - math.log(lam)
         rows.append((float(t[k]), float(t[k + 1]), i_from, i_to, float(lam),
                      float(margin), bool(margin > kappa0)))
@@ -313,15 +313,14 @@ def reference_switch_jumps(record, certificates, values, order):
     RuntimeError at the first switch whose ratio exceeds its bound.
     """
     col = {idx: pos for pos, idx in enumerate(order)}
-    bounds = synthesis.pair_lambdas(
-        certificates, [(old, new) for _, old, new in record.switches]
-    )
+    indices, table = synthesis.pair_lambdas(certificates)
+    row = {idx: a for a, idx in enumerate(indices)}
     at = np.searchsorted(record.times, [t for t, _, _ in record.switches])
     jumps = []
     for s, (t_s, old, new) in zip(at.tolist(), record.switches):
         v_old = values[s, col[old]]
         v_new = values[s, col[new]]
-        bound = bounds[old, new]
+        bound = table[row[old], row[new]]
         ratio = float(v_new / v_old) if v_old > 0 else None
         if ratio is not None and ratio > bound * (1 + 1e-9):
             raise RuntimeError(

@@ -664,16 +664,18 @@ class TestCommandExitCodes:
 
         def understate(report):
             certificates = synthesis.design_from_dict(report).certificates
-            table = synthesis.pair_lambdas(certificates, [(1, 2), (2, 1), (3, 1)])
-            used = max(table[1, 2], table[2, 1])
-            assert table[3, 1] == report["lambda_max"] > 5 * used
+            indices, table = synthesis.pair_lambdas(certificates)
+            assert indices == [1, 2, 3]
+            used = max(table[0, 1], table[1, 0])
+            assert table[2, 0] == report["lambda_max"] > 5 * used
             report.update(lambda_max=used, dwell_threshold=math.log(used))
             monkeypatch.setattr(linalg, "max_generalized_eigenvalue",
                                 lambda *q: solves.append(q) or solve(*q))
 
         solves, solve = [], linalg.max_generalized_eigenvalue
         out = _verify_tampered(str(path), tmp_path, capsys, understate)
-        # The schedule's two pairs are solved once, then the four others.
+        # Each of the six ordered pairs is solved once; the schedule's margins
+        # and lambda_max read the same table.
         assert len(solves) == 6
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert fails == ["FAIL  report lambda_max = max lambda_ij over ordered "
@@ -801,6 +803,51 @@ class TestCommandExitCodes:
             f"error: {report_path}: gain.p: not positive definite "
             f"(smallest eigenvalue {smallest:.3e})\n")
         assert not (out / "trajectory.csv").exists()
+
+    def test_unused_indefinite_q_fails_verify_and_simulate(self, tmp_path, demo_doc,
+                                                           capsys):
+        # Topology 2 is never scheduled, but its Q_2 = -I still enters the
+        # pair table: verify fails the pairing and simulate refuses the report.
+        demo_doc["switching"] = {"explicit": {"breakpoints": [0.0], "indices": [1],
+                                              "horizon": 10.0}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(demo_doc))
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", "--config", str(config), "--out", str(out)]) == 0
+        report_path = out / "synthesis.json"
+        report = json.loads(report_path.read_text())
+        report["certificates"][1]["q"] = (-np.eye(4)).tolist()
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert ("FAIL  switching condition  [topologies 1 -> 2: q2 is not positive "
+                "definite (smallest eigenvalue -1.000e+00)]") in printed
+        assert cli.main(["simulate", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {report_path}: topologies 1 -> 2: q2 is not positive definite "
+            "(smallest eigenvalue -1.000e+00)\n")
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("horizon, dwell, count", [
+        (10.0, 1e-12, "10,000,000,000,000"), (1e12, 0.5, "2,000,000,000,000")])
+    def test_periodic_schedule_too_long_to_hold_is_input_error(
+            self, demo_config_file, tmp_path, capsys, command, horizon, dwell, count):
+        # numpy refuses so large an array at once, so nothing is allocated.
+        doc = json.loads(Path(demo_config_file).read_text())
+        doc["switching"]["periodic"].update(horizon=horizon, dwell=dwell)
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", str(config), "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(config),
+                         "--out", out]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: switching.periodic: a horizon of {horizon:g} s at dwell "
+            f"{dwell:g} s takes {count} intervals, more than memory holds\n")
 
     def test_run_too_large_to_hold_is_input_error(self, demo_config_file,
                                                   tmp_path, capsys, monkeypatch):
@@ -1128,17 +1175,24 @@ class TestSpectralFacts:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(
             len(m)) or eigvalsh(m))
-        for command in ("synthesize", "verify"):
+        pairs, solve = [], linalg.max_generalized_eigenvalue
+        monkeypatch.setattr(linalg, "max_generalized_eigenvalue", lambda q1, q2: (
+            pairs.append((q1.tobytes(), q2.tobytes())) or solve(q1, q2)))
+        checks = ["certificate_checks"] * 2 + ["gain_checks"]
+        # Order N-1 = 5: Q > 0 and the inequality margin per topology (not in
+        # simulate), then one pencil per ordered pair, for tau*, the switch
+        # margins or the monitor's jump bounds; the pencil reads both
+        # definiteness facts from its own solve.
+        for command, names, order_5 in (("synthesize", checks, 6),
+                                        ("verify", checks, 6), ("simulate", [], 2)):
             calls.clear()
+            pairs.clear()
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / "out")]) == 0, command
-            names = [c for c in calls if isinstance(c, str)]
-            assert names == ["certificate_checks"] * 2 + ["gain_checks"], command
-            # Order N-1 = 5: Q > 0 and the inequality margin per topology,
-            # then one pencil per ordered pair, which synthesize solves for
-            # tau* and verify for the switch margins; the pencil reads both
-            # definiteness facts from its own solve.
-            assert [c for c in calls if c == 5] == [5] * 6, command
+            assert [c for c in calls if isinstance(c, str)] == names, command
+            assert [c for c in calls if c == 5] == [5] * order_5, command
+            (q1, q2), *_ = pairs
+            assert q1 != q2 and sorted(pairs) == sorted([(q1, q2), (q2, q1)]), command
 
     def test_analysis_spectrum_is_laplacian_spectrum(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -3,6 +3,7 @@ import io
 import os
 import sys
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -609,6 +610,10 @@ class TestForkedExponentials:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert made == []
+        # A joined thread can still be listed while the kernel tears it down.
+        deadline = time.monotonic() + 10
+        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         simulate(demo_closed_loop, np.ones(20), vtol.DT)
         write_trajectory_csv(record, tmp_path / "trajectory.csv")
         assert len(made) == 4
@@ -973,11 +978,12 @@ class TestLyapunovMonitor:
     def test_jump_above_its_bound_raises(self, demo_record, vtol_design,
                                          monkeypatch):
         pair_lambdas = simulator.synthesis.pair_lambdas
-        monkeypatch.setattr(
-            simulator.synthesis, "pair_lambdas",
-            lambda certs, pairs: {k: 0.5 * v
-                                  for k, v in pair_lambdas(certs, pairs).items()},
-        )
+
+        def halved(certs):
+            indices, lam = pair_lambdas(certs)
+            return indices, 0.5 * lam
+
+        monkeypatch.setattr(simulator.synthesis, "pair_lambdas", halved)
         with pytest.raises(RuntimeError, match="exceeds its algebraic bound"):
             lyapunov_monitor(demo_record, vtol_design.certificates, vtol_design.p)
 
@@ -1017,8 +1023,9 @@ class TestLyapunovMonitor:
             record, certs, monitor.values, monitor.topology_indices)
         pair_lambdas = synthesis.pair_lambdas
 
-        def scaled(certificates, pairs):
-            return {k: shrink * v for k, v in pair_lambdas(certificates, pairs).items()}
+        def scaled(certificates):
+            indices, lam = pair_lambdas(certificates)
+            return indices, shrink * lam
 
         with mock.patch.object(synthesis, "pair_lambdas", scaled):
             try:

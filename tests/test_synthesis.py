@@ -366,14 +366,39 @@ class TestPairLambdas:
         solve = linalg.max_generalized_eigenvalue
 
         def counting(q1, q2):
-            calls.append(None)
+            calls.append((id(q1), id(q2)))
             return solve(q1, q2)
 
         monkeypatch.setattr(linalg, "max_generalized_eigenvalue", counting)
         report = check_schedule(signal, certs, beta=1.5)
         assert list(zip(report.lambda_max.tolist(), report.margin.tolist())) == expected
-        # (1,2), (2,3), (3,1); (1,2) and (2,3) recur, and (2,2) is 1 unsolved.
-        assert len(calls) == 3
+        # Each of the six ordered pairs is solved once, though (1,2) and
+        # (2,3) recur; (2,2) is 1 unsolved.
+        assert sorted(calls) == sorted({(id(ci.q), id(cj.q)) for ci in certs
+                                        for cj in certs if ci is not cj})
+
+    def test_table_entries_are_the_per_pair_solves(self):
+        certs = three_certificates()
+        indices, lam = synthesis.pair_lambdas(certs[::-1])
+        assert indices == [1, 2, 3]
+        for a, ci in enumerate(certs):
+            for b, cj in enumerate(certs):
+                want = 1.0 if a == b else linalg.max_generalized_eigenvalue(ci.q, cj.q)
+                assert lam[a, b] == want
+
+    def test_repeated_index_keeps_the_last_certificate(self):
+        one, two, three = three_certificates()
+        stale = TopologyCertificate(2, 0.5, 3.0 * two.q, 1.0)
+        indices, lam = synthesis.pair_lambdas([one, stale, two, three])
+        assert indices == [1, 2, 3]
+        assert lam.tolist() == synthesis.pair_lambdas([one, two, three])[1].tolist()
+
+    def test_unpairable_q_names_the_pair(self):
+        one, two, _ = three_certificates()
+        bad = TopologyCertificate(2, 0.5, -two.q, 1.0)
+        with pytest.raises(ValueError, match="^topologies 1 -> 2: q2 is not positive "
+                                             "definite"):
+            synthesis.pair_lambdas([one, bad])
 
 
 class TestCheckSchedule:
@@ -437,7 +462,8 @@ class TestCheckSchedule:
         report = check_schedule(signal, design.certificates, 1.0)
         assert report.lambda_max.tolist() == [1.0, 1.0]
         assert report.margin.tolist() == [1.0, 1.0]
-        assert report.pairs == {(1, 1): 1.0}
+        indices, lam = report.lambdas
+        assert indices == [1] and lam.tolist() == [[1.0]]
 
 
 KAPPA0 = 1e-3
@@ -462,10 +488,9 @@ class TestScheduleColumns:
     def test_columns_match_the_reference_loop(self, schedule):
         indices, factors = schedule
         certs = three_certificates()
-        pairs = list(zip(indices[:-1], indices[1:]))
-        table = synthesis.pair_lambdas(certs, pairs)
-        gaps = [(KAPPA0 + math.log(table[pair])) / BETA * factor
-                for pair, factor in zip(pairs, factors)]
+        _, table = synthesis.pair_lambdas(certs)
+        gaps = [(KAPPA0 + math.log(table[i - 1, j - 1])) / BETA * factor
+                for i, j, factor in zip(indices, indices[1:], factors)]
         breakpoints = np.concatenate([[0.0], np.cumsum(gaps)])
         signal = topology.SwitchingSignal(breakpoints, np.array(indices),
                                           breakpoints[-1] + 1.0)
@@ -473,7 +498,8 @@ class TestScheduleColumns:
         rows, passed = reference_schedule(signal, certs, BETA, KAPPA0)
         assert schedule_rows(report) == rows
         assert report.passed == passed
-        assert report.pairs == table
+        assert report.lambdas[0] == [1, 2, 3]
+        assert report.lambdas[1].tolist() == table.tolist()
 
     def test_long_periodic_schedule_matches_the_reference_loop(self, vtol_design):
         signal = topology.periodic_signal(2, 1.5 * vtol_design.dwell_threshold,
