@@ -204,9 +204,14 @@ def _load_report(rc, out_dir):
 
 
 def cmd_simulate(rc, out_dir):
-    """Run the closed loop, write the trajectory CSV, report the verdict."""
+    """Run the closed loop, write the trajectory CSV, report the verdict.
+
+    A report is checked before the run: `gain.p` must be positive definite,
+    every pair of its certificates must solve, and every scheduled topology
+    must have one; the monitor reads that one pair table.
+    """
     signal = cfg.build_signal(rc)
-    design, report_path = None, os.path.join(out_dir, REPORT_NAME)
+    design, table, report_path = None, None, os.path.join(out_dir, REPORT_NAME)
     if rc.gain is not None:
         k_gain, alpha = rc.gain["k"], rc.gain["alpha"]
     else:
@@ -216,6 +221,11 @@ def cmd_simulate(rc, out_dir):
         if not spd:  # the monitor's energies need P > 0
             raise cfg.ConfigError(f"{report_path}: gain.p: not positive definite "
                                   f"({detail})")
+        try:  # a Q_i that cannot be paired, or a topology without one
+            table = synthesis.pair_lambdas(design.certificates)
+            synthesis.pair_rows(table[0], signal.indices)
+        except ValueError as exc:
+            raise cfg.ConfigError(f"{report_path}: {exc}") from None
     closed_loop = simulator.build_closed_loop(
         rc.a, rc.b, k_gain, alpha, rc.graphs, signal
     )
@@ -223,13 +233,8 @@ def cmd_simulate(rc, out_dir):
     path = os.path.join(out_dir, TRAJECTORY_NAME)
     try:
         record = simulator.simulate(closed_loop, x0, rc.dt)
-        monitor = None
-        if design is not None:
-            try:
-                monitor = simulator.lyapunov_monitor(record, design.certificates,
-                                                     design.p)
-            except ValueError as exc:  # a Q_i that cannot be paired, say
-                raise cfg.ConfigError(f"{report_path}: {exc}") from None
+        monitor = None if design is None else simulator.lyapunov_monitor(
+            record, design.certificates, design.p, table)
         simulator.write_trajectory_csv(record, path, monitor)
     except simulator.SimulationDiverged as exc:
         print(f"simulation aborted: {exc}")

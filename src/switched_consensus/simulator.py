@@ -410,15 +410,17 @@ def _interval_rates(times, values, lo, counts, cols):
     return [float(r) if ok else None for r, ok in zip(slopes.tolist(), fitted.tolist())]
 
 
-def lyapunov_monitor(record, certificates, p):
+def lyapunov_monitor(record, certificates, p, lambdas=None):
     """Per-topology energy traces with decay rates and switch-jump ratios.
 
-    Columns follow the rows of `synthesis.pair_lambdas`, which every topology
-    of the run needs, and each switch's observed jump ratio is checked
-    against its bound there, all at once; a violation indicates corrupted
-    inputs and raises RuntimeError at the first switch that breaks its bound.
+    Columns follow the rows of the `synthesis.pair_lambdas` table of
+    `certificates` (solved here unless the caller has it as `lambdas`), which
+    every topology of the run needs, and each switch's observed jump ratio is
+    checked against its bound there, all at once; a violation indicates
+    corrupted inputs and raises RuntimeError at the first switch that breaks
+    its bound.
     """
-    order, lam = synthesis.pair_lambdas(certificates)
+    order, lam = lambdas or synthesis.pair_lambdas(certificates)
     cols = synthesis.pair_rows(order, record.indices)
     q = {cert.index: cert.q for cert in certificates}
     p_inv = np.linalg.inv(np.asarray(p, dtype=float))

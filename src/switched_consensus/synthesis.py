@@ -310,20 +310,23 @@ def design_checks(design, a, b, reduced, report, signal, kappa0):
     Per certificate, :func:`certificate_checks` on its topology in `reduced`
     and its stored `lmi_margin` against the recomputed one; a failed row per
     topology of `reduced` without exactly one certificate; :func:`gain_checks`;
-    the numbers of `report` re-derived, `lambda_max` from the pair table
-    :func:`check_schedule` read for `signal`; then its switch margins against
-    `kappa0`, or one failed ``switching condition`` row when the schedule
-    cannot be checked.
+    the numbers of `report` re-derived, `lambda_max` from the one
+    :func:`pair_lambdas` table that :func:`check_schedule` reads for `signal`;
+    then one row per switch whose margin is not above `kappa0` and one summary
+    row that passes iff none is, naming the number of switches and the
+    smallest margin with its interval and pair (no row for a schedule without
+    a switch); or, when the schedule cannot be checked, one failed
+    ``switching condition`` row.  So the rows grow with the failing switches,
+    not with the schedule; the margin of every switch is in the
+    :class:`ScheduleReport` of :func:`check_schedule`.
     """
+    table = None
     try:
-        s = check_schedule(signal, design.certificates, design.beta, kappa0)
-        table, switches = s.lambdas, [
-            (f"switch margin on [{t0:g}, {t1:g}) ({i}->{j})", ok,
-             f"margin {margin:.6g} vs kappa0 {kappa0:g}")
-            for t0, t1, i, j, ok, margin in zip(*(column.tolist() for column in (
-                s.t_start, s.t_end, s.from_index, s.to_index, s.checks, s.margin)))]
+        table = pair_lambdas(design.certificates)
+        switches = _switch_rows(check_schedule(signal, design.certificates,
+                                               design.beta, kappa0, table))
     except ValueError as exc:  # unpairable certificates or a topology without one
-        table, switches = None, [("switching condition", False, str(exc))]
+        switches = [("switching condition", False, str(exc))]
     by_index = {r.source_index: r for r in reduced}
     checks = []
     for cert in design.certificates:
@@ -343,10 +346,8 @@ def design_checks(design, a, b, reduced, report, signal, kappa0):
     found = [cert.index for cert in design.certificates]
     checks += [(f"certificate {i}: one per topology", False, f"{found.count(i)} found")
                for i in by_index if found.count(i) != 1]
-    try:
-        lam = _lambda_max((table or pair_lambdas(design.certificates))[1])
-    except ValueError:  # a Q that is not positive definite fails its own row
-        lam = math.nan
+    # A Q that is not positive definite leaves no table; it fails its own row.
+    lam = math.nan if table is None else _lambda_max(table[1])
     derived = {**_derived_numbers(design), "beta_bound": max_feasible_beta(a, b),
                "dwell_threshold": _tau_star(_stored(report, "lambda_max"),
                                             design.beta),
@@ -360,6 +361,24 @@ def design_checks(design, a, b, reduced, report, signal, kappa0):
                              ("lambda_max", "max lambda_ij over ordered pairs"))
     ]
     return checks + gain_checks(design, a, b) + summary + switches
+
+
+def _switch_rows(s):
+    """The rows of :func:`design_checks` for the :class:`ScheduleReport` `s`:
+    one per failing switch, then the summary row; none without a switch."""
+    if not s.margin.size:
+        return []
+    # Every failing switch, then the one with the smallest margin.
+    picked = np.append(np.flatnonzero(~s.checks), np.argmin(s.margin))
+    *failed, (where, low) = [
+        (f"on [{t0:g}, {t1:g}) ({i}->{j})", f"{margin:.6g}")
+        for t0, t1, i, j, margin in zip(*(column[picked].tolist() for column in (
+            s.t_start, s.t_end, s.from_index, s.to_index, s.margin)))]
+    vs = f"vs kappa0 {s.kappa0:g}"
+    count = f"{s.margin.size} switch{'es' if s.margin.size > 1 else ''}"
+    return [(f"switch margin {w}", False, f"margin {m} {vs}") for w, m in failed] + [
+        ("switch margins > kappa0", s.passed,
+         f"{count}, smallest margin {low} {where} {vs}")]
 
 
 def coupling_threshold(certificates):
@@ -429,17 +448,18 @@ def _tau_star(lam, beta):
     return float(math.log(lam) / beta) if lam > 1.0 + 1e-12 else 0.0
 
 
-def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0):
+def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0, lambdas=None):
     """The per-switch condition of an explicit signal, as a :class:`ScheduleReport`.
 
     Switch k at breakpoint k + 1 has margin ``beta * (t_{k+1} - t_k) -
     ln lambda_k``, with ``lambda_k`` and its log (one ``math.log`` per entry)
-    read from the :func:`pair_lambdas` table; the report passes iff every
-    margin strictly exceeds kappa0.
+    read from the :func:`pair_lambdas` table of `certificates`, solved here
+    unless the caller has it as `lambdas`; the report passes iff every margin
+    strictly exceeds kappa0.
     """
     t = signal.breakpoints
     outgoing, incoming = signal.indices[:-1], signal.indices[1:]
-    indices, lam = table = pair_lambdas(certificates)
+    indices, lam = table = lambdas or pair_lambdas(certificates)
     out, into = pair_rows(indices, [outgoing, incoming])
     log_lam = np.reshape([math.log(v) for v in lam.ravel().tolist()], lam.shape)
     margin = beta * np.diff(t) - log_lam[out, into]

@@ -697,9 +697,10 @@ class TestCommandExitCodes:
         assert cli.main(["verify", "--config", str(path), "--out", out]) == 0
         margins = [line for line in capsys.readouterr().out.splitlines()
                    if "switch margin" in line]
+        # Both margins are beta * 1 - ln 1 = 1 exactly, so the smallest is too.
         assert margins == [
-            "PASS  switch margin on [0, 1) (1->1)  [margin 1 vs kappa0 0.001]",
-            "PASS  switch margin on [1, 2) (1->1)  [margin 1 vs kappa0 0.001]",
+            "PASS  switch margins > kappa0  [2 switches, smallest margin 1 on "
+            "[0, 1) (1->1) vs kappa0 0.001]",
         ]
 
     def test_verify_fails_an_indefinite_p(self, tmp_path, capsys):
@@ -779,8 +780,16 @@ class TestCommandExitCodes:
                                        build_signal(rc), rc.kappa0)
         assert printed[:-1] == [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]"
                                 for name, ok, detail in rows]
-        assert sum("switch margin" in line for line in printed) == (
-            3 if three_topologies else 19)
+        # A row per failing switch (two of the three-topology schedule's three),
+        # then one summary row; a passing switch has no row of its own.
+        expected = ([f"FAIL  switch margin on {where}  [margin " for where in
+                     ("[0, 3) (1->3)", "[3, 4) (3->2)")]
+                    + ["FAIL  switch margins > kappa0  [3 switches, smallest margin "]
+                    if three_topologies else
+                    ["PASS  switch margins > kappa0  [19 switches, smallest margin "])
+        switch_rows = [line for line in printed if "switch margin" in line]
+        assert [line[:len(head)] for line, head in zip(switch_rows, expected)] == expected
+        assert len(switch_rows) == len(expected)
         passed = all(ok for _, ok, _ in rows)
         assert code == (cli.EXIT_OK if passed else cli.EXIT_VERDICT)
 
@@ -829,6 +838,110 @@ class TestCommandExitCodes:
             f"error: {report_path}: topologies 1 -> 2: q2 is not positive definite "
             "(smallest eigenvalue -1.000e+00)\n")
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("index, q, scheduled, reason", [
+        (2, -np.eye(4), 1, "topologies 1 -> 2: q2 is not positive definite "
+                           "(smallest eigenvalue -1.000e+00)"),
+        (3, None, 2, "no certificate for topology index 2"),
+    ], ids=["indefinite-q", "topology-without-certificate"])
+    def test_simulate_refuses_an_unusable_report_before_propagating(
+            self, tmp_path, demo_doc, capsys, monkeypatch, index, q, scheduled, reason):
+        # The pair table is solved, once per ordered pair, before the run: a
+        # 500 s horizon is refused without one matrix exponential.
+        demo_doc["switching"] = {"explicit": {"breakpoints": [0.0],
+                                              "indices": [scheduled],
+                                              "horizon": 500.0}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(demo_doc))
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", "--config", str(config), "--out", str(out)]) == 0
+        report_path = out / "synthesis.json"
+        report = json.loads(report_path.read_text())
+        report["certificates"][1]["index"] = index
+        if q is not None:
+            report["certificates"][1]["q"] = q.tolist()
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        calls = []
+        for name in ("expm", "max_generalized_eigenvalue"):
+            fn = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        assert cli.main(["simulate", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {report_path}: {reason}\n"
+        # An indefinite Q_2 stops the table at its first pencil.
+        assert calls == ["max_generalized_eigenvalue"] * (1 if q is not None else 2)
+        assert not (out / "trajectory.csv").exists()
+
+    def test_verify_error_path_solves_each_pair_once(self, demo_config_file,
+                                                     tmp_path, capsys, monkeypatch):
+        # Certificate 2 is filed under topology 3, so the schedule cannot be
+        # checked; lambda_max still reads the one table of the two pencils.
+        def misfile_certificate_2(report):
+            report["certificates"][1]["index"] = 3
+            monkeypatch.setattr(linalg, "max_generalized_eigenvalue",
+                                lambda *q: solves.append(q) or solve(*q))
+
+        solves, solve = [], linalg.max_generalized_eigenvalue
+        out = _verify_tampered(demo_config_file, tmp_path, capsys,
+                               misfile_certificate_2)
+        assert len(solves) == 2
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL  certificate 3: topology exists  [index not in config]",
+            "FAIL  certificate 2: one per topology  [0 found]",
+            "FAIL  switching condition  [no certificate for topology index 2]",
+        ]
+
+    def test_verify_prints_every_failing_switch_and_the_smallest_margin(
+            self, tmp_path, demo_doc, capsys):
+        # Gaps of 0.5, 0.1, 1.0, 0.05 and 1.3 s: the two switches 2 -> 1 after
+        # the short gaps fail, the smallest margin is the second one's.
+        demo_doc["switching"] = {"explicit": {
+            "breakpoints": [0.0, 0.5, 0.6, 1.6, 1.65, 2.95],
+            "indices": [1, 2, 1, 2, 1, 2], "horizon": 4.0}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(demo_doc))
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", str(config), "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", str(config), "--out", out]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        rc = parse_config(demo_doc)
+        _, design = cli._load_report(rc, out)
+        s = synthesis.check_schedule(build_signal(rc), design.certificates, rc.beta,
+                                     rc.kappa0)
+        assert s.checks.tolist() == [True, False, True, False, True]
+        m = s.margin.tolist()
+        assert m[3] == min(m) < m[1] < 0
+        assert [line for line in printed if "switch margin" in line] == [
+            f"FAIL  switch margin on [0.5, 0.6) (2->1)  [margin {m[1]:.6g} vs "
+            "kappa0 0.001]",
+            f"FAIL  switch margin on [1.6, 1.65) (2->1)  [margin {m[3]:.6g} vs "
+            "kappa0 0.001]",
+            f"FAIL  switch margins > kappa0  [5 switches, smallest margin "
+            f"{m[3]:.6g} on [1.6, 1.65) (2->1) vs kappa0 0.001]",
+        ]
+        assert printed[-1] == "verification: FAILURES present"
+
+    def test_verify_output_does_not_grow_with_the_schedule(self, demo_config_file,
+                                                          tmp_path, capsys):
+        # The demo design at its 0.5 s dwell: 19 switches over 10 s, and
+        # 999 999 over 5e5 s, with one summary row each.
+        doc = json.loads(Path(demo_config_file).read_text())
+        out = str(tmp_path / "out")
+        assert cli.main(["synthesize", "--config", demo_config_file, "--out", out]) == 0
+        capsys.readouterr()
+        printed = []
+        for horizon in (10.0, 5e5):
+            doc["switching"]["periodic"]["horizon"] = horizon
+            config = tmp_path / f"config_{horizon:g}.json"
+            config.write_text(json.dumps(doc))
+            assert cli.main(["verify", "--config", str(config), "--out", out]) == 0
+            printed.append(capsys.readouterr().out.splitlines())
+        assert len(printed[0]) == len(printed[1]) == 17
+        assert ("PASS  switch margins > kappa0  [999999 switches, smallest margin "
+                "0.297059 on [0, 0.5) (1->2) vs kappa0 0.001]") in printed[1]
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("horizon, dwell, count", [
@@ -891,7 +1004,14 @@ class TestCommandExitCodes:
         code = cli.main(["verify", "--config", demo_config_file, "--out", out,
                          "--dwell", "0.01"])
         assert code == 1
-        assert "FAIL  switch margin" in capsys.readouterr().out
+        printed = capsys.readouterr().out.splitlines()
+        # The 10 s horizon at dwell 0.01 s has 999 switches, and every one fails.
+        switch_rows = [line for line in printed if "switch margin" in line]
+        assert len(switch_rows) == 1000
+        assert all(line.startswith("FAIL  switch margin on [") for line in switch_rows[:-1])
+        assert switch_rows[-1].startswith(
+            "FAIL  switch margins > kappa0  [999 switches, smallest margin -1.17294 on ")
+        assert printed[-1] == "verification: FAILURES present"
 
     def test_synthesize_infeasible_beta_names_mode(self, tmp_path, capsys):
         doc = {

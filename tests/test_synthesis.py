@@ -175,10 +175,13 @@ class TestDesignChecks:
             "report beta_bound = sup feasible beta",
             "report dwell_threshold = ln(lambda_max)/beta",
             "report lambda_max = max lambda_ij over ordered pairs",
-            f"switch margin on [0, {vtol.DWELL:g}) (1->2)",
-            f"switch margin on [{vtol.DWELL:g}, {2 * vtol.DWELL:g}) (2->1)",
+            "switch margins > kappa0",
         ]
         assert all(passed for _, passed, _ in checks)
+        # Of the two switches, 1 -> 2 has the larger jump bound.
+        margin = check_schedule(signal, vtol_design.certificates, vtol.BETA).margin
+        assert checks[-1][2] == (f"2 switches, smallest margin {margin[0]:.6g} on "
+                                 f"[0, {vtol.DWELL:g}) (1->2) vs kappa0 0.001")
 
     def test_random_designs_pass_every_check(self):
         rng = np.random.default_rng(5)
