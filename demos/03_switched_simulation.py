@@ -2,9 +2,9 @@
 
 Builds the closed-loop matrices for the synthesized design, runs the
 piecewise-exponential flow from a seeded random start, and inspects the
-disagreement decay, the per-topology energy traces, and the observed energy
-jumps at switches against their algebraic bounds.  Writes the trajectory to
-``demo_out/trajectory.csv``.
+disagreement decay and the observed energy jumps at switches against their
+algebraic bounds.  Writes the trajectory, with the per-topology energy
+traces, to ``demo_out/trajectory.csv``.
 
 The flow runs in disagreement coordinates ``(e, x_N)``: the offsets
 ``e_i = x_i - x_N`` and agent N's state.  The disagreement evolves on its
@@ -73,10 +73,6 @@ print("max pairwise deviation:",
       f"{np.abs(final - final.mean(axis=0)).max():.3e}")
 
 monitor = lyapunov_monitor(record, design.certificates, design.p)
-print("\nenergy-trace diagnostics over the first five intervals:")
-for t0, t1, idx, rate in monitor.interval_rates[:5]:
-    print(f"  [{t0:4.1f}, {t1:4.1f}) topology {idx}: decay exponent "
-          f"{rate:+.2f} 1/s")
 jumps = [(r, b) for _, _, _, r, b in monitor.switch_jumps if r is not None]
 worst = max(r / b for r, b in jumps)
 print(f"\nenergy jumps at {len(jumps)} switches: worst observed/bound ratio "

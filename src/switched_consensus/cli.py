@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from . import schema, simulator, synthesis, topology, vtol
+from . import linalg, schema, simulator, synthesis, topology, vtol
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -169,8 +169,9 @@ def _load_report(rc, out_dir):
     """The synthesis report in `out_dir`, as its document and its design.
 
     A report that is not valid JSON, breaks the report fields of the schema,
-    was written for another configuration, or holds a matrix whose shape
-    does not fit the configuration is an input error naming it.
+    holds no certificate, was written for another configuration, or holds a
+    matrix whose shape does not fit the configuration is an input error
+    naming it.
     """
     path = os.path.join(out_dir, REPORT_NAME)
     if not os.path.exists(path):
@@ -184,6 +185,8 @@ def _load_report(rc, out_dir):
         design = synthesis.design_from_dict(doc)
     except ValueError as exc:  # ConfigError and JSONDecodeError included
         raise cfg.ConfigError(f"{path}: {exc}") from exc
+    if not design.certificates:
+        raise cfg.ConfigError(f"{path}: certificates: expected a non-empty list")
     stored = doc.get("config_digest")
     current = cfg.config_digest(rc)
     if stored != current:
@@ -217,7 +220,7 @@ def cmd_simulate(rc, out_dir):
     else:
         _, design = _load_report(rc, out_dir)
         k_gain, alpha = design.k, design.alpha
-        spd, detail, _ = synthesis.definite_check(design.p)
+        spd, detail, _ = linalg.definite_check(design.p)
         if not spd:  # the monitor's energies need P > 0
             raise cfg.ConfigError(f"{report_path}: gain.p: not positive definite "
                                   f"({detail})")

@@ -48,10 +48,9 @@ TAYLOR_THETA = 1.09
 TAYLOR_MAX_SCALE = 2.0**50
 
 __all__ = [
+    "definite_check",
     "eigenvalues",
     "expm",
-    "extreme_eigenvalues",
-    "is_positive_definite",
     "max_generalized_eigenvalue",
     "solve_care",
     "solve_lyapunov",
@@ -109,25 +108,17 @@ def eigenvalues(m):
         raise ValueError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
-def extreme_eigenvalues(m):
-    """``(smallest, largest)`` eigenvalue of a symmetric matrix, from one solve.
-
-    Raises ValueError if the input is asymmetric beyond tolerance.
-    """
-    spectrum = np.linalg.eigvalsh(_symmetrize(m))
-    return float(spectrum[0]), float(spectrum[-1])
-
-
-def is_positive_definite(m):
-    """Test a symmetric matrix for positive definiteness.
-
-    Returns ``(verdict, certificate)`` where the certificate is the smallest
-    eigenvalue of the symmetrized input and the verdict is ``certificate > 0``,
-    so both come from one spectral fact.  Raises ValueError if the input is
-    asymmetric beyond tolerance.
-    """
-    certificate, _ = extreme_eigenvalues(m)
-    return certificate > 0.0, certificate
+def definite_check(m):
+    """``(passed, detail, largest eigenvalue)`` of ``m > 0`` from one symmetric
+    solve: `passed` is the sign of the smallest eigenvalue, which the detail
+    names.  A non-symmetric or non-finite `m` fails, with that error as the
+    detail and a nan largest eigenvalue."""
+    try:
+        spectrum = np.linalg.eigvalsh(_symmetrize(m))
+    except ValueError as exc:
+        return False, str(exc), math.nan
+    low = float(spectrum[0])
+    return low > 0.0, f"smallest eigenvalue {low:.3e}", float(spectrum[-1])
 
 
 def _schur_eigenvalues(t):
@@ -231,9 +222,9 @@ def solve_care(a, b, w):
         raise ValueError(
             f"dimension mismatch: a is {a.shape}, b is {b.shape}, w is {w.shape}"
         )
-    ok, cert = is_positive_definite(w)
+    ok, detail, _ = definite_check(w)
     if not ok:
-        raise ValueError(f"w is not positive definite (smallest eigenvalue {cert:.3e})")
+        raise ValueError(f"w is not positive definite ({detail})")
     unstable = [m for m in uncontrollable_modes(a, b) if m.real >= 0]
     if unstable:
         raise ValueError(
@@ -259,11 +250,9 @@ def solve_care(a, b, w):
         raise ValueError(
             f"Riccati residual {residual:.3e} exceeds {bound:.3e} after refinement"
         )
-    ok, cert = is_positive_definite(x)
+    ok, detail, _ = definite_check(x)
     if not ok:
-        raise ValueError(
-            f"Riccati solution is not positive definite (smallest eigenvalue {cert:.3e})"
-        )
+        raise ValueError(f"Riccati solution is not positive definite ({detail})")
     closed_loop = eigenvalues(a - bbt @ x)
     if closed_loop.real.max() >= 0:
         raise ValueError(
@@ -376,20 +365,15 @@ def max_generalized_eigenvalue(q1, q2):
     try:
         chol = np.linalg.cholesky(q1)
     except np.linalg.LinAlgError:
-        raise _not_definite("q1", np.linalg.eigvalsh(q1)[0]) from None
+        detail = definite_check(q1)[1]
+        raise ValueError(f"q1 is not positive definite ({detail})") from None
     # inv(L)^T = inv(L^T), and numpy's LU of the upper triangular L^T
     # neither pivots nor eliminates, so its inverse is back-substitution.
     z = np.linalg.inv(chol.T)
     c = z.T @ q2 @ z
     spectrum = np.linalg.eigvalsh((c + c.T) / 2.0)
     if not spectrum[0] > 0.0:
-        smallest = np.linalg.eigvalsh(q2)[0]
-        if not smallest > 0.0:
-            raise _not_definite("q2", smallest)
+        ok, detail, _ = definite_check(q2)
+        if not ok:
+            raise ValueError(f"q2 is not positive definite ({detail})")
     return float(spectrum[-1])
-
-
-def _not_definite(name, smallest):
-    return ValueError(
-        f"{name} is not positive definite (smallest eigenvalue {smallest:.3e})"
-    )

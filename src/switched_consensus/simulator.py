@@ -123,8 +123,7 @@ class TrajectoryRecord:
 class LyapunovMonitor:
     """Per-topology energy traces V_i(t) = e^T (Q_i kron inv(P)) e.
 
-    `interval_rates` holds the fitted exponential decay rate of the active
-    trace on each interval (None when the trace is zero or too short);
+    `values` holds one column per entry of `topology_indices`;
     `switch_jumps` holds the observed energy jump ratio at each switch next
     to its theoretical bound.  The ratio never exceeds the bound - that is
     enforced, not just reported.
@@ -132,7 +131,6 @@ class LyapunovMonitor:
 
     topology_indices: list
     values: np.ndarray
-    interval_rates: list
     switch_jumps: list
 
 
@@ -386,32 +384,8 @@ def consensus_verdict(record, tol, window):
     return bool(ratio <= tol and persistent), ratio
 
 
-def _interval_rates(times, values, lo, counts, cols):
-    """Least-squares slope of ``log values[:, cols[j]]`` over each interval.
-
-    Interval j holds the `counts[j]` samples from `lo[j]`; the slope is that
-    of ``np.polyfit(t, log v, 1)``, taken in two centered passes per interval
-    (means first, then the centered moments), so no long running sum
-    cancels.  None when an interval has fewer than two samples or a value is
-    not positive.
-    """
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    owner = np.repeat(np.arange(counts.size), counts)
-    rows = np.arange(owner.size) + (lo - starts)[owner]
-    t = times[rows] - times[lo][owner]
-    v = values[rows, cols[owner]]
-    positive = v > 0
-    y = np.log(np.where(positive, v, 1.0))
-    t -= (np.add.reduceat(t, starts) / counts)[owner]
-    y -= (np.add.reduceat(y, starts) / counts)[owner]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.add.reduceat(t * y, starts) / np.add.reduceat(t * t, starts)
-    fitted = (counts >= 2) & np.logical_and.reduceat(positive, starts)
-    return [float(r) if ok else None for r, ok in zip(slopes.tolist(), fitted.tolist())]
-
-
 def lyapunov_monitor(record, certificates, p, lambdas=None):
-    """Per-topology energy traces with decay rates and switch-jump ratios.
+    """Per-topology energy traces and switch-jump ratios.
 
     Columns follow the rows of the `synthesis.pair_lambdas` table of
     `certificates` (solved here unless the caller has it as `lambdas`), which
@@ -431,18 +405,11 @@ def lyapunov_monitor(record, certificates, p, lambdas=None):
         [np.einsum("sj,sj->s", errors @ w, errors) for w in weights]
     )
 
-    # Interval j spans samples pos[j] .. pos[j + 1] (both ends); every
-    # boundary is a sample time, and the inner ones are the switches (the
-    # sample before one holds its outgoing topology).
+    # Every switch is a sample time, and the sample before one holds its
+    # outgoing topology.
     t_switch, outgoing, incoming = list(zip(*record.switches)) or ((), (), ())
-    boundaries = [float(t) for t in (record.times[0], *t_switch, record.times[-1])]
-    pos = np.searchsorted(record.times, boundaries)
-    lo, counts = pos[:-1], np.diff(pos) + 1
-    rates = _interval_rates(record.times, values, lo, counts, cols[lo])
-    interval_rates = list(zip(boundaries[:-1], boundaries[1:],
-                              record.indices[lo].tolist(), rates))
-
-    at = pos[1:-1]
+    t_switch = [float(t) for t in t_switch]
+    at = np.searchsorted(record.times, t_switch)
     old, new = cols[at - 1], cols[at]
     bounds = lam[old, new]
     v_old, v_new = values[at, old], values[at, new]
@@ -454,13 +421,12 @@ def lyapunov_monitor(record, certificates, p, lambdas=None):
         k = broken[0]
         raise RuntimeError(
             f"energy jump ratio {ratios[k]:.12g} exceeds its algebraic bound "
-            f"{bounds[k]:.12g} at t={boundaries[k + 1]:.6g}; certificates do "
+            f"{bounds[k]:.12g} at t={t_switch[k]:.6g}; certificates do "
             "not match the run"
         )
     seen = [r if ok else None for r, ok in zip(ratios.tolist(), observed.tolist())]
-    switch_jumps = list(zip(boundaries[1:-1], outgoing, incoming, seen,
-                            bounds.tolist()))
-    return LyapunovMonitor(order, values, interval_rates, switch_jumps)
+    switch_jumps = list(zip(t_switch, outgoing, incoming, seen, bounds.tolist()))
+    return LyapunovMonitor(order, values, switch_jumps)
 
 
 def _usable_cpus():

@@ -46,7 +46,6 @@ __all__ = [
     "check_schedule",
     "choose_c",
     "coupling_threshold",
-    "definite_check",
     "design_checks",
     "design_from_dict",
     "design_to_dict",
@@ -172,7 +171,7 @@ def certificate_checks(reduced, c, q):
     from the one symmetric solve that tests ``Q > 0``.
     """
     index = reduced.source_index
-    spd, spd_detail, q_high = definite_check(q)
+    spd, spd_detail, q_high = linalg.definite_check(q)
     gram = reduced.matrix.T @ q + q @ reduced.matrix - 2.0 * c * q
     lmi_margin = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[0])
     certified = spd and lmi_margin > 0.0
@@ -260,23 +259,13 @@ def solve_gain_lmi(a, b, beta, bound=None):
     return p, k
 
 
-def definite_check(m):
-    """``(passed, detail, largest eigenvalue)`` of ``m > 0`` from one symmetric
-    solve; a non-symmetric `m` fails, with its asymmetry as the detail."""
-    try:
-        low, high = linalg.extreme_eigenvalues(m)
-    except ValueError as exc:
-        return False, str(exc), math.nan
-    return low > 0.0, f"smallest eigenvalue {low:.3e}", high
-
-
 def gain_checks(design, a, b):
-    """``(name, passed, detail)`` checks of ``P > 0`` (by :func:`definite_check`),
+    """``(name, passed, detail)`` checks of ``P > 0`` (by `linalg.definite_check`),
     ``K = (1/2) B^T inv(P)`` (failed, with no inverse taken, unless P > 0), the
     gain inequality ``A P + P A^T - B B^T + beta P < 0`` and ``alpha > 2/c0``.
     """
     p = design.p
-    spd, spd_detail, _ = definite_check(p)
+    spd, spd_detail, _ = linalg.definite_check(p)
     k_expected = 0.5 * b.T @ np.linalg.inv(p) if spd else math.nan
     k_err = np.abs(design.k - k_expected).max()
     expr = a @ p + p @ a.T - b @ b.T + design.beta * p

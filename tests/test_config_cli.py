@@ -492,6 +492,8 @@ REPORT_KIND_CASES = {
                "gain.k: expected a nested numeric array"),
     "list": (lambda r: r.update(certificates={}),
              "certificates: expected a list, got {}"),
+    "empty-list": (lambda r: r.update(certificates=[]),
+                   "certificates: expected a non-empty list"),
     "object": (lambda r: r.update(gain=[]), "gain: expected an object, got []"),
     "string": (lambda r: r.update(config_digest=5),
                "config_digest: expected a string, got 5"),

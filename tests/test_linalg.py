@@ -82,28 +82,31 @@ class TestEigenvalues:
             assert abs(np.prod(lam).real - det) <= 1e-8 * (1 + abs(det))
 
 
-class TestIsPositiveDefinite:
+class TestDefiniteCheck:
     def test_scaled_identity(self):
-        verdict, cert = linalg.is_positive_definite(2 * np.eye(3))
-        assert verdict
-        assert cert == pytest.approx(2.0)
+        assert linalg.definite_check(2 * np.eye(3)) == (
+            True, "smallest eigenvalue 2.000e+00", pytest.approx(2.0))
 
     def test_indefinite(self):
-        verdict, cert = linalg.is_positive_definite(np.diag([1.0, -1.0]))
-        assert not verdict
-        assert cert == pytest.approx(-1.0)
+        assert linalg.definite_check(np.diag([1.0, -1.0])) == (
+            False, "smallest eigenvalue -1.000e+00", pytest.approx(1.0))
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            linalg.is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def test_asymmetric_fails_with_its_asymmetry(self):
+        passed, detail, largest = linalg.definite_check(
+            np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert (passed, detail) == (False, "matrix is not symmetric: max "
+                                    "asymmetry 1.000e+00 exceeds 1.0e-09 * 1.000e+00")
+        assert np.isnan(largest)
 
     def test_random_spd(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             q = random_spd(rng, int(rng.integers(2, 7)))
-            verdict, cert = linalg.is_positive_definite(q)
-            assert verdict and cert > 0
-
+            passed, detail, largest = linalg.definite_check(q)
+            spectrum = np.linalg.eigvalsh(q)
+            assert passed and spectrum[0] > 0
+            assert detail == f"smallest eigenvalue {spectrum[0]:.3e}"
+            assert largest == pytest.approx(spectrum[-1])
 
     def test_verdict_is_sign_of_certificate(self):
         # Smallest eigenvalue within a few ulps of zero, of either sign:
@@ -113,17 +116,19 @@ class TestIsPositiveDefinite:
             u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
             smallest = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-18, -13)
             q = u @ np.diag([smallest, 1e-3, 0.1, 1.0, 10.0, 100.0]) @ u.T
-            verdict, cert = linalg.is_positive_definite((q + q.T) / 2)
-            assert verdict is (cert > 0)
+            passed, detail, _ = linalg.definite_check((q + q.T) / 2)
+            cert = float(detail.removeprefix("smallest eigenvalue "))
+            assert passed is (cert > 0)
 
     @pytest.mark.parametrize("smallest", [1e-9, -1e-9])
     def test_near_singular_verdict(self, smallest):
         rng = np.random.default_rng(35)
         u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         q = u @ np.diag([smallest, 1e-3, 0.1, 1.0, 10.0, 100.0]) @ u.T
-        verdict, cert = linalg.is_positive_definite((q + q.T) / 2)
-        assert verdict is (smallest > 0)
-        assert cert == pytest.approx(smallest, rel=1e-4)
+        passed, detail, largest = linalg.definite_check((q + q.T) / 2)
+        assert passed is (smallest > 0)
+        assert detail == f"smallest eigenvalue {smallest:.3e}"
+        assert largest == pytest.approx(100.0)
 
 
 class TestSolveLyapunov:
@@ -160,8 +165,8 @@ class TestSolveLyapunov:
         for _ in range(20):
             a = random_antistable(rng, int(rng.integers(2, 7)))
             x = linalg.solve_lyapunov(-a, -np.eye(a.shape[0]))
-            verdict, cert = linalg.is_positive_definite(x)
-            assert verdict, f"expected SPD, smallest eigenvalue {cert}"
+            passed, detail, _ = linalg.definite_check(x)
+            assert passed, f"expected SPD, {detail}"
 
     def test_rejects_mirrored_spectrum(self):
         with pytest.raises(ValueError, match="singular"):
@@ -234,8 +239,7 @@ class TestSolveCare:
             abar.T @ x + x @ abar - x @ vtol.B @ vtol.B.T @ x + np.eye(4)
         ).max()
         assert residual < 1e-7 * 2
-        verdict, _ = linalg.is_positive_definite(x)
-        assert verdict
+        assert linalg.definite_check(x)[0]
 
     def test_closed_loop_is_hurwitz(self):
         rng = np.random.default_rng(6)
@@ -491,7 +495,7 @@ class TestMaxGeneralizedEigenvalue:
         (np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]), "q1", "-1.000e+00"),
     ], ids=["q1-indefinite", "q1-singular", "q2-indefinite", "q2-singular",
             "both"])
-    def test_names_the_matrix_that_is_not_definite(self, q1, q2, name, smallest):
+    def test_names_the_matrix_not_positive_definite(self, q1, q2, name, smallest):
         with pytest.raises(ValueError) as info:
             linalg.max_generalized_eigenvalue(q1, q2)
         assert str(info.value) == (f"{name} is not positive definite "

@@ -933,47 +933,21 @@ class TestLyapunovMonitor:
         assert ratio == pytest.approx(bound, rel=1e-9)
         assert bound == pytest.approx(lam[-1], rel=1e-9)
 
-    def test_decay_rates_reported(self, demo_record, vtol_design):
-        monitor = lyapunov_monitor(
-            demo_record, vtol_design.certificates, vtol_design.p
-        )
-        rates = [r for _, _, _, r in monitor.interval_rates if r is not None]
-        assert len(rates) == len(monitor.interval_rates)
-        # The switched loop contracts on average; most intervals decay.
-        assert np.median(rates) < 0
-
-    @pytest.mark.parametrize("case", ["demo", "irregular"])
-    def test_rates_match_polyfit(self, case, demo_record, vtol_design, small_setup):
-        if case == "demo":
-            record, design = demo_record, vtol_design
-        else:
-            design = small_setup[3]
-            cl = irregular_loop(small_setup, TestBlockedPropagation.INTERVALS, 32)
-            record = simulate(cl, np.random.default_rng(32).uniform(-1, 1, 6), 0.1)
-        monitor = lyapunov_monitor(record, design.certificates, design.p)
-        col = {i: k for k, i in enumerate(monitor.topology_indices)}
-        assert len(monitor.interval_rates) == len(record.switches) + 1
-        for t0, t1, index, rate in monitor.interval_rates:
-            lo = np.searchsorted(record.times, t0)
-            hi = np.searchsorted(record.times, t1, side="right")
-            t, v = record.times[lo:hi], monitor.values[lo:hi, col[index]]
-            assert index == record.indices[lo]
-            want = np.polyfit(t - t[0], np.log(v), 1)[0]
-            assert rate == pytest.approx(want, rel=1e-9)
-
-    def test_rates_none_without_a_positive_trace(self, demo_closed_loop,
-                                                 vtol_design):
+    def test_no_ratio_without_a_positive_energy(self, demo_closed_loop,
+                                                vtol_design):
         record = simulate(demo_closed_loop, np.tile([1.0, 0.5, -0.25, 2.0], 5), 0.1)
         record.errors[:] = 0.0
         monitor = lyapunov_monitor(record, vtol_design.certificates, vtol_design.p)
-        assert [r for *_, r in monitor.interval_rates] == [None] * 20
+        assert len(monitor.switch_jumps) == len(record.switches) == 19
+        assert [r for _, _, _, r, _ in monitor.switch_jumps] == [None] * 19
         single = TrajectoryRecord(
             times=np.array([0.0]), states=np.zeros((1, 20)),
             errors=np.ones((1, 16)), error_norms=np.array([4.0]),
             indices=np.array([1]), switches=[], node_count=5, state_dim=4,
         )
         monitor = lyapunov_monitor(single, vtol_design.certificates, vtol_design.p)
-        assert monitor.interval_rates == [(0.0, 0.0, 1, None)]
+        assert monitor.switch_jumps == []
+        assert monitor.values.shape == (1, 2)
 
     def test_jump_above_its_bound_raises(self, demo_record, vtol_design,
                                          monkeypatch):

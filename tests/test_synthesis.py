@@ -66,8 +66,7 @@ class TestTopologyLmi:
     def test_demo_certificates(self, vtol_reduced):
         for red in vtol_reduced:
             cert = solve_topology_lmi(red, 0.25)
-            spd, _ = linalg.is_positive_definite(cert.q)
-            assert spd
+            assert linalg.definite_check(cert.q)[0]
             assert cert.lmi_margin >= 1 - 1e-6
             # Direct restatement of the inequality.
             gram = (
@@ -241,7 +240,7 @@ class TestCertifiedMargin:
         checks, lmi_margin = synthesis.certificate_checks(reduced, c, q)
         name, passed, detail = checks[0]
         assert name == "certificate 1: c below antistability margin"
-        q_low, q_high = linalg.extreme_eigenvalues(q)
+        q_low, q_high = np.linalg.eigvalsh(q)[[0, -1]]
         # Near a defective Lh (a path of equal weights) with c close to the
         # margin, round-off can cost Q its definiteness; the row then fails.
         assert passed == (q_low > 0 and lmi_margin > 0)
@@ -521,8 +520,7 @@ class TestSynthesize:
         assert vtol_design.alpha == pytest.approx(8.1)
         assert min(c.c for c in vtol_design.certificates) == pytest.approx(0.25)
         assert vtol_design.beta_bound == math.inf
-        spd, _ = linalg.is_positive_definite(vtol_design.p)
-        assert spd
+        assert linalg.definite_check(vtol_design.p)[0]
 
     def test_rejects_alpha_at_threshold(self, vtol_reduced):
         with pytest.raises(InfeasibleError, match="alpha"):
