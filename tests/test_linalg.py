@@ -98,6 +98,13 @@ class TestDefiniteCheck:
                                     "asymmetry 1.000e+00 exceeds 1.0e-09 * 1.000e+00")
         assert np.isnan(largest)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fails_with_its_error(self, bad):
+        passed, detail, largest = linalg.definite_check(
+            np.array([[bad, 0.0], [0.0, 1.0]]))
+        assert (passed, detail) == (False, "matrix contains non-finite entries")
+        assert np.isnan(largest)
+
     def test_random_spd(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

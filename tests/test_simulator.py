@@ -900,6 +900,17 @@ class TestLyapunovMonitor:
                 monitor.values[:, col], record.error_norms**2, rtol=1e-10
             )
 
+    def test_values_are_the_certificate_quadratic_forms(self, demo_record,
+                                                        vtol_design):
+        p = vtol_design.p
+        monitor = lyapunov_monitor(demo_record, vtol_design.certificates, p)
+        q = {c.index: c.q for c in vtol_design.certificates}
+        assert monitor.values.shape == (len(demo_record.times), len(q))
+        for col, index in enumerate(monitor.topology_indices):
+            weight = np.kron(q[index], np.linalg.inv(p))
+            want = [e @ weight @ e for e in demo_record.errors]
+            assert monitor.values[:, col] == pytest.approx(want, rel=1e-9)
+
     def test_jump_ratios_respect_bounds(self, demo_record, vtol_design):
         monitor = lyapunov_monitor(
             demo_record, vtol_design.certificates, vtol_design.p
