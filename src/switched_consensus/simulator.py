@@ -484,69 +484,55 @@ def _write_rows(fh, record, data, agree, lo, hi):
             fh.write(f"{t!r},{i},{body}\r\n")
 
 
-def _start_part(note, job):
-    """Fork a child that runs ``job(file)``; return its pid and the file.
-
-    The file is an anonymous temporary file opened before the fork.  The
-    child leaves through ``os._exit``: it runs no atexit handler and flushes
-    no buffer it inherited, so nothing the parent holds is written twice.
-    Its exit status is 0 on success; on any exception it writes `note` and
-    the traceback to standard error and exits with status 1.
-    """
-    part = tempfile.TemporaryFile()
-    try:
-        pid = os.fork()
-    except BaseException:
-        part.close()
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            job(part)
-            part.flush()
-            status = 0
-        except BaseException:
-            os.write(2, f"{note}:\n{traceback.format_exc()}".encode())
-        finally:
-            os._exit(status)
-    return pid, part
-
-
 @contextlib.contextmanager
 def _parts(jobs, what):
-    """Fork a child per ``(note, job)`` in `jobs` (see `_start_part`).
+    """Fork a child per ``(note, job)`` in `jobs`; yield their files in order.
 
     The children are parts 2 .. ``len(jobs) + 1`` of `what`; part 1 is the
-    caller's own.  Yields an iterator that waits for each child in order
-    and gives its file, read from the start.  A child that failed raises
-    OSError naming its part.  On leaving, every child not yet waited for is
-    waited for, and every file is closed.
+    caller's own.  Each runs ``job(file)`` on an anonymous temporary file
+    opened before its fork and leaves through ``os._exit``, so it runs no
+    atexit handler and writes no inherited buffer a second time; on any
+    exception it writes `note` and the traceback to stderr and exits 1.
+
+    Yields an iterator that waits for each child in part order and gives its
+    file, read from the start; a child that failed raises OSError naming its
+    part.  On leaving, every child not yet waited for is waited for, and
+    every file is closed.
     """
-    children = []  # (part number, pid, file), in part order
-    parts = len(jobs) + 1
+    children = []  # [pid, file] in part order; pid None once waited for
 
     def finished():
-        while children:
-            number, pid, part = children[0]
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            with part:
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    raise OSError(f"{what}: part {number} of {parts} failed in "
-                                  f"child process {pid} (exit code {code})")
-                part.seek(0)
-                yield part
+        for number, child in enumerate(children, start=2):
+            pid, part = child
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            if code != 0:
+                raise OSError(f"{what}: part {number} of {len(jobs) + 1} failed in "
+                              f"child process {pid} (exit code {code})")
+            part.seek(0)
+            yield part
 
-    waiting = finished()
     try:
-        for number, (note, job) in enumerate(jobs, start=2):
-            children.append((number, *_start_part(note, job)))
-        yield waiting
+        for note, job in jobs:
+            part = tempfile.TemporaryFile()
+            children.append([None, part])
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    job(part)
+                    part.flush()
+                    status = 0
+                except BaseException:
+                    os.write(2, f"{note}:\n{traceback.format_exc()}".encode())
+                finally:
+                    os._exit(status)
+            children[-1][0] = pid
+        yield finished()
     finally:
-        waiting.close()
-        for _, pid, part in children:
-            os.waitpid(pid, 0)
+        for pid, part in children:
+            if pid is not None:
+                os.waitpid(pid, 0)
             part.close()
 
 

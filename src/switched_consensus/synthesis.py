@@ -25,7 +25,7 @@ raises on the first failed check and the CLI's ``verify`` reports them all.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,25 +83,24 @@ class TopologyCertificate:
 class GainDesign:
     """Complete synthesized design with its feasibility certificates.
 
-    Satisfies ``k == 0.5 * b.T @ inv(p)``, ``alpha > alpha_min``, and
-    ``dwell_threshold == ln(lambda_max) / beta`` whenever ``lambda_max > 1``
-    (0 otherwise).  `alpha_min` is derived from the certificates.
-    `beta_bound` is the supremum of the admissible beta for the gain
-    inequality (infinite for controllable pairs).
+    Satisfies ``k == 0.5 * b.T @ inv(p)``, ``c0 == min c_i``, ``alpha >
+    alpha_min == 2 / c0``, and ``dwell_threshold == ln(lambda_max) / beta``
+    whenever ``lambda_max > 1`` (0 otherwise).  `beta_bound` is the supremum
+    of the admissible beta for the gain inequality (infinite for controllable
+    pairs).  A design read from a report holds the numbers the report stores;
+    :func:`design_checks` compares them with their derivations.
     """
 
     beta: float
     p: np.ndarray
     k: np.ndarray
     alpha: float
-    certificates: list = field(default_factory=list)
+    certificates: list
+    c0: float
+    alpha_min: float
     lambda_max: float = 1.0
     dwell_threshold: float = 0.0
     beta_bound: float = math.inf
-
-    @property
-    def alpha_min(self):
-        return coupling_threshold(self.certificates)
 
 
 @dataclass
@@ -112,7 +111,6 @@ class ScheduleReport:
     topology ``from_index[k]`` to ``to_index[k]`` that ends it, with its jump
     bound `lambda_max` and ``margin = beta (t_end - t_start) - ln lambda_max``.
     `checks` flags margins above `kappa0`; `passed` holds iff all are.
-    `lambdas` is the :func:`pair_lambdas` table ``(indices, lam)`` they read.
     """
 
     kappa0: float
@@ -124,7 +122,6 @@ class ScheduleReport:
     margin: np.ndarray
     checks: np.ndarray
     passed: bool
-    lambdas: tuple
 
 
 def choose_c(margin, fraction=DEFAULT_C_FRACTION):
@@ -288,18 +285,13 @@ def _matches(stored, recomputed):
         abs(recomputed - stored) <= CHECK_RTOL * (1 + abs(stored)))
 
 
-def _stored(report, key):
-    """A number of a checked report as a float, null as inf."""
-    return math.inf if report[key] is None else float(report[key])
-
-
-def design_checks(design, a, b, reduced, report, signal, kappa0):
+def design_checks(design, a, b, reduced, signal, kappa0):
     """Every ``(name, passed, detail)`` row ``verify`` prints for a design.
 
     Per certificate, :func:`certificate_checks` on its topology in `reduced`
     and its stored `lmi_margin` against the recomputed one; a failed row per
     topology of `reduced` without exactly one certificate; :func:`gain_checks`;
-    the numbers of `report` re-derived, `lambda_max` from the one
+    the design's stored numbers re-derived, `lambda_max` from the one
     :func:`pair_lambdas` table that :func:`check_schedule` reads for `signal`;
     then one row per switch whose margin is not above `kappa0` and one summary
     row that passes iff none is, naming the number of switches and the
@@ -337,13 +329,14 @@ def design_checks(design, a, b, reduced, report, signal, kappa0):
                for i in by_index if found.count(i) != 1]
     # A Q that is not positive definite leaves no table; it fails its own row.
     lam = math.nan if table is None else _lambda_max(table[1])
-    derived = {**_derived_numbers(design), "beta_bound": max_feasible_beta(a, b),
-               "dwell_threshold": _tau_star(_stored(report, "lambda_max"),
-                                            design.beta),
+    derived = {"alpha_min": coupling_threshold(design.certificates),
+               "c0": min(cert.c for cert in design.certificates),
+               "beta_bound": max_feasible_beta(a, b),
+               "dwell_threshold": _tau_star(design.lambda_max, design.beta),
                "lambda_max": lam}
     summary = [
-        (f"report {key} = {formula}", _matches(_stored(report, key), derived[key]),
-         f"stored {_stored(report, key):.6g}, derived {derived[key]:.6g}")
+        (f"report {key} = {formula}", _matches(getattr(design, key), derived[key]),
+         f"stored {getattr(design, key):.6g}, derived {derived[key]:.6g}")
         for key, formula in (("c0", "min c_i"), ("alpha_min", "2/c0"),
                              ("beta_bound", "sup feasible beta"),
                              ("dwell_threshold", "ln(lambda_max)/beta"),
@@ -448,13 +441,13 @@ def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0, lambdas=No
     """
     t = signal.breakpoints
     outgoing, incoming = signal.indices[:-1], signal.indices[1:]
-    indices, lam = table = lambdas or pair_lambdas(certificates)
+    indices, lam = lambdas or pair_lambdas(certificates)
     out, into = pair_rows(indices, [outgoing, incoming])
     log_lam = np.reshape([math.log(v) for v in lam.ravel().tolist()], lam.shape)
     margin = beta * np.diff(t) - log_lam[out, into]
     checks = margin > kappa0
     return ScheduleReport(kappa0, t[:-1], t[1:], outgoing, incoming, lam[out, into],
-                          margin, checks, bool(checks.all()), table)
+                          margin, checks, bool(checks.all()))
 
 
 def synthesize(
@@ -486,27 +479,18 @@ def synthesize(
     else:
         cs = [float(c) for c in np.broadcast_to(c_values, (len(reduced),))]
     certificates = [solve_topology_lmi(r, c) for r, c in zip(reduced, cs)]
+    alpha_min = coupling_threshold(certificates)
     if alpha is None:
-        alpha = alpha_margin * coupling_threshold(certificates)
+        alpha = alpha_margin * alpha_min
     bound = max_feasible_beta(a, b)
     p, k = solve_gain_lmi(a, b, beta, bound)
-    design = GainDesign(
-        beta=float(beta),
-        p=p,
-        k=k,
-        alpha=float(alpha),
-        certificates=certificates,
-        beta_bound=bound,
-    )
+    design = GainDesign(beta=float(beta), p=p, k=k, alpha=float(alpha),
+                        certificates=certificates,
+                        c0=min(cert.c for cert in certificates),
+                        alpha_min=alpha_min, beta_bound=bound)
     _require(gain_checks(design, a, b))
     design.lambda_max, design.dwell_threshold = dwell_threshold(certificates, beta)
     return design
-
-
-def _derived_numbers(design):
-    """The report's numbers read off the certificates: `alpha_min` and `c0`."""
-    return {"alpha_min": design.alpha_min,
-            "c0": min(cert.c for cert in design.certificates)}
 
 
 def design_to_dict(design, config_digest=None, reference=None):
@@ -523,7 +507,8 @@ def design_to_dict(design, config_digest=None, reference=None):
         "schema_version": 1,
         "beta": design.beta,
         "alpha": design.alpha,
-        **_derived_numbers(design),
+        "alpha_min": design.alpha_min,
+        "c0": design.c0,
         "beta_bound": None if math.isinf(design.beta_bound) else design.beta_bound,
         "gain": {"k": design.k, "p": design.p},
         "certificates": [
@@ -564,6 +549,8 @@ def design_from_dict(doc):
             for index, c, q, margin in zip(certs["index"], certs["c"], certs["q"],
                                            certs["lmi_margin"])
         ],
+        c0=doc["c0"],
+        alpha_min=doc["alpha_min"],
         lambda_max=doc["lambda_max"],
         dwell_threshold=doc["dwell_threshold"],
         beta_bound=math.inf if bound is None else bound,

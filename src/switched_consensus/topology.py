@@ -328,8 +328,9 @@ def _mark_reachable(adjacency, start, seen):
 def antistability_margin(reduced):
     """Smallest real part over the spectrum of a reduced Laplacian.
 
-    Positive exactly when the source graph contains a directed spanning tree;
-    a non-positive margin means synthesis is impossible for that topology.
+    In exact arithmetic it is positive exactly when the source graph holds a
+    directed spanning tree; round-off can leave a graph without one a tiny
+    positive margin, so `has_spanning_tree` decides the assumption.
     """
     if reduced.matrix.size == 0:
         return np.inf

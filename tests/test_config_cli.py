@@ -575,6 +575,24 @@ class TestCommandExitCodes:
         assert code == 2
         assert "NO spanning tree" in capsys.readouterr().out
 
+    def test_treeless_graph_with_a_positive_margin_exits_2(self, tmp_path,
+                                                            demo_doc, capsys):
+        # Two strongly connected parts, 1->2->3->1 and 4<->5: no spanning
+        # tree, though round-off can leave the computed margin positive, so
+        # only the verdicts are asserted, not the margin's sign.
+        demo_doc["graphs"][1] = _edges_doc(5, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0),
+                                               (4, 5, 1.0), (5, 4, 1.0)])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(demo_doc))
+        for command, verdict in (("analyze", "graph 2: NO spanning tree;"),
+                                 ("synthesize", "graph 2 has no directed spanning "
+                                                "tree; synthesis is impossible")):
+            code = cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert verdict in capsys.readouterr().out
+        assert not (tmp_path / "out" / "synthesis.json").exists()
+
     def test_full_pipeline(self, demo_config_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert cli.main(["synthesize", "--config", demo_config_file,
@@ -777,9 +795,8 @@ class TestCommandExitCodes:
         code = cli.main(["verify", "--config", str(path), "--out", out])
         printed = capsys.readouterr().out.splitlines()
         rc = parse_config(doc)
-        report, design = cli._load_report(rc, out)
-        rows = synthesis.design_checks(design, rc.a, rc.b, cli._reduced(rc), report,
-                                       build_signal(rc), rc.kappa0)
+        rows = synthesis.design_checks(cli._load_report(rc, out), rc.a, rc.b,
+                                       cli._reduced(rc), build_signal(rc), rc.kappa0)
         assert printed[:-1] == [f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]"
                                 for name, ok, detail in rows]
         # A row per failing switch (two of the three-topology schedule's three),
@@ -910,7 +927,7 @@ class TestCommandExitCodes:
         assert cli.main(["verify", "--config", str(config), "--out", out]) == 1
         printed = capsys.readouterr().out.splitlines()
         rc = parse_config(demo_doc)
-        _, design = cli._load_report(rc, out)
+        design = cli._load_report(rc, out)
         s = synthesis.check_schedule(build_signal(rc), design.certificates, rc.beta,
                                      rc.kappa0)
         assert s.checks.tolist() == [True, False, True, False, True]

@@ -156,8 +156,7 @@ class TestDesignChecks:
     def test_vtol_design_passes_every_check(self, vtol_design, vtol_reduced):
         signal = topology.periodic_signal(2, vtol.DWELL, 3 * vtol.DWELL)
         checks = synthesis.design_checks(vtol_design, vtol.A, vtol.B, vtol_reduced,
-                                         design_to_dict(vtol_design), signal,
-                                         synthesis.DEFAULT_KAPPA0)
+                                         signal, synthesis.DEFAULT_KAPPA0)
         assert [name for name, _, _ in checks] == [
             "certificate 1: c below antistability margin",
             "certificate 1: Q positive definite",
@@ -201,8 +200,7 @@ class TestDesignChecks:
             gap = design.dwell_threshold + 1.0
             signal = topology.SwitchingSignal(np.array([0.0, gap, 2 * gap]),
                                               np.array([1, 2, 1]), 3 * gap)
-            checks = synthesis.design_checks(design, a, b, reduced,
-                                             design_to_dict(design), signal,
+            checks = synthesis.design_checks(design, a, b, reduced, signal,
                                              synthesis.DEFAULT_KAPPA0)
             assert all(passed for _, passed, _ in checks), checks
 
@@ -464,7 +462,7 @@ class TestCheckSchedule:
         report = check_schedule(signal, design.certificates, 1.0)
         assert report.lambda_max.tolist() == [1.0, 1.0]
         assert report.margin.tolist() == [1.0, 1.0]
-        indices, lam = report.lambdas
+        indices, lam = synthesis.pair_lambdas(design.certificates)
         assert indices == [1] and lam.tolist() == [[1.0]]
 
 
@@ -490,7 +488,7 @@ class TestScheduleColumns:
     def test_columns_match_the_reference_loop(self, schedule):
         indices, factors = schedule
         certs = three_certificates()
-        _, table = synthesis.pair_lambdas(certs)
+        order, table = synthesis.pair_lambdas(certs)
         gaps = [(KAPPA0 + math.log(table[i - 1, j - 1])) / BETA * factor
                 for i, j, factor in zip(indices, indices[1:], factors)]
         breakpoints = np.concatenate([[0.0], np.cumsum(gaps)])
@@ -500,8 +498,9 @@ class TestScheduleColumns:
         rows, passed = reference_schedule(signal, certs, BETA, KAPPA0)
         assert schedule_rows(report) == rows
         assert report.passed == passed
-        assert report.lambdas[0] == [1, 2, 3]
-        assert report.lambdas[1].tolist() == table.tolist()
+        assert order == [1, 2, 3]
+        assert report.lambda_max.tolist() == [
+            table[i - 1, j - 1] for i, j in zip(indices, indices[1:])]
 
     def test_long_periodic_schedule_matches_the_reference_loop(self, vtol_design):
         signal = topology.periodic_signal(2, 1.5 * vtol_design.dwell_threshold,
@@ -556,6 +555,9 @@ class TestReportRoundTrip:
         assert rebuilt.beta == vtol_design.beta
         assert rebuilt.alpha == vtol_design.alpha
         assert rebuilt.beta_bound == vtol_design.beta_bound
+        assert (rebuilt.c0, rebuilt.alpha_min) == (0.25, 8.0)
+        assert (rebuilt.lambda_max, rebuilt.dwell_threshold) == (
+            vtol_design.lambda_max, vtol_design.dwell_threshold)
         assert len(rebuilt.certificates) == 2
         for orig, new in zip(vtol_design.certificates, rebuilt.certificates):
             assert np.array_equal(orig.q, new.q)
