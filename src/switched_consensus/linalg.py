@@ -46,6 +46,10 @@ TAYLOR_THETA = 1.09
 # Largest scale factor taken unsquared, so the coefficients c**18 / 18! of
 # a nilpotent matrix, whose alpha_4 bound is 0, stay finite.
 TAYLOR_MAX_SCALE = 2.0**50
+# Squarings of matrices of order at least FLUSH_MIN_ORDER first zero their
+# entries below 2^-500 (see `expm`); on 20x20 matrices that costs more than
+# the subnormal products it saves.
+FLUSH_MIN_ORDER = 100
 
 __all__ = [
     "definite_check",
@@ -282,11 +286,19 @@ def expm(mode, steps):
     ``I, P_1 .. P_6`` with the coefficients ``c^k / k!``.  So a step costs
     two products and its squarings, and the powers are shared.
 
-    Every step's arithmetic is its own: its coefficients are elementwise,
-    and every product is one BLAS call per step of the same shape whatever
-    the other steps are.  So a step's result is the same bit for bit alone
-    or among others.  A step that overflows comes back non-finite; the
-    others are unchanged.
+    For an `n` of at least `FLUSH_MIN_ORDER`, each step about to be squared
+    first has its entries below 2^-500 in magnitude set to a zero of their
+    sign.  Every nonzero product of two kept entries is then at least
+    2^-1000, a normal number, so no squaring spends time on subnormal
+    arithmetic, and the flushed entries move each entry of the product by
+    less than ``n 2^-500 max|entry|``.  NaN and +-inf are kept, so a step
+    that overflows still comes back non-finite.
+
+    Every step's arithmetic is its own: its coefficients and its flush are
+    elementwise, and every product is one BLAS call per step of the same
+    shape whatever the other steps are.  So a step's result is the same bit
+    for bit alone or among others.  A step that overflows comes back
+    non-finite; the others are unchanged.
     """
     mode = _as_square(mode, "mode")
     steps = np.asarray(steps, dtype=float)
@@ -333,6 +345,8 @@ def expm(mode, steps):
         del powers, flat
         for k in range(1, int(squarings.max(initial=0)) + 1):
             count = int(np.count_nonzero(squarings >= k))
+            if n >= FLUSH_MIN_ORDER:
+                flows[:count] *= np.abs(flows[:count]) >= 2.0**-500
             if count == steps.size:
                 flows = np.matmul(flows, flows)
             else:

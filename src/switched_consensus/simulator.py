@@ -16,14 +16,13 @@ exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
 run in blocks of switching intervals: each block's transition matrices
 are exponentiated before it is propagated, one `linalg.expm` call per
 topology, and its samples are checked for divergence at once, so a flow
-that overflows is reported as a divergence too.  Where a block's matrices
-are large and CPUs are free, forked children exponentiate some of its
-topologies.  Agent states ``x_i = e_i + x_N`` are rebuilt for output only.
+that overflows is reported as a divergence too.  Agent states
+``x_i = e_i + x_N`` are rebuilt for output only, and only the CSV writer
+forks (see `write_trajectory_csv`).
 """
 
 import contextlib
 import functools
-import itertools
 import os
 import shutil
 import sys
@@ -46,11 +45,6 @@ BLOCK_INTERVALS = 256
 # takes afterwards, in this command and the next, cost about as much as
 # formatting 20 000 floats.
 MIN_PART_VALUES = 100_000
-# Work a part of a block's transition matrices must hold for its fork
-# to pay, counted as n**3 per n-by-n exponential.  A 400x400 exponential
-# takes about 1 ns per unit (more for small matrices), and a fork costs
-# about 10 ms in a 100 MB process, so this is about five forks.
-MIN_FORK_WORK = 5e7
 
 __all__ = [
     "LyapunovMonitor",
@@ -217,54 +211,22 @@ def _check_divergence(block, times, m):
 
 
 def _flows(modes, keys, m):
-    """``expm(mode * h)`` for every ``(mode, h)`` in `keys`, as one stack.
+    """``{(mode, h): expm(mode * h)}`` for the distinct ``(mode, h)`` `keys`.
 
-    One kernel call per run of keys of one mode, so keys grouped by mode
-    share their mode's powers.  The flows are block lower triangular like
-    the modes; expm's round-off above the diagonal is cleared so x_N never
-    leaks into e.
-    """
-    stacks = [linalg.expm(modes[mode - 1], [h for _, h in run])
-              for mode, run in itertools.groupby(keys, key=lambda key: key[0])]
-    flows = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    flows[:, :m, m:] = 0.0
-    return flows
-
-
-def _load_flows(fh, count, size):
-    """Read back the stack of `count` flows a child wrote to `fh`."""
-    stack = np.empty((count, size, size))
-    if fh.readinto(stack) != stack.nbytes:
-        raise OSError("transition matrices: a child's file is truncated")
-    return stack
-
-
-def _exponentiate(modes, keys, m):
-    """``{key: flow}`` for the ``(mode, h)`` `keys`, one kernel call per mode.
-
-    Each part gets whole topologies, so no two processes form the powers of
-    one mode.  The topologies are split into contiguous parts of at least
-    `MIN_FORK_WORK` (see `_part_bounds`), counting n**3 per key for an
-    n-by-n mode, each topology at the average of its keys.  One child is
-    forked per part after the first (see `_parts`) and writes its stack to
-    its file.  A flow that overflows comes back non-finite.
+    One kernel call per topology, so its keys share its mode's powers; a
+    flow is a view into its topology's stack.  The flows are block lower
+    triangular like the modes; expm's round-off above the diagonal is
+    cleared so x_N never leaks into e.  A flow that overflows is not finite.
     """
     by_mode = {}
-    for key in keys:
-        by_mode.setdefault(key[0], []).append(key)
-    topologies = list(by_mode.values())
-    size = modes[0].shape[0]
-    bounds = _part_bounds(len(topologies), size**3 * len(keys), MIN_FORK_WORK)
-    own, *others = [[key for group in topologies[lo:hi] for key in group]
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-    jobs = [(f"transition matrices of {len(part)} steps",
-             lambda fh, part=part: fh.write(_flows(modes, part, m)))
-            for part in others]
-    with _parts(jobs, "transition matrices") as finished:
-        done = [(own, _flows(modes, own, m))]
-        done += [(part, _load_flows(fh, len(part), size))
-                 for part, fh in zip(others, finished)]
-    return {key: flow for part, stack in done for key, flow in zip(part, stack)}
+    for mode, h in keys:
+        by_mode.setdefault(mode, []).append(h)
+    flows = {}
+    for mode, steps in by_mode.items():
+        stack = linalg.expm(modes[mode - 1], steps)
+        stack[:, :m, m:] = 0.0
+        flows.update(zip([(mode, h) for h in steps], stack))
+    return flows
 
 
 def _propagate(modes, samples, times, indices, steps, ends, m):
@@ -280,7 +242,7 @@ def _propagate(modes, samples, times, indices, steps, ends, m):
             last = int(ends[min(lo + BLOCK_INTERVALS, ends.size) - 1])
             keys = list(zip(indices[first - 1 : last].tolist(),
                             steps[first - 1 : last].tolist()))
-            flows = _exponentiate(modes, list(dict.fromkeys(keys)), m)
+            flows = _flows(modes, dict.fromkeys(keys), m)
             for s, key in enumerate(keys, start=first):
                 z = np.dot(flows[key], z, out=samples[s])
             _check_divergence(samples[first : last + 1], times[first : last + 1], m)
@@ -294,10 +256,9 @@ def simulate(closed_loop, x0, dt):
     the schedule in blocks of `BLOCK_INTERVALS` switching intervals.  Each
     step is keyed ``(mode, h)``, with a step within 1e-9*dt of dt snapped to
     dt so float jitter on the grid never splits a key.  Per block, the
-    distinct keys are exponentiated, one kernel call per topology, in this
-    process or a forked one (see `_exponentiate`); a step's flow does not
-    depend on the steps it shares a call with, so each flow is the same
-    either way.  Then the block is propagated, its samples are checked for
+    distinct keys are exponentiated, one kernel call per topology (see
+    `_flows`); a step's flow does not depend on the steps it shares a call
+    with.  Then the block is propagated, its samples are checked for
     divergence at once, and its flows are dropped, so memory stays bounded.
     A flow that overflows is not finite, nor are the samples after it, so
     it ends the run as a divergence.
@@ -434,23 +395,21 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _part_bounds(count, units, min_units):
-    """Bounds of the contiguous parts that split `count` equal-cost items.
-
-    The items hold `units` of work in all; part k is items ``bounds[k] ..
-    bounds[k + 1] - 1``.  There is one part per usable CPU, but no more than
-    there are items, and each part holds at least `min_units`.  Off Linux,
-    where ``os.fork`` is missing, or while another thread runs in this
-    process, there is one part: that thread, a BLAS worker say, could hold a
-    lock a child would wait on forever, and it competes with the children
-    for the CPUs.  A process of one thread cannot start another before it
-    forks, so the count cannot go stale.
+def _part_bounds(count, units):
+    """Bounds of the contiguous parts that split `count` samples of `units`
+    values in all: one part per usable CPU, but no more than there are
+    samples, each formatting at least `MIN_PART_VALUES`.  Off Linux, where
+    ``os.fork`` is missing, or while another thread runs in this process,
+    there is one part: that thread, a BLAS worker say, could hold a lock a
+    child would wait on forever, and it competes with the children for the
+    CPUs.  A process of one thread cannot start another before it forks,
+    so the count cannot go stale.
     """
     parts = 1
     if sys.platform.startswith("linux") and hasattr(os, "fork"):
         parts = max(1, min(_usable_cpus(), count))
-        # The smallest part holds count // parts items.
-        while parts > 1 and count // parts * units < min_units * count:
+        # The smallest part holds count // parts samples.
+        while parts > 1 and count // parts * units < MIN_PART_VALUES * count:
             parts -= 1
     if parts > 1:
         try:
@@ -554,7 +513,7 @@ def _split(record, data):
     blocks = states.view(np.int64).reshape(size, record.node_count, n)
     agree = (blocks == blocks[:, -1:]).all(axis=(1, 2))
     skipped = (record.node_count - 1) * n * int(agree.sum())
-    return agree.tolist(), _part_bounds(size, data.size - skipped, MIN_PART_VALUES)
+    return agree.tolist(), _part_bounds(size, data.size - skipped)
 
 
 def write_trajectory_csv(record, path, monitor=None):

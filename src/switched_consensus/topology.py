@@ -159,6 +159,11 @@ class SwitchingSignal:
     last interval runs to the horizon).  sigma is right-continuous at the
     breakpoints.  Dwell bounds satisfy ``tau1 > t_{k+1} - t_k >= tau0 > 0``;
     when omitted they are derived from the breakpoints themselves.
+
+    A switch is a breakpoint whose topology differs from the one before it.
+    Once the dwell bounds hold on the given breakpoints, the others are
+    merged into the interval before them, so every reader sees only the
+    switches, and a switch's interval runs from the previous switch.
     """
 
     breakpoints: np.ndarray
@@ -205,8 +210,8 @@ class SwitchingSignal:
                 f"dwell bounds violated: intervals in [{gaps.min()}, {gaps.max()}] "
                 f"must satisfy tau1 > gap >= tau0 with tau0={tau0}, tau1={tau1}"
             )
-        self.breakpoints = t
-        self.indices = idx
+        switch = np.diff(idx, prepend=0) != 0  # indices are >= 1
+        self.breakpoints, self.indices = t[switch], idx[switch]
         self.horizon = horizon
         self.tau0 = tau0
         self.tau1 = tau1

@@ -2,7 +2,7 @@ import math
 import os
 
 # Pin BLAS to one thread before numpy loads it, so the test process runs
-# one thread, like a pinned production run, and the fork sites really fork.
+# one thread, like a pinned production run, and the CSV writer really forks.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -246,6 +246,55 @@ def cached_simulate(closed_loop, x0, dt):
         node_count=n_nodes,
         state_dim=n,
     )
+
+
+def unflushed_expm(mode, steps):
+    """Oracle: `linalg.expm` as it was before its squarings flushed.
+
+    The same scaling, Taylor blocks and squarings, in the same order, with
+    no entry zeroed; so it gives the kernel's bits wherever the flush
+    changes nothing.
+    """
+    mode = np.asarray(mode, dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    n = mode.shape[0]
+    nu = math.ldexp(1.0, math.frexp(float(np.abs(mode).sum(axis=0).max()))[1])
+    powers = [mode * (1.0 / nu)]
+    for i, j in ((0, 0), (1, 0), (1, 1), (3, 0), (2, 2)):
+        powers.append(powers[i] @ powers[j])
+    powers = np.array(powers)
+    alpha = nu * max(np.abs(powers[3]).sum(axis=0).max() ** 0.25,
+                     np.abs(powers[4]).sum(axis=0).max() ** 0.2)
+    rate = max(alpha / linalg.TAYLOR_THETA, nu / linalg.TAYLOR_MAX_SCALE)
+    frac, exp = np.frexp(np.abs(steps) * rate)
+    squarings = np.maximum(exp - (frac == 0.5), 0)
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    scale = np.ldexp(steps[order] * nu, -squarings)
+    coeffs = np.empty((steps.size, linalg.TAYLOR_DEGREE + 1))
+    coeffs[:, 0] = 1.0
+    for k in range(1, linalg.TAYLOR_DEGREE + 1):
+        coeffs[:, k] = coeffs[:, k - 1] * scale
+    coeffs /= [math.factorial(k) for k in range(linalg.TAYLOR_DEGREE + 1)]
+    flat = powers.reshape(len(powers), n * n)
+
+    def block(first, count):
+        terms = np.matmul(coeffs[:, None, first + 1 : first + 1 + count], flat[:count])
+        terms = terms.reshape(steps.size, n, n)
+        terms.reshape(steps.size, n * n)[:, :: n + 1] += coeffs[:, first, None]
+        return terms
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        flows = np.matmul(powers[-1], block(12, 6))
+        flows += block(6, 5)
+        flows = np.matmul(powers[-1], flows)
+        flows += block(0, 5)
+        for k in range(1, int(squarings.max(initial=0)) + 1):
+            count = int(np.count_nonzero(squarings >= k))
+            flows[:count] = np.matmul(flows[:count], flows[:count])
+    out = np.empty_like(flows)
+    out[order] = flows
+    return out
 
 
 def single_process_csv(record, path, monitor=None):

@@ -701,10 +701,9 @@ class TestCommandExitCodes:
         assert fails == ["FAIL  report lambda_max = max lambda_ij over ordered "
                          "pairs  [stored 12.6589, derived 81.1286]"]
 
-    def test_verify_repeated_topology_margin_is_beta_times_gap(self, tmp_path,
-                                                               capsys):
-        # cond(Q) ~ 2e13: solving the pencil (Q, Q) would give 1.00124 and a
-        # margin of 0.998762.
+    def test_verify_repeated_topology_is_not_a_switch(self, tmp_path, capsys):
+        # cond(Q) ~ 2e13: solving the pencil (Q, Q) would give 1.00124, so
+        # tau* would not be 0; and no breakpoint after the first switches.
         doc = _double_integrator_doc(
             [_edges_doc(3, [(1, 2, 1e-6), (2, 3, 1e6)])], 1.0, 3.0)
         doc["switching"] = {"explicit": {"breakpoints": [0.0, 1.0, 2.0],
@@ -715,13 +714,55 @@ class TestCommandExitCodes:
         assert cli.main(["synthesize", "--config", str(path), "--out", out]) == 0
         capsys.readouterr()
         assert cli.main(["verify", "--config", str(path), "--out", out]) == 0
-        margins = [line for line in capsys.readouterr().out.splitlines()
-                   if "switch margin" in line]
-        # Both margins are beta * 1 - ln 1 = 1 exactly, so the smallest is too.
-        assert margins == [
-            "PASS  switch margins > kappa0  [2 switches, smallest margin 1 on "
-            "[0, 1) (1->1) vs kappa0 0.001]",
-        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "switch margin" in line] == []
+        assert ("PASS  report dwell_threshold = ln(lambda_max)/beta  "
+                "[stored 0, derived 0]") in lines
+
+    @staticmethod
+    def _scalar_doc(graphs, switching, dt):
+        """N=2 scalar integrators: a = [[0]], b = [[1]], beta = 1."""
+        return {"schema_version": 1, "system": {"a": [[0.0]], "b": [[1.0]]},
+                "graphs": [_edges_doc(2, [edge]) for edge in graphs],
+                "switching": switching, "synthesis": {"beta": 1.0},
+                "simulation": {"seed": 1, "dt": dt, "tolerance": 1e-2,
+                               "window": 10 * dt}}
+
+    @pytest.mark.parametrize("case", ["one topology", "repeated index"])
+    def test_breakpoint_keeping_the_topology_is_no_switch(self, tmp_path, capsys,
+                                                           case):
+        # Each kept breakpoint is 0.0005 s after the one before it, a margin
+        # of 0.0005 < kappa0 were it a switch.
+        if case == "one topology":
+            doc = self._scalar_doc([(1, 2, 1.0)], {"periodic": {
+                "dwell": 0.0005, "horizon": 0.01}}, 0.0005)
+            switches, samples = [], 21
+        else:
+            doc = self._scalar_doc([(1, 2, 1.0), (2, 1, 1.0)], {"explicit": {
+                "breakpoints": [0, 1, 1.0005, 2], "indices": [1, 2, 2, 1],
+                "horizon": 3}}, 0.1)
+            switches, samples = ["1->2", "2->1"], 31
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        margins = [line for line in lines if "switch margin" in line]
+        if switches:
+            assert margins == ["PASS  switch margins > kappa0  [2 switches, "
+                               "smallest margin 1 on [0, 1) (1->2) vs kappa0 0.001]"]
+        else:
+            assert margins == []
+        cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert f"({samples} samples)" in capsys.readouterr().out
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        # Two rows per switch, one per other sample.
+        assert len(rows) == samples + len(switches)
+        topologies = [row.split(",")[1] for row in rows]
+        assert [f"{old}->{new}" for old, new in zip(topologies, topologies[1:])
+                if old != new] == switches
 
     def test_verify_fails_an_indefinite_p(self, tmp_path, capsys):
         # K = (1/2) B^T inv(P) holds and the gain inequality's largest

@@ -14,6 +14,7 @@ from conftest import (
     random_antistable,
     random_spd,
     random_stable,
+    unflushed_expm,
 )
 
 
@@ -452,6 +453,67 @@ class TestExpmAccuracy:
             steps = [0.01, 0.0047]
             for got, h in zip(linalg.expm(mode, steps), steps):
                 assert relative_error(got, sla.expm(mode * h)) < 1e-11
+
+
+def decaying_chain(n):
+    """``-50 I + 2^-40 S`` with S the n-by-n shift: the k-th superdiagonal of
+    its exponential falls like 2^-46k / k!, below 2^-500 from k = 11."""
+    return -50.0 * np.eye(n) + 2.0**-40 * np.eye(n, k=1)
+
+
+class TestExpmFlush:
+    """The squarings of large steps skip subnormal arithmetic."""
+
+    def test_threshold_splits_the_benchmark_orders(self):
+        # large-n's 400x400 modes flush; the 20x20 modes of long-schedule
+        # and vtol-sweep do not.
+        assert 20 < linalg.FLUSH_MIN_ORDER <= 400
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_flush_only_at_the_named_order(self, offset):
+        n = linalg.FLUSH_MIN_ORDER + offset
+        m = decaying_chain(n)
+        steps = [1.0, 0.5, 2.0**-10]
+        got, want = linalg.expm(m, steps), unflushed_expm(m, steps)
+        # The step of 2^-10 is not squared, so it is never flushed and keeps
+        # its entries below 2^-500.
+        assert got[2].tobytes() == want[2].tobytes()
+        assert (np.abs(got[2][got[2] != 0]) < 2.0**-500).any()
+        if offset < 0:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got[:2].tobytes() != want[:2].tobytes()
+        assert np.abs(got - want).max() <= 2.0**-400
+
+    def test_same_bits_alone_and_among_others(self):
+        m = decaying_chain(linalg.FLUSH_MIN_ORDER)
+        rng = np.random.default_rng(36)
+        steps = rng.uniform(0.01, 3.0, 6) * rng.choice([-1.0, 1.0], 6)
+        steps[2], steps[4] = 0.0, 2.0**-10
+        out = linalg.expm(m, steps)
+        for got, h in zip(out, steps):
+            assert got.tobytes() == linalg.expm(m, [h])[0].tobytes()
+        assert linalg.expm(m, steps[::-1])[::-1].tobytes() == out.tobytes()
+
+    def test_large_n_modes_match_the_unflushed_kernel(self):
+        # large-n's 400x400 ring and path modes at dt and a fragment: the
+        # flush saves time and changes no bit.
+        modes, _ = double_integrator_modes(large_n_docs(), 2.0)
+        steps = [0.01, 0.0047]
+        for mode in modes:
+            assert mode.shape[0] >= linalg.FLUSH_MIN_ORDER
+            got = linalg.expm(mode, steps)
+            assert got.tobytes() == unflushed_expm(mode, steps).tobytes()
+            for flow, h in zip(got, steps):
+                assert relative_error(flow, sla.expm(mode * h)) < 1e-11
+
+    def test_overflow_keeps_non_finite_entries(self):
+        # exp(800 t) overflows in the squarings; the flush keeps inf and NaN.
+        n = linalg.FLUSH_MIN_ORDER
+        m = 800.0 * np.eye(n) + np.eye(n, k=1)
+        out = linalg.expm(m, [1.0, 1e-3])
+        assert np.isfinite(out).all(axis=(1, 2)).tolist() == [False, True]
+        assert np.isinf(out[0].diagonal()).all()
 
 
 class TestMaxGeneralizedEigenvalue:

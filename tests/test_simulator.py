@@ -222,7 +222,7 @@ class TestSimulate:
     ):
         # The 1 s fragment before each switch must not reuse the dt-step flow.
         a, b, graphs, design = small_setup
-        signal = periodic_signal(1, dwell, 2 * dwell)
+        signal = periodic_signal(2, dwell, 2 * dwell)
         cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
         x0 = np.random.default_rng(28).uniform(-1, 1, size=6)
         record = simulate(cl, x0, dt)
@@ -232,6 +232,38 @@ class TestSimulate:
         scale = max(1.0, np.abs(dense_states).max())
         assert np.abs(record.errors - dense_errors).max() <= 1e-10 * scale
         assert np.abs(record.states - dense_states).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("with_monitor", [True, False])
+    def test_breakpoint_keeping_the_topology_is_no_switch(self, small_setup,
+                                                          tmp_path, with_monitor):
+        # The breakpoint at 1.0005 keeps topology 2: no sample of its own,
+        # no switch, no second CSV row, no jump for the monitor.
+        a, b, graphs, design = small_setup
+        signal = topology.SwitchingSignal(np.array([0.0, 1.0, 1.0005, 2.0]),
+                                          np.array([1, 2, 2, 1]), 3.0)
+        cl = build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
+        record = simulate(cl, np.random.default_rng(30).uniform(-1, 1, 6), 0.1)
+        assert record.switches == [(1.0, 1, 2), (2.0, 2, 1)]
+        assert 1.0005 not in record.times.tolist()
+        assert record.times.size == 31
+        monitor = None
+        if with_monitor:
+            monitor = lyapunov_monitor(record, design.certificates, design.p)
+            assert [jump[:3] for jump in monitor.switch_jumps] == record.switches
+        write_trajectory_csv(record, tmp_path / "trajectory.csv", monitor)
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == record.times.size + 2
+
+    def test_single_topology_has_no_switch(self, tmp_path):
+        g = topology.DirectedGraph.from_edges(2, [(1, 2)])
+        cl = build_closed_loop(np.zeros((1, 1)), np.ones((1, 1)), -np.ones((1, 1)),
+                               1.0, topology.GraphSet((g,)),
+                               periodic_signal(1, 0.0005, 0.01))
+        record = simulate(cl, np.array([1.0, -1.0]), 0.0005)
+        assert record.times.size == 21
+        assert record.switches == []
+        write_trajectory_csv(record, tmp_path / "trajectory.csv")
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 22
 
     def test_single_topology_synthesized_gain_decays(self, vtol_graphs):
         # One fixed spanning-tree topology with its synthesized design.
@@ -311,13 +343,13 @@ class TestSimulate:
 
 
 def irregular_loop(small_setup, intervals, seed):
-    """Closed loop of `small_setup` under a random explicit schedule."""
+    """Closed loop of `small_setup` under random gaps, switching at each one."""
     a, b, graphs, design = small_setup
     rng = np.random.default_rng(seed)
     gaps = rng.uniform(0.3, 0.9, intervals)
     signal = topology.SwitchingSignal(
         np.concatenate([[0.0], np.cumsum(gaps[:-1])]),
-        rng.integers(1, 3, intervals),
+        (rng.integers(0, 2) + np.arange(intervals)) % 2 + 1,
         float(gaps.sum()),
     )
     return build_closed_loop(a, b, design.k, design.alpha, graphs, signal)
@@ -378,16 +410,16 @@ class TestBlockedPropagation:
     def test_each_distinct_step_exponentiated_once(self, small_setup, monkeypatch):
         blocks, calls, flows = [], [], []
         expm, dot = simulator.linalg.expm, simulator.np.dot
-        exponentiate = simulator._exponentiate
+        real_flows = simulator._flows
 
         def counting_expm(mode, steps):
             calls.append(mode.tobytes())
             blocks[-1][1].extend((mode.tobytes(), h) for h in steps)
             return expm(mode, steps)
 
-        def recording_exponentiate(modes, keys, m):
-            blocks.append((keys, []))
-            return exponentiate(modes, keys, m)
+        def recording_flows(modes, keys, m):
+            blocks.append((list(keys), []))
+            return real_flows(modes, keys, m)
 
         def recording_dot(a, b, out=None):
             if out is not None:
@@ -395,7 +427,7 @@ class TestBlockedPropagation:
             return dot(a, b, out=out)
 
         monkeypatch.setattr(simulator.linalg, "expm", counting_expm)
-        monkeypatch.setattr(simulator, "_exponentiate", recording_exponentiate)
+        monkeypatch.setattr(simulator, "_flows", recording_flows)
         monkeypatch.setattr(simulator.np, "dot", recording_dot)
         cl = irregular_loop(small_setup, self.INTERVALS, 31)
         dt = 0.1
@@ -422,12 +454,13 @@ class TestBlockedPropagation:
 
     def test_divergence_in_late_block_reports_first_bad_sample(self):
         # e(t) = e^(4t) first exceeds the cutoff at the sample t = 6.91, in
-        # the third block of 0.01 s intervals.
+        # the third block of 0.01 s intervals; two copies of one graph make
+        # every breakpoint a switch.
         g = topology.DirectedGraph.from_edges(2, [(1, 2)])
-        signal = periodic_signal(1, 0.01, 10.0)
+        signal = periodic_signal(2, 0.01, 10.0)
         cl = build_closed_loop(
             np.array([[4.0]]), np.array([[1.0]]), np.zeros((1, 1)), 0.0,
-            topology.GraphSet((g,)), signal,
+            topology.GraphSet((g, g)), signal,
         )
         with pytest.raises(SimulationDiverged) as err:
             simulate(cl, np.array([1.0, 0.0]), 0.005)
@@ -448,205 +481,83 @@ class TestBlockedPropagation:
             cached_simulate(cl, x0, 1.0)
         assert err.value.t == want.value.t == t
 
-
-class TestForkedExponentials:
-    """A block's stacked exponentials split over forked children."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Set the usable CPUs and the fork work; returns the forks."""
-        made = []
-        real_fork = os.fork
-
-        def counting_fork():
-            made.append(None)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-
-        def use(cpus, min_fork_work=0):
-            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
-            monkeypatch.setattr(simulator, "MIN_FORK_WORK", min_fork_work)
-            return made
-
-        return use
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("case", ["demo", "irregular", "incommensurate"])
-    def test_matches_in_process_and_oracle(
-        self, forks, cpus, case, small_setup, vtol_graphs, vtol_design,
-        demo_closed_loop
-    ):
-        cl, dt = blocked_case(case, demo_closed_loop, small_setup, vtol_graphs,
-                              vtol_design)
-        x0 = np.random.default_rng(29).uniform(-1, 1, cl.node_count * cl.state_dim)
-        made = forks(cpus)
-        record = simulate(cl, x0, dt)
-        assert made
-        forked = len(made)
-        forks(1)
-        alone = simulate(cl, x0, dt)
-        assert len(made) == forked
-        reference = cached_simulate(cl, x0, dt)
-        for got, one, want in zip(record_fields(record), record_fields(alone),
-                                  record_fields(reference)):
-            assert np.array_equal(got, one)
-            assert np.array_equal(got, want)
-        assert record.switches == alone.switches == reference.switches
-
-    def test_one_child_per_extra_part_and_block(self, forks, small_setup,
-                                                monkeypatch):
-        # Every block of the irregular loop holds keys of both
-        # topologies, and a part gets whole topologies, so each block forks
-        # one child, not cpus - 1.
-        splits = []
-        part_bounds = simulator._part_bounds
-
-        def recording_part_bounds(*args):
-            splits.append(part_bounds(*args))
-            return splits[-1]
-
-        monkeypatch.setattr(simulator, "_part_bounds", recording_part_bounds)
-        made = forks(3)
-        cl = irregular_loop(small_setup, TestBlockedPropagation.INTERVALS, 30)
-        simulate(cl, np.random.default_rng(3).uniform(-1, 1, 6), 0.1)
-        assert [len(bounds) - 1 for bounds in splits] == [2, 2, 2]
-        assert len(made) == 3
-
-    def test_keys_are_dealt_round_robin_by_mode(self, forks, small_setup,
-                                                 monkeypatch):
-        # A part gets whole topologies, so no two processes form the powers
-        # of one mode; the keys of a mode are grouped into one kernel call.
-        a, b, graphs, design = small_setup
-        cl = build_closed_loop(a, b, design.k, design.alpha, graphs,
-                               periodic_signal(2, 1.0, 2.0))
-        own = []
-        real_flows = simulator._flows
-        monkeypatch.setattr(simulator, "_flows", lambda modes, keys, m:
-                            own.append(keys) or real_flows(modes, keys, m))
-        made = forks(2)
-        keys = [(1, 0.1), (2, 0.1), (1, 0.2), (2, 0.2), (1, 0.3)]
-        flows = simulator._exponentiate(cl.modes, keys, 4)
-        assert len(made) == 1
-        assert own == [[(1, 0.1), (1, 0.2), (1, 0.3)]]  # the child's stay in it
-        assert flows.keys() == set(keys)
-        for key in keys:
-            assert np.array_equal(flows[key], real_flows(cl.modes, [key], 4)[0])
-
-    @pytest.mark.parametrize("child_first", [False, True])
+    @pytest.mark.parametrize("first", [1, 2])
     @pytest.mark.parametrize("indices, t", [([1, 2], 14.0), ([2, 1], 1.0)])
-    def test_overflow_in_either_process_keeps_the_error_order(
-        self, forks, monkeypatch, indices, t, child_first
+    def test_error_order_whichever_topology_is_exponentiated_first(
+        self, monkeypatch, indices, t, first
     ):
-        # Two keys, one per process; `child_first` puts topology 2's
-        # overflowing key in the child whichever comes first in the run.
-        exponentiate = simulator._exponentiate
-        monkeypatch.setattr(simulator, "_exponentiate", lambda modes, keys, m:
-                            exponentiate(modes, sorted(keys, key=lambda key: (
-                                key[0] == 2) == child_first), m))
-        made = forks(2)
+        # `_flows` takes topology `first`'s keys before the other's, so the
+        # overflowing flow may be made before or after the run reaches it.
+        real_flows = simulator._flows
+        monkeypatch.setattr(simulator, "_flows", lambda modes, keys, m: real_flows(
+            modes, sorted(keys, key=lambda key: key[0] != first), m))
         cl, x0 = overflow_loop(indices), np.array([1.0, 0.0])
         with pytest.raises(SimulationDiverged) as err:
             simulate(cl, x0, 1.0)
-        assert len(made) == 1
         with pytest.raises(SimulationDiverged) as want:
             cached_simulate(cl, x0, 1.0)
         assert err.value.t == want.value.t == t
 
-    def test_failed_child_raises_and_leaves_no_child(self, forks, monkeypatch,
-                                                     capfd, demo_closed_loop):
-        forks(2)
-        parent, real_flows = os.getpid(), simulator._flows
-        monkeypatch.setattr(simulator, "_flows", lambda *args: (
-            real_flows(*args) if os.getpid() == parent else 1 / 0))
-        x0 = np.random.default_rng(1).uniform(-1, 1, 20)
-        with pytest.raises(OSError, match=r"^transition matrices: part 2 of 2 "
-                           r"failed in child process \d+ \(exit code 1\)$"):
-            simulate(demo_closed_loop, x0, vtol.DT)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert capfd.readouterr().err.count("ZeroDivisionError") == 1
+    def test_keys_of_a_mode_share_one_kernel_call(self, small_setup, monkeypatch):
+        a, b, graphs, design = small_setup
+        cl = build_closed_loop(a, b, design.k, design.alpha, graphs,
+                               periodic_signal(2, 1.0, 2.0))
+        m = (cl.node_count - 1) * cl.state_dim
+        calls = []
+        expm = simulator.linalg.expm
+        monkeypatch.setattr(simulator.linalg, "expm", lambda mode, steps: (
+            calls.append((mode.tobytes(), list(steps))) or expm(mode, steps)))
+        keys = [(1, 0.1), (2, 0.1), (1, 0.2), (2, 0.2), (1, 0.3)]
+        flows = simulator._flows(cl.modes, keys, m)
+        assert calls == [(cl.modes[0].tobytes(), [0.1, 0.2, 0.3]),
+                         (cl.modes[1].tobytes(), [0.1, 0.2])]
+        assert flows.keys() == set(keys)
+        for (mode, h), flow in flows.items():
+            alone = expm(cl.modes[mode - 1], [h])[0]
+            alone[:m, m:] = 0.0
+            assert flow.tobytes() == alone.tobytes()
 
-    def test_truncated_child_file_raises_and_leaves_no_child(
-        self, forks, monkeypatch, demo_closed_loop
-    ):
-        # The child writes its stack one float short and exits cleanly.
-        made = forks(2)
-        parent, real_flows = os.getpid(), simulator._flows
-        monkeypatch.setattr(simulator, "_flows", lambda *args: (
-            real_flows(*args) if os.getpid() == parent
-            else real_flows(*args).tobytes()[:-8]))
-        x0 = np.random.default_rng(1).uniform(-1, 1, 20)
-        with pytest.raises(OSError, match="^transition matrices: a child's "
-                           "file is truncated$"):
-            simulate(demo_closed_loop, x0, vtol.DT)
-        assert len(made) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
-    def test_no_fork_below_the_work(self, forks):
-        # Two 2x2 steps, one per part: 2**3 = 8 units of work each.
-        for work, forked in ((8, 1), (9, 0)):
-            made = forks(2, work)
-            made.clear()
-            with pytest.raises(SimulationDiverged):
-                simulate(overflow_loop([2, 1]), np.array([1.0, 0.0]), 1.0)
-            assert len(made) == forked
+class TestOneProcess:
+    """Only the trajectory CSV forks; the exponentials are this process's."""
 
-    def test_no_fork_beside_another_thread(self, forks, monkeypatch, tmp_path,
-                                           demo_closed_loop):
-        # Four CPUs would give both fork sites several parts; a live thread,
-        # a BLAS worker say, leaves one.
-        made = forks(4)
-        monkeypatch.setattr(simulator, "MIN_PART_VALUES", 1)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            record = simulate(demo_closed_loop, np.ones(20), vtol.DT)
-            write_trajectory_csv(record, tmp_path / "trajectory.csv")
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert made == []
-        # A joined thread can still be listed while the kernel tears it down.
-        deadline = time.monotonic() + 10
-        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        simulate(demo_closed_loop, np.ones(20), vtol.DT)
-        write_trajectory_csv(record, tmp_path / "trajectory.csv")
-        assert len(made) == 4
-
-    @pytest.mark.parametrize("platform", ["linux", "darwin"])
-    def test_no_fork_without_os_fork_or_off_linux(self, forks, monkeypatch,
-                                                  demo_closed_loop, platform):
-        made = forks(2)
-        monkeypatch.setattr(sys, "platform", platform)
-        if platform == "linux":
-            monkeypatch.delattr(os, "fork")
-        simulate(demo_closed_loop, np.zeros(20), vtol.DT)
+    def test_large_modes_fork_nothing(self, monkeypatch):
+        # N=300 first-order agents: four 300x300 steps, 1.1e8 units of the
+        # n**3 work that used to fork; four CPUs and no CSV fork nothing.
+        made = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(None) or real_fork())
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
+        record = simulate(first_order_loop(300), np.linspace(-1, 1, 300), 0.1)
+        assert len(record.switches) == 2
         assert made == []
 
-    def test_large_blocks_fork_at_the_default_work(self, forks):
-        # N=200 first-order agents: four 200x200 steps, two per part, 1.6e7
-        # units each; N=300 gives 5.4e7 units per part, above MIN_FORK_WORK.
-        for n, forked in ((200, 0), (300, 1)):
-            made = forks(2, simulator.MIN_FORK_WORK)
-            made.clear()
-            simulate(first_order_loop(n), np.linspace(-1, 1, n), 0.1)
-            assert len(made) == forked
+    def test_overflowing_large_flow_is_a_divergence(self):
+        # 400 first-order agents whose e grows like e^(1000 t): the first
+        # full step's flow overflows, though its squarings flush.
+        n = 400
+        ring = topology.DirectedGraph.from_edges(n, [(i, i % n + 1)
+                                                     for i in range(1, n + 1)])
+        cl = build_closed_loop(np.array([[1000.0]]), np.ones((1, 1)),
+                               np.zeros((1, 1)), 0.0, topology.GraphSet((ring,)),
+                               periodic_signal(1, 1.0, 2.0))
+        assert cl.modes[0].shape[0] >= linalg.FLUSH_MIN_ORDER
+        assert not np.isfinite(linalg.expm(cl.modes[0], [1.0])).all()
+        with pytest.raises(SimulationDiverged) as err:
+            simulate(cl, np.linspace(-1, 1, n), 1.0)
+        assert err.value.t == 1.0
 
 
 class TestSplitProperties:
-    """The one split rule, and simulate under it, over random draws."""
+    """The one split rule, and simulate in blocks, over random draws."""
 
     @settings(max_examples=200, deadline=None)
     @given(cpus=st.integers(1, 8), count=st.integers(0, 60),
            units=st.integers(0, 10**6), min_units=st.integers(0, 10**5))
     def test_part_bounds(self, cpus, count, units, min_units):
-        with mock.patch.object(simulator, "_usable_cpus", lambda: cpus):
-            bounds = simulator._part_bounds(count, units, min_units)
+        with mock.patch.object(simulator, "_usable_cpus", lambda: cpus), \
+             mock.patch.object(simulator, "MIN_PART_VALUES", min_units):
+            bounds = simulator._part_bounds(count, units)
         parts = len(bounds) - 1
         assert bounds[0] == 0 and bounds[-1] == count
         assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:]))
@@ -657,48 +568,37 @@ class TestSplitProperties:
                        for lo, hi in zip(bounds, bounds[1:]))
 
     @settings(max_examples=12, deadline=None)
-    @given(cpus=st.integers(1, 3), intervals=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1), dt=st.floats(0.05, 1.0),
-           block=st.integers(1, 4))
-    def test_forked_simulate_matches_the_oracle(self, small_setup, cpus,
-                                                intervals, seed, dt, block):
+    @given(intervals=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(0.05, 1.0), block=st.integers(1, 4))
+    def test_blocked_simulate_matches_the_oracle(self, small_setup, intervals,
+                                                 seed, dt, block):
         cl = irregular_loop(small_setup, intervals, seed)
         x0 = np.random.default_rng(seed).uniform(-1, 1, 6)
-        with mock.patch.object(simulator, "_usable_cpus", lambda: cpus), \
-             mock.patch.object(simulator, "MIN_FORK_WORK", 1), \
-             mock.patch.object(simulator, "BLOCK_INTERVALS", block):
+        with mock.patch.object(simulator, "BLOCK_INTERVALS", block):
             record = simulate(cl, x0, dt)
         reference = cached_simulate(cl, x0, dt)
         for got, want in zip(record_fields(record), record_fields(reference)):
             assert np.array_equal(got, want)
         assert record.switches == reference.switches
 
-
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8),
            count=st.integers(1, 12), magnitude=st.floats(-3.0, 3.0))
-    def test_flow_alone_among_others_and_forked(self, seed, size, count,
-                                                magnitude):
+    def test_flow_alone_and_among_others(self, seed, size, count, magnitude):
         # A step's flow has the same bits whichever steps share its kernel
-        # call and whichever process makes it.
+        # call.
         rng = np.random.default_rng(seed)
         modes = [rng.normal(size=(size, size)) * 10.0**magnitude for _ in range(2)]
         steps = rng.uniform(0.0, 2.0, count) * 10.0 ** rng.uniform(-6.0, 0.0, count)
         keys = list(dict.fromkeys(zip(rng.integers(1, 3, count).tolist(),
                                       steps.tolist())))
         m = size // 2
-        with mock.patch.object(simulator, "_usable_cpus", lambda: 2), \
-             mock.patch.object(simulator, "MIN_FORK_WORK", 0):
-            forked = simulator._exponentiate(modes, keys, m)
-        for mode in (1, 2):
-            mine = [h for k, h in keys if k == mode]
-            among = linalg.expm(modes[mode - 1], mine)
-            among[:, :m, m:] = 0.0
-            for h, flow in zip(mine, among):
-                alone = linalg.expm(modes[mode - 1], [h])[0]
-                alone[:m, m:] = 0.0
-                assert flow.tobytes() == alone.tobytes()
-                assert forked[mode, h].tobytes() == alone.tobytes()
+        flows = simulator._flows(modes, keys, m)
+        assert list(flows) == sorted(keys, key=lambda key: key[0] != keys[0][0])
+        for mode, h in keys:
+            alone = linalg.expm(modes[mode - 1], [h])[0]
+            alone[:m, m:] = 0.0
+            assert flows[mode, h].tobytes() == alone.tobytes()
 
 
 class TestSampleGrid:
@@ -1205,12 +1105,37 @@ class TestParallelTrajectoryCsv:
         self.assert_matches_oracle(tmp_path, demo_record)
         assert made == []
 
-    def test_no_fork_without_os_fork(self, tmp_path, forks, monkeypatch,
-                                     demo_record):
+    @pytest.mark.parametrize("platform", ["linux", "darwin"])
+    def test_no_fork_without_os_fork_or_off_linux(self, tmp_path, forks,
+                                                  monkeypatch, demo_record,
+                                                  platform):
         made = forks(3)
-        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(sys, "platform", platform)
+        if platform == "linux":
+            monkeypatch.delattr(os, "fork")
         self.assert_matches_oracle(tmp_path, demo_record)
         assert made == []
+
+    def test_no_fork_beside_another_thread(self, tmp_path, forks, demo_record):
+        # Four CPUs give four parts; a live thread, a BLAS worker say,
+        # leaves one until it is gone.
+        made = forks(4)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            self.assert_matches_oracle(tmp_path, demo_record)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert made == []
+        # A joined thread can still be listed while the kernel tears it down.
+        deadline = time.monotonic() + 10
+        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        self.assert_matches_oracle(tmp_path, demo_record)
+        assert len(made) == 3
 
     def test_failed_part_raises_and_leaves_no_child(
         self, tmp_path, forks, monkeypatch, capfd, demo_record

@@ -446,10 +446,10 @@ class TestCheckSchedule:
         with pytest.raises(ValueError, match="certificate"):
             check_schedule(signal, [vtol_design.certificates[0]], 3.0)
 
-    def test_repeated_topology_is_a_jump_of_exactly_one(self):
+    def test_repeated_topology_is_no_switch(self):
         # Weights 1e-6 and 1e6 give cond(Q) ~ 2e13, and the pencil (Q, Q)
-        # solves to 1.00124; a switch from a topology to itself must not
-        # solve it.
+        # solves to 1.00124; the table's jump from a topology to itself must
+        # not solve it, and a breakpoint that keeps the topology is no switch.
         g = topology.DirectedGraph.from_edges(3, [(1, 2, 1e-6), (2, 3, 1e6)])
         reduced = topology.reduce_laplacian(topology.laplacian(g), 1)
         design = synthesize(np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -460,8 +460,7 @@ class TestCheckSchedule:
         signal = topology.SwitchingSignal(np.array([0.0, 1.0, 2.0]),
                                           np.array([1, 1, 1]), 3.0)
         report = check_schedule(signal, design.certificates, 1.0)
-        assert report.lambda_max.tolist() == [1.0, 1.0]
-        assert report.margin.tolist() == [1.0, 1.0]
+        assert report.margin.size == 0 and report.passed
         indices, lam = synthesis.pair_lambdas(design.certificates)
         assert indices == [1] and lam.tolist() == [[1.0]]
 
@@ -499,8 +498,14 @@ class TestScheduleColumns:
         assert schedule_rows(report) == rows
         assert report.passed == passed
         assert order == [1, 2, 3]
+        # A switch is a breakpoint whose topology differs from the one
+        # before it; its interval runs from the previous switch.
+        switches = [k for k in range(1, len(indices)) if indices[k] != indices[k - 1]]
+        assert report.t_end.tolist() == breakpoints[switches].tolist()
+        starts = ([0] + switches)[: len(switches)]
+        assert report.t_start.tolist() == breakpoints[starts].tolist()
         assert report.lambda_max.tolist() == [
-            table[i - 1, j - 1] for i, j in zip(indices, indices[1:])]
+            table[indices[k - 1] - 1, indices[k] - 1] for k in switches]
 
     def test_long_periodic_schedule_matches_the_reference_loop(self, vtol_design):
         signal = topology.periodic_signal(2, 1.5 * vtol_design.dwell_threshold,

@@ -276,9 +276,11 @@ class TestPeriodicSignal:
         assert s.horizon == 2.0
 
     def test_single_topology(self):
+        # No breakpoint after the first changes the topology: no switch.
         s = periodic_signal(1, 1.0, 3.0)
-        assert np.allclose(s.breakpoints, [0.0, 1.0, 2.0])
-        assert list(s.indices) == [1, 1, 1]
+        assert s.breakpoints.tolist() == [0.0]
+        assert list(s.indices) == [1]
+        assert s.tau0 == 1.0
 
     def test_truncated_final_interval(self):
         s = periodic_signal(3, 0.2, 0.5)
@@ -326,6 +328,24 @@ class TestPeriodicSignal:
 
 
 class TestSwitchingSignal:
+    def test_breakpoint_keeping_the_topology_is_merged(self):
+        s = SwitchingSignal(np.array([0.0, 1.0, 1.0005, 2.0]),
+                            np.array([1, 2, 2, 1]), 3.0)
+        assert s.breakpoints.tolist() == [0.0, 1.0, 2.0]
+        assert s.indices.tolist() == [1, 2, 1]
+        # The dwell bounds are those of the given breakpoints.
+        assert s.tau0 == pytest.approx(0.0005)
+
+    def test_dwell_bounds_checked_before_the_merge(self):
+        # The short gap keeps the topology, yet breaks tau0; the merged
+        # interval [0, 2.5) is not held to tau1.
+        with pytest.raises(ValueError, match="dwell bounds violated"):
+            SwitchingSignal(np.array([0.0, 1.0, 1.0005]), np.array([1, 1, 2]),
+                            2.0, tau0=0.5)
+        s = SwitchingSignal(np.array([0.0, 1.0, 2.0, 2.5]),
+                            np.array([1, 1, 1, 2]), 3.0, tau0=0.5, tau1=1.5)
+        assert s.breakpoints.tolist() == [0.0, 2.5]
+
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError, match="first breakpoint"):
             SwitchingSignal(np.array([0.5, 1.0]), np.array([1, 2]), 2.0)
