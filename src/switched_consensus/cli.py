@@ -10,6 +10,7 @@ or violated topology assumption, 3 input error.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -211,7 +212,10 @@ def cmd_simulate(rc, out_dir):
 
     A report is checked before the run: `gain.p` must be positive definite,
     every pair of its certificates must solve, and every scheduled topology
-    must have one; the monitor reads that one pair table.
+    must have one; the monitor reads that one pair table.  The run is
+    consumed block by block (see `simulator.simulate_blocks`): each block's
+    energies, verdict windows and CSV rows are taken before the next block
+    is propagated, so one block is held at a time.
     """
     signal = cfg.build_signal(rc)
     design, table, report_path = None, None, os.path.join(out_dir, REPORT_NAME)
@@ -234,11 +238,26 @@ def cmd_simulate(rc, out_dir):
     )
     x0 = cfg.make_x0(rc)
     path = os.path.join(out_dir, TRAJECTORY_NAME)
+    # The rows go to a file beside `path` that replaces it once the run is
+    # through, so a run that fails leaves no partial file and an older
+    # trajectory as it was.
+    partial = os.path.join(out_dir, f".{TRAJECTORY_NAME}.{os.getpid()}.tmp")
+    monitor = None if design is None else simulator.EnergyMonitor(
+        design.certificates, design.p, table)
+    check = simulator.ConsensusCheck(signal.horizon, rc.tolerance, rc.window)
+    samples = 0
     try:
-        record = simulator.simulate(closed_loop, x0, rc.dt)
-        monitor = None if design is None else simulator.lyapunov_monitor(
-            record, design.certificates, design.p, table)
-        simulator.write_trajectory_csv(record, path, monitor)
+        with open(partial, "w", newline="") as fh:
+            writer = simulator.TrajectoryCsv(
+                fh, path, closed_loop.node_count, closed_loop.state_dim,
+                None if monitor is None else monitor.order)
+            for block in simulator.simulate_blocks(closed_loop, x0, rc.dt):
+                values = None if monitor is None else monitor.add(block).values
+                check.add(block)
+                writer.add(block, values)
+                samples += block.times.size
+                del block, values  # not held while the next block is made
+        os.replace(partial, path)
     except simulator.SimulationDiverged as exc:
         print(f"simulation aborted: {exc}")
         return EXIT_VERDICT
@@ -247,8 +266,11 @@ def cmd_simulate(rc, out_dir):
         raise cfg.ConfigError(f"a run of horizon {signal.horizon:g} s at simulation.dt "
                               f"{rc.dt:g} s takes up to {samples:,} samples, more "
                               "than memory holds") from None
-    verdict, ratio = simulator.consensus_verdict(record, rc.tolerance, rc.window)
-    print(f"trajectory written to {path} ({record.times.size} samples)")
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+    verdict, ratio = check.verdict()
+    print(f"trajectory written to {path} ({samples} samples)")
     print(f"consensus: {'PASS' if verdict else 'FAIL'} "
           f"(|e(T)|/|e(0)| = {ratio:.3e}, tolerance {rc.tolerance:.3e})")
     return EXIT_OK if verdict else EXIT_VERDICT

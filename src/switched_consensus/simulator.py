@@ -12,13 +12,21 @@ stepping error enters; the sample grid only chooses where the flow is seen.
 Norms, verdicts, energies and the divergence rule use e itself, never a
 difference of agent states, so they keep full precision while the agreement
 grows.  A run diverges at the first sample whose disagreement max-norm
-exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.  The schedule is
-run in blocks of switching intervals: each block's transition matrices
-are exponentiated before it is propagated, one `linalg.expm` call per
-topology, and its samples are checked for divergence at once, so a flow
-that overflows is reported as a divergence too.  Agent states
-``x_i = e_i + x_N`` are rebuilt for output only, and only the CSV writer
-forks (see `write_trajectory_csv`).
+exceeds `DIVERGENCE_CUTOFF` or whose state is not finite.
+
+The schedule is run in blocks of `BLOCK_INTERVALS` switching intervals by
+one producer, `simulate_blocks`: each block's sample grid is laid and its
+transition matrices are exponentiated, one `linalg.expm` call per topology,
+before it is propagated; its samples are checked for divergence at once,
+so a flow that overflows is reported as a divergence too; then it is
+handed on as a `TrajectoryRecord` of its own samples.  The consumers take
+one block at a time: `EnergyMonitor`, `ConsensusCheck` and `TrajectoryCsv`.
+A run consumed block by block holds one block at a time, so its memory is
+bounded by `BLOCK_INTERVALS`, not by the horizon; `simulate` joins the
+blocks into one record, and `lyapunov_monitor`, `consensus_verdict` and
+`write_trajectory_csv` feed theirs one whole-run block.
+Agent states ``x_i = e_i + x_N`` are rebuilt for output only, and only the
+CSV writer forks (see `TrajectoryCsv`).
 """
 
 import contextlib
@@ -37,8 +45,9 @@ from . import linalg, synthesis, topology
 # Abort threshold for diverging disagreement (infeasible designs blow up in
 # finite time at double precision).
 DIVERGENCE_CUTOFF = 1e12
-# Switching intervals whose transition matrices are exponentiated together;
-# bounds the flows held at once.
+# Switching intervals propagated together: their transition matrices are
+# exponentiated together, and a run consumed block by block holds one
+# block's samples at a time.
 BLOCK_INTERVALS = 256
 # Values a trajectory CSV part must format for its fork to pay.  In a 70 to
 # 100 MB process, the fork, the child's exit and the page faults the parent
@@ -47,15 +56,19 @@ BLOCK_INTERVALS = 256
 MIN_PART_VALUES = 100_000
 
 __all__ = [
+    "ConsensusCheck",
+    "EnergyMonitor",
     "LyapunovMonitor",
     "SimulationDiverged",
     "SwitchedClosedLoop",
+    "TrajectoryCsv",
     "TrajectoryRecord",
     "build_closed_loop",
     "consensus_verdict",
     "disagreement",
     "lyapunov_monitor",
     "simulate",
+    "simulate_blocks",
     "write_trajectory_csv",
 ]
 
@@ -96,7 +109,8 @@ class TrajectoryRecord:
     `switches` lists ``(t, old_index, new_index)`` so writers can also emit
     the left-sided limit.  `errors` is the propagated disagreement; `states`
     are reconstructed from it as ``x_i = e_i + x_N`` and carry e only to the
-    round-off of the agreement component.
+    round-off of the agreement component.  A block of a run (see
+    `simulate_blocks`) is a record of its own samples and switches.
     """
 
     times: np.ndarray
@@ -167,12 +181,14 @@ def build_closed_loop(a, b, k_gain, alpha, graphs, signal):
 
 
 def _sample_grid(edges, dt):
-    """Sample times of a run, and the sample that ends each interval.
+    """Sample times of a stretch of a run, and the sample that ends each interval.
 
     Interval j runs from ``edges[j]`` to ``edges[j + 1]``.  Its samples are
     the points ``k * dt`` of the global grid more than ``1e-9 * dt`` inside
-    it, then its end.  ``times`` starts with 0; ``times[ends[j]]`` is the
-    end of interval j.  Each interval's grid indices run from the first
+    it, then its end.  ``times`` starts with ``edges[0]``; ``times[ends[j]]``
+    is the end of interval j.  Each interval's times depend on its own edges
+    alone, so a stretch gives the whole run's times, bit for bit.  Each
+    interval's grid indices run from the first
     ``k > t0 / dt + 1e-9`` to the last ``k * dt < t1 - 1e-9 * dt``; both
     bounds are settled by comparing the floats ``k * dt`` themselves, so
     the times are those of testing each ``k * dt`` in turn, bit for bit.
@@ -195,7 +211,7 @@ def _sample_grid(edges, dt):
     # Sample p + 1 of the run is grid point p - shift of its interval.
     shift = np.repeat(ends - counts - lo.astype(np.int64), counts)
     times = np.empty(ends[-1] + 1)
-    times[0] = 0.0
+    times[0] = edges[0]
     times[1:] = (np.arange(ends[-1]) - shift) * dt
     times[ends] = t1
     return times, ends
@@ -229,39 +245,72 @@ def _flows(modes, keys, m):
     return flows
 
 
-def _propagate(modes, samples, times, indices, steps, ends, m):
-    """Fill ``samples[1:]`` from ``samples[0]``, one block of intervals at a time.
+def _propagate(closed_loop, z, lo, dt, m):
+    """The block of intervals ``lo .. lo + BLOCK_INTERVALS - 1``, propagated
+    from the sample it starts at, ``z = (e, x_N)``; see `simulate_blocks`.
 
-    Step s advances sample s by ``steps[s]`` under mode ``indices[s]``;
-    ``ends[j]`` is the sample that ends interval j.  See `simulate`.
+    Returns the block's record, which starts with that sample only for the
+    run's first block, and the ``z`` of its last sample.
     """
-    z = samples[0]
-    first = 1
+    signal = closed_loop.signal
+    modes = signal.indices
+    hi = min(lo + BLOCK_INTERVALS, modes.size)
+    edges = signal.breakpoints[lo : hi + 1]
+    if hi == modes.size:
+        edges = np.append(edges, signal.horizon)
+    times, ends = _sample_grid(edges, dt)
+    # The ends before the horizon are the switches, whose stored index is
+    # the incoming topology.
+    incoming = modes[lo + 1 : hi + 1]
+    indices = np.repeat(modes[lo:hi], np.diff(ends, prepend=-1))
+    indices[ends[: incoming.size]] = incoming
+    # Step s takes sample s to s + 1 under the mode stored at sample s (the
+    # stored index is right-continuous).
+    steps = np.diff(times)
+    steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
+    keys = list(zip(indices[:-1].tolist(), steps.tolist()))
+    samples = np.empty((times.size, z.size))
+    samples[0] = z
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, ends.size, BLOCK_INTERVALS):
-            last = int(ends[min(lo + BLOCK_INTERVALS, ends.size) - 1])
-            keys = list(zip(indices[first - 1 : last].tolist(),
-                            steps[first - 1 : last].tolist()))
-            flows = _flows(modes, dict.fromkeys(keys), m)
-            for s, key in enumerate(keys, start=first):
-                z = np.dot(flows[key], z, out=samples[s])
-            _check_divergence(samples[first : last + 1], times[first : last + 1], m)
-            first = last + 1
+        flows = _flows(closed_loop.modes, dict.fromkeys(keys), m)
+        for s, key in enumerate(keys):
+            z = np.dot(flows[key], z, out=samples[s + 1])
+        del flows
+        _check_divergence(samples[1:], times[1:], m)
+    first = 0 if lo == 0 else 1
+    errors = samples[first:, :m].copy()
+    states = np.tile(samples[first:, m:], closed_loop.node_count)
+    states[:, :m] += errors
+    block = TrajectoryRecord(
+        times=times[first:],
+        states=states,
+        errors=errors,
+        error_norms=np.linalg.norm(errors, axis=1),
+        indices=indices[first:],
+        switches=list(zip(times[ends[: incoming.size]].tolist(),
+                          modes[lo : lo + incoming.size].tolist(),
+                          incoming.tolist())),
+        node_count=closed_loop.node_count,
+        state_dim=closed_loop.state_dim,
+    )
+    return block, samples[-1].copy()
 
 
-def simulate(closed_loop, x0, dt):
-    """Run the switched system from x0, sampled on the global dt grid.
+def simulate_blocks(closed_loop, x0, dt):
+    """Run the switched system from x0 and yield it block by block.
 
-    Propagates ``z = (e, x_N)`` with one mat-vec per sample, working through
-    the schedule in blocks of `BLOCK_INTERVALS` switching intervals.  Each
-    step is keyed ``(mode, h)``, with a step within 1e-9*dt of dt snapped to
-    dt so float jitter on the grid never splits a key.  Per block, the
-    distinct keys are exponentiated, one kernel call per topology (see
-    `_flows`); a step's flow does not depend on the steps it shares a call
-    with.  Then the block is propagated, its samples are checked for
-    divergence at once, and its flows are dropped, so memory stays bounded.
-    A flow that overflows is not finite, nor are the samples after it, so
-    it ends the run as a divergence.
+    Yields one `TrajectoryRecord` per block of `BLOCK_INTERVALS` switching
+    intervals, with the block's samples and switches; the first block also
+    holds the initial sample.  Per block, the sample grid is laid (see
+    `_sample_grid`) and each step is keyed ``(mode, h)``, with a step within
+    1e-9*dt of dt snapped to dt so float jitter on the grid never splits a
+    key.  The distinct keys are exponentiated, one kernel call per topology
+    (see `_flows`); a step's flow does not depend on the steps it shares a
+    call with.  Then ``z = (e, x_N)`` is propagated with one mat-vec per
+    sample, the samples are checked for divergence at once, and the flows
+    are dropped.  A flow that overflows is not finite, nor are the samples
+    after it, so it ends the run as a divergence.  Beyond the block a
+    consumer holds, only the schedule's own arrays are held.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -270,33 +319,25 @@ def simulate(closed_loop, x0, dt):
     m = (n_nodes - 1) * n
     e0, _ = disagreement(x0, n_nodes, n)
     z = np.concatenate([e0, np.asarray(x0, dtype=float).ravel()[m:]])
-    signal = closed_loop.signal
-    # The ends before the horizon are the switches, whose stored index is
-    # the incoming topology.
-    times, ends = _sample_grid(signal.breakpoints.tolist() + [signal.horizon], dt)
-    indices = np.repeat(signal.indices, np.diff(ends, prepend=-1))
-    outgoing, incoming = signal.indices[:-1].tolist(), signal.indices[1:].tolist()
-    indices[ends[:-1]] = incoming
-    switches = list(zip(times[ends[:-1]].tolist(), outgoing, incoming))
-    # Step s takes sample s to s + 1 under the mode stored at sample s (the
-    # stored index is right-continuous).
-    steps = np.diff(times)
-    steps[np.abs(steps - dt) <= 1e-9 * dt] = dt
-    samples = np.empty((times.size, z.size))
-    samples[0] = z
-    _propagate(closed_loop.modes, samples, times, indices, steps, ends, m)
-    errors = samples[:, :m].copy()
-    states = np.tile(samples[:, m:], n_nodes)
-    states[:, :m] += errors
+    for lo in range(0, closed_loop.signal.indices.size, BLOCK_INTERVALS):
+        block, z = _propagate(closed_loop, z, lo, dt, m)
+        yield block
+        del block  # not held here while the next block is made
+
+
+def simulate(closed_loop, x0, dt):
+    """Run the switched system from x0, sampled on the global dt grid.
+
+    The blocks of `simulate_blocks`, joined into one record of the run.
+    """
+    blocks = list(simulate_blocks(closed_loop, x0, dt))
+    first = blocks[0]
     return TrajectoryRecord(
-        times=times,
-        states=states,
-        errors=errors,
-        error_norms=np.linalg.norm(errors, axis=1),
-        indices=indices,
-        switches=switches,
-        node_count=n_nodes,
-        state_dim=n,
+        *(np.concatenate([getattr(b, name) for b in blocks])
+          for name in ("times", "states", "errors", "error_norms", "indices")),
+        switches=[switch for b in blocks for switch in b.switches],
+        node_count=first.node_count,
+        state_dim=first.state_dim,
     )
 
 
@@ -316,78 +357,120 @@ def disagreement(x, node_count, state_dim):
     return e, float(np.linalg.norm(e))
 
 
+class ConsensusCheck:
+    """`consensus_verdict` over the blocks of a run that ends at `t_final`.
+
+    `add` takes the blocks in order; it keeps the first and the last norm
+    and the peak norm of each of the two windows, which `t_final` places in
+    advance.  `verdict` gives ``(verdict, ratio)``.
+    """
+
+    def __init__(self, t_final, tol, window):
+        if tol <= 0 or window <= 0:
+            raise ValueError("tol and window must be positive")
+        w = min(window, t_final / 2.0)
+        self.tol, self.starts = tol, (t_final - 2 * w, t_final - w)
+        self.first = self.final = None
+        self.peaks = [None, None]  # of the window before the last, of the last
+
+    def add(self, block):
+        norms, times = block.error_norms, block.times
+        if norms.size == 0:
+            return
+        if self.first is None:
+            self.first = norms[0]
+        self.final = norms[-1]
+        prev, last = self.starts
+        for k, inside in enumerate([(times >= prev) & (times < last), times >= last]):
+            if inside.any():
+                peak = norms[inside].max()
+                if self.peaks[k] is not None:
+                    peak = np.maximum(self.peaks[k], peak)
+                self.peaks[k] = peak
+
+    def verdict(self):
+        if self.first is None:
+            raise ValueError("empty trajectory")
+        if self.first == 0.0:
+            return True, 0.0
+        ratio = float(self.final / self.first)
+        prev, last = self.peaks
+        if last is None or prev is None:
+            persistent = True
+        elif prev == 0.0:
+            persistent = bool(last == 0.0)
+        else:
+            persistent = bool(last < prev)
+        return bool(ratio <= self.tol and persistent), ratio
+
+
 def consensus_verdict(record, tol, window):
     """Finite-horizon consensus check on a recorded trajectory.
 
     Passes iff the final disagreement norm is below ``tol`` times the initial
     one and the peak norm over the final `window` seconds stays below the
     peak one window earlier (decay persistence).  A trajectory starting on
-    the consensus subspace passes trivially.  Returns ``(verdict, ratio)``.
+    the consensus subspace passes trivially.  Returns ``(verdict, ratio)``;
+    see `ConsensusCheck`.
     """
-    if tol <= 0 or window <= 0:
-        raise ValueError("tol and window must be positive")
-    norms = record.error_norms
-    if norms.size == 0:
-        raise ValueError("empty trajectory")
-    if norms[0] == 0.0:
-        return True, 0.0
-    ratio = float(norms[-1] / norms[0])
-    t_final = record.times[-1]
-    w = min(window, t_final / 2.0)
-    last = norms[record.times >= t_final - w]
-    prev = norms[(record.times >= t_final - 2 * w) & (record.times < t_final - w)]
-    if last.size == 0 or prev.size == 0:
-        persistent = True
-    elif prev.max() == 0.0:
-        persistent = bool(last.max() == 0.0)
-    else:
-        persistent = bool(last.max() < prev.max())
-    return bool(ratio <= tol and persistent), ratio
+    check = ConsensusCheck(record.times[-1] if record.times.size else 0.0, tol, window)
+    check.add(record)
+    return check.verdict()
 
 
-def lyapunov_monitor(record, certificates, p, lambdas=None):
-    """Per-topology energy traces and switch-jump ratios.
+class EnergyMonitor:
+    """`lyapunov_monitor` of the blocks of a run, one block at a time.
 
     Columns follow the rows of the `synthesis.pair_lambdas` table of
     `certificates` (solved here unless the caller has it as `lambdas`), which
-    every topology of the run needs, and each switch's observed jump ratio is
-    checked against its bound there, all at once; a violation indicates
-    corrupted inputs and raises RuntimeError at the first switch that breaks
-    its bound.
+    every topology of the run needs.  The weights ``Q_i kron inv(P)`` are
+    formed once.  `add` gives a block's `LyapunovMonitor`: its energies, and
+    each switch's observed jump ratio checked against its bound there, all
+    at once; a violation indicates corrupted inputs and raises RuntimeError
+    at the first switch that breaks its bound.  A switch is a sample of its
+    block, and both its energies are read off that sample, so each block is
+    checked on its own.
     """
-    order, lam = lambdas or synthesis.pair_lambdas(certificates)
-    cols = synthesis.pair_rows(order, record.indices)
-    q = {cert.index: cert.q for cert in certificates}
-    p_inv = np.linalg.inv(np.asarray(p, dtype=float))
-    p_inv = (p_inv + p_inv.T) / 2.0
-    weights = [np.kron(q[i], p_inv) for i in order]
-    errors = record.errors
-    values = np.column_stack(
-        [np.einsum("sj,sj->s", errors @ w, errors) for w in weights]
-    )
 
-    # Every switch is a sample time, and the sample before one holds its
-    # outgoing topology.
-    t_switch, outgoing, incoming = list(zip(*record.switches)) or ((), (), ())
-    t_switch = [float(t) for t in t_switch]
-    at = np.searchsorted(record.times, t_switch)
-    old, new = cols[at - 1], cols[at]
-    bounds = lam[old, new]
-    v_old, v_new = values[at, old], values[at, new]
-    observed = v_old > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(observed, v_new / v_old, np.nan)
-    broken = np.flatnonzero(ratios > bounds * (1 + 1e-9))
-    if broken.size:
-        k = broken[0]
-        raise RuntimeError(
-            f"energy jump ratio {ratios[k]:.12g} exceeds its algebraic bound "
-            f"{bounds[k]:.12g} at t={t_switch[k]:.6g}; certificates do "
-            "not match the run"
+    def __init__(self, certificates, p, lambdas=None):
+        self.order, self.lam = lambdas or synthesis.pair_lambdas(certificates)
+        q = {cert.index: cert.q for cert in certificates}
+        p_inv = np.linalg.inv(np.asarray(p, dtype=float))
+        p_inv = (p_inv + p_inv.T) / 2.0
+        self.weights = [np.kron(q[i], p_inv) for i in self.order]
+
+    def add(self, block):
+        cols = synthesis.pair_rows(self.order, block.indices)
+        errors = block.errors
+        values = np.column_stack(
+            [np.einsum("sj,sj->s", errors @ w, errors) for w in self.weights]
         )
-    seen = [r if ok else None for r, ok in zip(ratios.tolist(), observed.tolist())]
-    switch_jumps = list(zip(t_switch, outgoing, incoming, seen, bounds.tolist()))
-    return LyapunovMonitor(order, values, switch_jumps)
+        t_switch, outgoing, incoming = list(zip(*block.switches)) or ((), (), ())
+        t_switch = [float(t) for t in t_switch]
+        at = np.searchsorted(block.times, t_switch)
+        old, new = synthesis.pair_rows(self.order, outgoing), cols[at]
+        bounds = self.lam[old, new]
+        v_old, v_new = values[at, old], values[at, new]
+        observed = v_old > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(observed, v_new / v_old, np.nan)
+        broken = np.flatnonzero(ratios > bounds * (1 + 1e-9))
+        if broken.size:
+            k = broken[0]
+            raise RuntimeError(
+                f"energy jump ratio {ratios[k]:.12g} exceeds its algebraic bound "
+                f"{bounds[k]:.12g} at t={t_switch[k]:.6g}; certificates do "
+                "not match the run"
+            )
+        seen = [r if ok else None for r, ok in zip(ratios.tolist(), observed.tolist())]
+        jumps = list(zip(t_switch, outgoing, incoming, seen, bounds.tolist()))
+        return LyapunovMonitor(self.order, values, jumps)
+
+
+def lyapunov_monitor(record, certificates, p, lambdas=None):
+    """Per-topology energy traces and switch-jump ratios of a whole run; see
+    `EnergyMonitor`."""
+    return EnergyMonitor(certificates, p, lambdas).add(record)
 
 
 def _usable_cpus():
@@ -420,7 +503,7 @@ def _part_bounds(count, units):
 
 
 def _write_rows(fh, record, data, agree, lo, hi):
-    """Write the CSV rows of samples ``lo .. hi - 1``; see `write_trajectory_csv`.
+    """Write the CSV rows of samples ``lo .. hi - 1`` of a block; see `TrajectoryCsv`.
 
     ``data`` holds each sample's values after ``t`` and the topology; a
     sample flagged in ``agree`` formats agent N's block once (see `_split`).
@@ -516,42 +599,55 @@ def _split(record, data):
     return agree.tolist(), _part_bounds(size, data.size - skipped)
 
 
-def write_trajectory_csv(record, path, monitor=None):
-    """Write the trajectory as CSV, one row per sample.
+class TrajectoryCsv:
+    """Writes a run as CSV into the open text file `fh`, one block at a time.
 
-    Columns: ``t, topology, x_1_1 .. x_N_n, e_norm`` plus ``V_1 .. V_p`` when
-    a monitor is given.  Switch instants produce two rows sharing t and x:
+    Columns: ``t, topology, x_1_1 .. x_N_n, e_norm`` plus ``V_i`` for each
+    of `topology_indices` when given.  The header is written at once; `add`
+    appends a block's rows, with its energies as `values` when there are
+    ``V_i`` columns.  Switch instants produce two rows sharing t and x:
     first the outgoing topology, then the incoming one.  Floats are written
     with full round-trip precision.
 
-    The samples are split into contiguous parts (see `_split`).  Before
-    `path` is opened, one child is forked per part after the first (see
-    `_parts`); the parent writes the first part itself, then waits for each
-    child in order and appends its file.  A child that fails raises OSError
-    naming its part, after every child has been waited for.  With one part,
-    nothing is forked.  Each part formats exactly the rows a single pass
-    would, so the bytes do not depend on the number of parts.
+    A block's samples are split into contiguous parts (see `_split`); one
+    child is forked per part after the first (see `_parts`).  The parent
+    appends the first part itself, then waits for each child in order and
+    appends its file.  A child that fails raises OSError naming its part of
+    `name`, after every child has been waited for.  With one part, nothing
+    is forked.  Each part formats exactly the rows a single pass would, so
+    the bytes depend neither on the number of parts nor on the blocks.
     """
-    header = ["t", "topology"]
-    header += [
-        f"x_{i + 1}_{j + 1}"
-        for i in range(record.node_count)
-        for j in range(record.state_dim)
-    ]
-    header.append("e_norm")
-    columns = [record.states, record.error_norms[:, None]]
-    if monitor is not None:
-        header += [f"V_{i}" for i in monitor.topology_indices]
-        columns.append(monitor.values)
-    data = np.hstack(columns)
-    agree, bounds = _split(record, data)
-    jobs = [(f"trajectory CSV samples {lo}..{hi - 1}",
-             functools.partial(_write_part, record, data, agree, lo, hi))
-            for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    with _parts(jobs, path) as finished:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            _write_rows(fh, record, data, agree, 0, bounds[1])
-            fh.flush()
+
+    def __init__(self, fh, name, node_count, state_dim, topology_indices=None):
+        self.fh, self.name = fh, name
+        header = ["t", "topology"]
+        header += [f"x_{i + 1}_{j + 1}" for i in range(node_count)
+                   for j in range(state_dim)]
+        header.append("e_norm")
+        header += [f"V_{i}" for i in topology_indices or ()]
+        fh.write(",".join(header) + "\r\n")
+
+    def add(self, block, values=None):
+        columns = [block.states, block.error_norms[:, None]]
+        if values is not None:
+            columns.append(values)
+        data = np.hstack(columns)
+        agree, bounds = _split(block, data)
+        times = block.times
+        jobs = [(f"trajectory CSV rows at t={times[lo]!r}..{times[hi - 1]!r}",
+                 functools.partial(_write_part, block, data, agree, lo, hi))
+                for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        with _parts(jobs, self.name) as finished:
+            _write_rows(self.fh, block, data, agree, 0, bounds[1])
+            self.fh.flush()
             for part in finished:
-                shutil.copyfileobj(part, fh.buffer)
+                shutil.copyfileobj(part, self.fh.buffer)
+
+
+def write_trajectory_csv(record, path, monitor=None):
+    """Write a whole run as CSV at `path`, with the ``V_i`` columns of
+    `monitor` when given; see `TrajectoryCsv`."""
+    with open(path, "w", newline="") as fh:
+        writer = TrajectoryCsv(fh, path, record.node_count, record.state_dim,
+                               monitor and monitor.topology_indices)
+        writer.add(record, monitor and monitor.values)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import shutil
 from pathlib import Path
 
@@ -1031,12 +1032,13 @@ class TestCommandExitCodes:
         def out_of_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(simulator, "simulate", out_of_memory)
+        monkeypatch.setattr(simulator, "simulate_blocks", out_of_memory)
         assert cli.main(["simulate", "--config", demo_config_file,
                          "--out", out]) == 3
         assert capsys.readouterr().err == (
             "error: a run of horizon 10 s at simulation.dt 0.01 s takes up to "
             "1,021 samples, more than memory holds\n")
+        assert sorted(os.listdir(out)) == ["synthesis.json"]
 
     def test_kappa0_override_keeps_report_fresh(self, demo_config_file,
                                                 tmp_path, capsys):

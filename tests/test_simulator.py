@@ -607,7 +607,7 @@ class TestSampleGrid:
     @staticmethod
     def loop_grid(edges, dt):
         grids = [grid_targets(t0, t1, dt) for t0, t1 in zip(edges[:-1], edges[1:])]
-        times = np.array([0.0] + [t for grid in grids for t in grid])
+        times = np.array([edges[0]] + [t for grid in grids for t in grid])
         return times, np.cumsum([len(grid) for grid in grids])
 
     def check(self, edges, dt):
