@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from switched_consensus import (
+    agent_states,
     build_closed_loop,
     consensus_verdict,
     laplacian,
@@ -66,7 +67,9 @@ print(f"\nconsensus verdict: {verdict} (final/initial ratio {ratio:.3e})")
 
 # The agents agree on a common trajectory, not on a precomputed point: the
 # final value depends on the dynamics, the gain, and the switching pattern.
-final = record.states[-1].reshape(5, 4)
+# The record holds each sample's (e, x_N); agent_states rebuilds every
+# x_i = e_i + x_N from them.
+final = agent_states(record)[-1].reshape(5, 4)
 print("\nfinal states (rows = aircraft):")
 print(final)
 print("max pairwise deviation:",

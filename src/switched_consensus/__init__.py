@@ -10,6 +10,7 @@ exact piecewise-exponential simulation of the switched closed loop.
 
 from .simulator import (
     SimulationDiverged,
+    agent_states,
     build_closed_loop,
     consensus_verdict,
     lyapunov_monitor,
@@ -43,6 +44,7 @@ __all__ = [
     "GraphSet",
     "InfeasibleError",
     "SimulationDiverged",
+    "agent_states",
     "antistability_margin",
     "build_closed_loop",
     "check_schedule",

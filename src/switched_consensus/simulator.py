@@ -25,8 +25,8 @@ A run consumed block by block holds one block at a time, so its memory is
 bounded by `BLOCK_INTERVALS`, not by the horizon; `simulate` joins the
 blocks into one record, and `lyapunov_monitor`, `consensus_verdict` and
 `write_trajectory_csv` feed theirs one whole-run block.
-Agent states ``x_i = e_i + x_N`` are rebuilt for output only, and only the
-CSV writer forks (see `TrajectoryCsv`).
+Agent states ``x_i = e_i + x_N`` are never stored; `agent_states` rebuilds
+them for output, and only the CSV writer forks (see `TrajectoryCsv`).
 """
 
 import contextlib
@@ -63,6 +63,7 @@ __all__ = [
     "SwitchedClosedLoop",
     "TrajectoryCsv",
     "TrajectoryRecord",
+    "agent_states",
     "build_closed_loop",
     "consensus_verdict",
     "disagreement",
@@ -107,15 +108,18 @@ class TrajectoryRecord:
     Sample times are strictly increasing and include every switch instant;
     the stored topology index is right-continuous (the new mode at a switch).
     `switches` lists ``(t, old_index, new_index)`` so writers can also emit
-    the left-sided limit.  `errors` is the propagated disagreement; `states`
-    are reconstructed from it as ``x_i = e_i + x_N`` and carry e only to the
-    round-off of the agreement component.  A block of a run (see
-    `simulate_blocks`) is a record of its own samples and switches.
+    the left-sided limit.  Each sample is the propagated ``z = (e, x_N)``:
+    `errors` is the disagreement e and `agreement` is agent N's state x_N.
+    The agent states ``x_i = e_i + x_N`` are not stored; `agent_states`
+    rebuilds them, and they carry e only to the round-off of the agreement
+    component.  A block of a run (see `simulate_blocks`) is a record of its
+    own samples and switches, its `errors` and `agreement` views of the one
+    array they were propagated into.
     """
 
     times: np.ndarray
-    states: np.ndarray
     errors: np.ndarray
+    agreement: np.ndarray
     error_norms: np.ndarray
     indices: np.ndarray
     switches: list
@@ -278,13 +282,11 @@ def _propagate(closed_loop, z, lo, dt, m):
         del flows
         _check_divergence(samples[1:], times[1:], m)
     first = 0 if lo == 0 else 1
-    errors = samples[first:, :m].copy()
-    states = np.tile(samples[first:, m:], closed_loop.node_count)
-    states[:, :m] += errors
+    errors = samples[first:, :m]
     block = TrajectoryRecord(
         times=times[first:],
-        states=states,
         errors=errors,
+        agreement=samples[first:, m:],
         error_norms=np.linalg.norm(errors, axis=1),
         indices=indices[first:],
         switches=list(zip(times[ends[: incoming.size]].tolist(),
@@ -334,11 +336,27 @@ def simulate(closed_loop, x0, dt):
     first = blocks[0]
     return TrajectoryRecord(
         *(np.concatenate([getattr(b, name) for b in blocks])
-          for name in ("times", "states", "errors", "error_norms", "indices")),
+          for name in ("times", "errors", "agreement", "error_norms", "indices")),
         switches=[switch for b in blocks for switch in b.switches],
         node_count=first.node_count,
         state_dim=first.state_dim,
     )
+
+
+def agent_states(record, out=None):
+    """The agent states ``x_i = e_i + x_N`` of `record`'s samples, a row each.
+
+    x_N is tiled over the N agent blocks, then e is added to the first N-1.
+    Written into the leading N*n columns of `out`, a C-contiguous array,
+    when given; returns them.
+    """
+    size, n_nodes, n = record.times.size, record.node_count, record.state_dim
+    if out is None:
+        out = np.empty((size, n_nodes * n))
+    states = out[:, : n_nodes * n]
+    states.reshape(size, n_nodes, n)[:] = record.agreement[:, None]
+    states[:, : (n_nodes - 1) * n] += record.errors
+    return states
 
 
 def disagreement(x, node_count, state_dim):
@@ -438,9 +456,21 @@ class EnergyMonitor:
         p_inv = np.linalg.inv(np.asarray(p, dtype=float))
         p_inv = (p_inv + p_inv.T) / 2.0
         self.weights = [np.kron(q[i], p_inv) for i in self.order]
+        # The table row of each topology index; -1 for an index with no
+        # certificate, past the largest one too.
+        self.row_of = np.full(max(self.order, default=0) + 2, -1)
+        self.row_of[self.order] = np.arange(len(self.order))
+
+    def _rows(self, topologies):
+        """Table rows of the (1-based) `topologies`; an index with no
+        certificate raises the ValueError of `synthesis.pair_rows`."""
+        rows = self.row_of.take(np.asarray(topologies, dtype=np.int64), mode="clip")
+        if rows.min(initial=0) < 0:
+            synthesis.pair_rows(self.order, topologies)
+        return rows
 
     def add(self, block):
-        cols = synthesis.pair_rows(self.order, block.indices)
+        cols = self._rows(block.indices)
         errors = block.errors
         values = np.column_stack(
             [np.einsum("sj,sj->s", errors @ w, errors) for w in self.weights]
@@ -448,7 +478,7 @@ class EnergyMonitor:
         t_switch, outgoing, incoming = list(zip(*block.switches)) or ((), (), ())
         t_switch = [float(t) for t in t_switch]
         at = np.searchsorted(block.times, t_switch)
-        old, new = synthesis.pair_rows(self.order, outgoing), cols[at]
+        old, new = self._rows(outgoing), cols[at]
         bounds = self.lam[old, new]
         v_old, v_new = values[at, old], values[at, new]
         observed = v_old > 0
@@ -591,11 +621,10 @@ def _split(record, data):
     ``-0.0`` never stands in for ``0.0``; its row formats that block once.
     Each part formats at least `MIN_PART_VALUES` values (see `_part_bounds`).
     """
-    size, n = record.times.size, record.state_dim
-    states = np.ascontiguousarray(record.states, dtype=float)
-    blocks = states.view(np.int64).reshape(size, record.node_count, n)
+    size, n_nodes, n = record.times.size, record.node_count, record.state_dim
+    blocks = data[:, : n_nodes * n].view(np.int64).reshape(size, n_nodes, n)
     agree = (blocks == blocks[:, -1:]).all(axis=(1, 2))
-    skipped = (record.node_count - 1) * n * int(agree.sum())
+    skipped = (n_nodes - 1) * n * int(agree.sum())
     return agree.tolist(), _part_bounds(size, data.size - skipped)
 
 
@@ -628,10 +657,13 @@ class TrajectoryCsv:
         fh.write(",".join(header) + "\r\n")
 
     def add(self, block, values=None):
-        columns = [block.states, block.error_norms[:, None]]
-        if values is not None:
-            columns.append(values)
-        data = np.hstack(columns)
+        width = block.node_count * block.state_dim
+        extra = 0 if values is None else values.shape[1]
+        data = np.empty((block.times.size, width + 1 + extra))
+        agent_states(block, data)
+        data[:, width] = block.error_norms
+        if extra:
+            data[:, width + 1 :] = values
         agree, bounds = _split(block, data)
         times = block.times
         jobs = [(f"trajectory CSV rows at t={times[lo]!r}..{times[hi - 1]!r}",

@@ -233,13 +233,11 @@ def cached_simulate(closed_loop, x0, dt):
             simulator._check_divergence(
                 samples[first : s + 1], times[first : s + 1], m
             )
-    errors = samples[:, :m].copy()
-    states = np.tile(samples[:, m:], n_nodes)
-    states[:, :m] += errors
+    errors = samples[:, :m]
     return simulator.TrajectoryRecord(
         times=times,
-        states=states,
         errors=errors,
+        agreement=samples[:, m:],
         error_norms=np.linalg.norm(errors, axis=1),
         indices=indices,
         switches=switches,
@@ -300,7 +298,8 @@ def unflushed_expm(mode, steps):
 def single_process_csv(record, path, monitor=None):
     """Oracle: the one-pass trajectory writer the forked one replaced.
 
-    Formats every row in this process, each float with its own ``repr``.
+    Rebuilds the agent states ``x_i = e_i + x_N`` itself and formats every
+    row in this process, each float with its own ``repr``.
     """
     header = ["t", "topology"]
     header += [
@@ -309,7 +308,9 @@ def single_process_csv(record, path, monitor=None):
         for j in range(record.state_dim)
     ]
     header.append("e_norm")
-    columns = [record.states, record.error_norms[:, None]]
+    states = np.tile(record.agreement, record.node_count)
+    states[:, : (record.node_count - 1) * record.state_dim] += record.errors
+    columns = [states, record.error_norms[:, None]]
     if monitor is not None:
         header += [f"V_{i}" for i in monitor.topology_indices]
         columns.append(monitor.values)

@@ -231,7 +231,7 @@ def test_criterion_7_simulator_properties(vtol_design):
     subspace_ok = (
         on_subspace.error_norms[0] == 0.0
         and on_subspace.error_norms.max()
-        <= 1e-9 * np.abs(on_subspace.states).max()
+        <= 1e-9 * np.abs(simulator.agent_states(on_subspace)).max()
     )
 
     m = random_stable(rng, 4, gap=0.3)

@@ -17,6 +17,7 @@ from switched_consensus import linalg, simulator, synthesis, topology, vtol
 from switched_consensus.simulator import (
     SimulationDiverged,
     TrajectoryRecord,
+    agent_states,
     build_closed_loop,
     consensus_verdict,
     disagreement,
@@ -148,16 +149,17 @@ class TestSimulate:
         v = np.array([0.3, -1.2, 0.8, 0.45])
         x0 = np.tile(v, 5)
         record = simulate(demo_closed_loop, x0, 0.05)
-        scale = np.abs(record.states).max()
+        scale = np.abs(agent_states(record)).max()
         assert record.error_norms[0] == 0.0
         assert record.error_norms.max() <= 1e-9 * scale
 
     def test_consensus_subspace_follows_single_agent_flow(self, demo_closed_loop):
         v = np.array([0.3, -1.2, 0.8, 0.45])
         record = simulate(demo_closed_loop, np.tile(v, 5), 0.1)
+        states = agent_states(record)
         for s in (10, 50, 99):
             expected = sla.expm(vtol.A * record.times[s]) @ v
-            blocks = record.states[s].reshape(5, 4)
+            blocks = states[s].reshape(5, 4)
             for block in blocks:
                 assert np.allclose(block, expected, rtol=1e-7, atol=1e-9)
 
@@ -169,7 +171,7 @@ class TestSimulate:
             np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), 0.0, graphs, signal
         )
         record = simulate(cl, np.array([1.0, -2.0]), 0.25)
-        assert np.array_equal(record.states, np.tile([1.0, -2.0], (9, 1)))
+        assert np.array_equal(agent_states(record), np.tile([1.0, -2.0], (9, 1)))
 
     def test_sample_grid_and_switch_instants(self, demo_record):
         times = demo_record.times
@@ -192,8 +194,9 @@ class TestSimulate:
         fine = simulate(cl, x0, 0.125)
         pos = np.searchsorted(fine.times, coarse.times)
         assert np.allclose(fine.times[pos], coarse.times)
-        scale = np.abs(coarse.states).max()
-        assert np.abs(fine.states[pos] - coarse.states).max() <= 1e-10 * scale
+        coarse_states, fine_states = agent_states(coarse), agent_states(fine)
+        scale = np.abs(coarse_states).max()
+        assert np.abs(fine_states[pos] - coarse_states).max() <= 1e-10 * scale
 
     def test_switch_instants_exact_for_incommensurate_dt(self, vtol_graphs,
                                                          vtol_design):
@@ -231,7 +234,7 @@ class TestSimulate:
         )
         scale = max(1.0, np.abs(dense_states).max())
         assert np.abs(record.errors - dense_errors).max() <= 1e-10 * scale
-        assert np.abs(record.states - dense_states).max() <= 1e-10 * scale
+        assert np.abs(agent_states(record) - dense_states).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("with_monitor", [True, False])
     def test_breakpoint_keeping_the_topology_is_no_switch(self, small_setup,
@@ -307,7 +310,7 @@ class TestSimulate:
         record = simulate(cl, np.array([1.0, 1.0]), 0.5)
         assert record.times[-1] == 40.0
         assert np.all(record.error_norms == 0.0)
-        assert record.states[-1, 1] == pytest.approx(np.exp(40.0), rel=1e-9)
+        assert record.agreement[-1, 0] == pytest.approx(np.exp(40.0), rel=1e-9)
 
     def test_non_finite_agreement_is_reported_as_divergence(self):
         # e stays exactly 0 while x_N = e^(800 t) overflows at t = 1.
@@ -384,7 +387,7 @@ def blocked_case(case, demo_closed_loop, small_setup, vtol_graphs, vtol_design):
 
 
 def record_fields(record):
-    return (record.times, record.states, record.errors, record.error_norms,
+    return (record.times, record.errors, record.agreement, record.error_norms,
             record.indices)
 
 
@@ -691,7 +694,8 @@ class TestReductionEquivalence:
         assert np.array_equal(record.times, times)
         scale = max(1.0, np.abs(errors).max())
         assert np.abs(record.errors - errors).max() <= 1e-8 * scale
-        assert np.abs(record.states - states).max() <= 1e-8 * np.abs(states).max()
+        assert (np.abs(agent_states(record) - states).max()
+                <= 1e-8 * np.abs(states).max())
 
     def test_demo_system_agrees(self, demo_closed_loop, demo_record, vtol_graphs,
                                 vtol_design):
@@ -737,8 +741,8 @@ class TestConsensusVerdict:
         dim = 2
         return TrajectoryRecord(
             times=times,
-            states=np.zeros((len(norms), 2 * dim)),
             errors=np.zeros((len(norms), dim)),
+            agreement=np.zeros((len(norms), dim)),
             error_norms=np.asarray(norms, dtype=float),
             indices=np.ones(len(norms), dtype=int),
             switches=[],
@@ -831,8 +835,8 @@ class TestLyapunovMonitor:
         extremal = vecs[:, -1]
         record = TrajectoryRecord(
             times=np.array([0.0, 1.0, 2.0]),
-            states=np.zeros((3, 20)),
             errors=np.vstack([extremal] * 3),
+            agreement=np.zeros((3, 4)),
             error_norms=np.full(3, np.linalg.norm(extremal)),
             indices=np.array([1, 2, 2]),
             switches=[(1.0, 1, 2)],
@@ -852,8 +856,8 @@ class TestLyapunovMonitor:
         assert len(monitor.switch_jumps) == len(record.switches) == 19
         assert [r for _, _, _, r, _ in monitor.switch_jumps] == [None] * 19
         single = TrajectoryRecord(
-            times=np.array([0.0]), states=np.zeros((1, 20)),
-            errors=np.ones((1, 16)), error_norms=np.array([4.0]),
+            times=np.array([0.0]), errors=np.ones((1, 16)),
+            agreement=np.zeros((1, 4)), error_norms=np.array([4.0]),
             indices=np.array([1]), switches=[], node_count=5, state_dim=4,
         )
         monitor = lyapunov_monitor(single, vtol_design.certificates, vtol_design.p)
@@ -873,10 +877,28 @@ class TestLyapunovMonitor:
             lyapunov_monitor(demo_record, vtol_design.certificates, vtol_design.p)
 
     def test_missing_certificate_rejected(self, demo_record, vtol_design):
-        with pytest.raises(ValueError, match="certificate"):
+        with pytest.raises(ValueError, match="^no certificate for topology index 2$"):
             lyapunov_monitor(
                 demo_record, vtol_design.certificates[:1], vtol_design.p
             )
+
+    @pytest.mark.parametrize("indices, outgoing, missing", [
+        ([1, 4, 4], 1, 4), ([1, 2, 2], 4, 4), ([1, 2, 2], 0, 0), ([-1, 2, 2], 1, -1),
+        ([1, 2, 2], 7, 7),
+    ])
+    def test_missing_certificate_named_wherever_it_is_run(self, indices, outgoing,
+                                                          missing):
+        # A topology run only up to a switch, whose one sample stores the
+        # incoming topology, is named too.
+        record = TrajectoryRecord(
+            times=np.array([0.0, 1.0, 2.0]), errors=np.ones((3, 4)),
+            agreement=np.zeros((3, 1)), error_norms=np.full(3, 2.0),
+            indices=np.array(indices), switches=[(1.0, outgoing, 2)],
+            node_count=5, state_dim=1,
+        )
+        with pytest.raises(ValueError) as got:
+            lyapunov_monitor(record, three_certificates(), np.array([[2.0]]))
+        assert str(got.value) == f"no certificate for topology index {missing}"
 
     @settings(max_examples=150, deadline=None)
     @given(indices=st.lists(st.integers(1, 3), min_size=1, max_size=30),
@@ -892,8 +914,8 @@ class TestLyapunovMonitor:
         errors[rng.random(errors.shape[0]) < 0.2] = 0.0
         record = TrajectoryRecord(
             times=np.arange(2 * count + 1) * 0.5,
-            states=np.zeros((2 * count + 1, 5)),
             errors=errors,
+            agreement=np.zeros((2 * count + 1, 1)),
             error_norms=np.linalg.norm(errors, axis=1),
             indices=np.array(indices)[np.minimum(np.arange(2 * count + 1) // 2,
                                                  count - 1)],
@@ -950,7 +972,7 @@ class TestTrajectoryCsv:
         first = body[0]
         assert float(first[0]) == demo_record.times[0]
         assert np.array_equal(
-            np.array([float(v) for v in first[2:22]]), demo_record.states[0]
+            np.array([float(v) for v in first[2:22]]), agent_states(demo_record)[0]
         )
         assert float(first[22]) == demo_record.error_norms[0]
 
@@ -967,8 +989,9 @@ class TestTrajectoryCsv:
 
         switch_at = {t: (old, new) for t, old, new in demo_record.switches}
         lines = [path.read_text().splitlines()[0]]
+        states = agent_states(demo_record)
         for s, t in enumerate(demo_record.times):
-            tail = [fmt(v) for v in demo_record.states[s]]
+            tail = [fmt(v) for v in states[s]]
             tail.append(fmt(demo_record.error_norms[s]))
             tail += [fmt(v) for v in monitor.values[s]]
             pairs = switch_at.get(t, (int(demo_record.indices[s]),))
@@ -983,20 +1006,19 @@ class TestTrajectoryCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def synthetic_record(states, state_dim, switches=()):
-    """Record with the given agent states at t = 0, 0.5, 1, ... (no physics)."""
-    states = np.array(states, dtype=float)
-    node_count = states.shape[1] // state_dim
-    times = 0.5 * np.arange(len(states))
-    indices = np.ones(len(states), dtype=int)
+def synthetic_record(samples, state_dim, switches=()):
+    """Record with the given ``(e, x_N)`` samples at t = 0, 0.5, 1, ... (no physics)."""
+    samples = np.array(samples, dtype=float)
+    node_count = samples.shape[1] // state_dim
+    times = 0.5 * np.arange(len(samples))
+    indices = np.ones(len(samples), dtype=int)
     for t, _, new in switches:
         indices[times >= t] = new
-    last = states[:, -state_dim:]
     return TrajectoryRecord(
         times=times,
-        states=states,
-        errors=states[:, :-state_dim] - np.tile(last, node_count - 1),
-        error_norms=np.linspace(1.0, 0.0, len(states)),
+        errors=samples[:, :-state_dim],
+        agreement=samples[:, -state_dim:],
+        error_norms=np.linspace(1.0, 0.0, len(samples)),
         indices=indices,
         switches=list(switches),
         node_count=node_count,
@@ -1004,15 +1026,17 @@ def synthetic_record(states, state_dim, switches=()):
     )
 
 
-# Rows of three agents with two states each: agreeing blocks, signed zeros
-# that agree only as floats, and blocks that differ in one value.
-SIGNED_ZERO_STATES = [
-    [1.5, -2.0, 1.5, -2.0, 1.5, -2.0],
-    [0.0, 1.0, -0.0, 1.0, 0.0, 1.0],
+# Samples ``(e_1, e_2, x_N)`` of three agents with two states each: agent
+# states that agree bit for bit, also where e is nonzero but lost in x_N,
+# signed zeros that agree only as floats, and a block that differs in one
+# value.
+SIGNED_ZERO_SAMPLES = [
+    [1e-17, 0.0, 0.0, -1e-17, 1.5, -2.0],
+    [0.0, 0.0, -0.0, 0.0, -0.0, 1.0],
     [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
     [0.0, 0.0, 0.0, 0.0, -0.0, 0.0],
-    [0.1, 0.2, 0.1, 0.2000000000000001, 0.1, 0.2],
-    [7e-310, 1e300, 7e-310, 1e300, 7e-310, 1e300],
+    [0.0, 0.0, 0.0, 1e-16, 0.1, 0.2],
+    [0.0, 0.0, 0.0, 0.0, 7e-310, 1e300],
 ]
 
 
@@ -1078,17 +1102,18 @@ class TestParallelTrajectoryCsv:
     ):
         made = forks(cpus)
         switches = [(0.5, 1, 2)] if samples == 2 else []
-        record = synthetic_record(SIGNED_ZERO_STATES[:samples], 2, switches)
+        record = synthetic_record(SIGNED_ZERO_SAMPLES[:samples], 2, switches)
         self.assert_matches_oracle(tmp_path, record)
         assert len(made) == min(cpus, samples) - 1
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_signed_zeros_and_consensus_rows(self, tmp_path, forks, cpus):
         forks(cpus)
-        record = synthetic_record(SIGNED_ZERO_STATES, 2, [(1.0, 1, 2)])
+        record = synthetic_record(SIGNED_ZERO_SAMPLES, 2, [(1.0, 1, 2)])
         self.assert_matches_oracle(tmp_path, record)
         text = (tmp_path / "parted.csv").read_text()
-        assert "0.5,1,0.0,1.0,-0.0,1.0,0.0,1.0," in text
+        assert "0.0,1,1.5,-2.0,1.5,-2.0,1.5,-2.0," in text
+        assert "0.5,1,0.0,1.0,-0.0,1.0,-0.0,1.0," in text
         assert "1.5,2,0.0,0.0,0.0,0.0,-0.0,0.0," in text
 
     @pytest.mark.parametrize("min_part_values, forks_made", [(31, 0), (14, 1), (10, 2)])
@@ -1096,7 +1121,7 @@ class TestParallelTrajectoryCsv:
                                       forks_made):
         made = forks(3, min_part_values)
         # 6 rows of 7 values; the 3 agreeing rows format 3 each, so 30 in all.
-        record = synthetic_record(SIGNED_ZERO_STATES, 2)
+        record = synthetic_record(SIGNED_ZERO_SAMPLES, 2)
         self.assert_matches_oracle(tmp_path, record)
         assert len(made) == forks_made
 

@@ -1,16 +1,19 @@
 """`simulate` from the command line, consumed one block of intervals at a time."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switched_consensus import cli, simulator, synthesis
@@ -92,6 +95,41 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _printed(path, record, rc, verdict, ratio):
+    """What `simulate` prints for the run of `record` written to `path`."""
+    return (f"trajectory written to {path} ({record.times.size} samples)\n"
+            f"consensus: {'PASS' if verdict else 'FAIL'} (|e(T)|/|e(0)| = "
+            f"{ratio:.3e}, tolerance {rc.tolerance:.3e})\n")
+
+
+def _assert_jumps_match(got, want):
+    """Equal switch jumps; the ratios are read off the V_i, so they share
+    their tolerance."""
+    assert len(got) == len(want)
+    for (*got_row, got_ratio), (*want_row, want_ratio) in zip(
+            [(t, o, i, b, r) for t, o, i, r, b in got],
+            [(t, o, i, b, r) for t, o, i, r, b in want]):
+        assert got_row == want_row
+        if want_ratio is None:
+            assert got_ratio is None
+        else:
+            assert got_ratio == pytest.approx(want_ratio, rel=1e-12, abs=0.0)
+
+
+def _assert_csv_matches(path, oracle):
+    """Every row of `path` is the oracle's, the V_i within the stated tolerance."""
+    with open(path, newline="") as got_fh, open(oracle, newline="") as want_fh:
+        got, want = list(csv.reader(got_fh)), list(csv.reader(want_fh))
+    assert got[0] == want[0] and len(got) == len(want)
+    v = [pos for pos, name in enumerate(want[0]) if name.startswith("V_")]
+    assert len(v) == 3
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert got_row[: v[0]] == want_row[: v[0]]
+        np.testing.assert_allclose(np.array(got_row[v[0]:], dtype=float),
+                                   np.array(want_row[v[0]:], dtype=float),
+                                   rtol=1e-12, atol=0.0)
+
+
 class TestBlockBoundaries:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("block", [1, 2, 3])
@@ -123,31 +161,85 @@ class TestBlockBoundaries:
         code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
         assert code == (cli.EXIT_OK if verdict else cli.EXIT_VERDICT)
         path = out / cli.TRAJECTORY_NAME
-        assert capsys.readouterr().out == (
-            f"trajectory written to {path} ({record.times.size} samples)\n"
-            f"consensus: {'PASS' if verdict else 'FAIL'} (|e(T)|/|e(0)| = "
-            f"{ratio:.3e}, tolerance {rc.tolerance:.3e})\n")
-        # The ratios are read off the V_i, so they share their tolerance.
-        assert len(jumps) == len(monitor.switch_jumps) == 6
-        for (*got, ratio), (*want, want_ratio) in zip(
-                [(t, o, i, b, r) for t, o, i, r, b in jumps],
-                [(t, o, i, b, r) for t, o, i, r, b in monitor.switch_jumps]):
-            assert got == want
-            assert ratio == pytest.approx(want_ratio, rel=1e-12, abs=0.0)
+        assert capsys.readouterr().out == _printed(path, record, rc, verdict, ratio)
+        assert len(monitor.switch_jumps) == 6
+        _assert_jumps_match(jumps, monitor.switch_jumps)
         assert sorted(os.listdir(out)) == [cli.REPORT_NAME, cli.TRAJECTORY_NAME]
         _no_child_left()
+        _assert_csv_matches(path, oracle)
 
-        # Every row matches the oracle's, the V_i within the stated tolerance.
-        with open(path, newline="") as got_fh, open(oracle, newline="") as want_fh:
-            got, want = list(csv.reader(got_fh)), list(csv.reader(want_fh))
-        assert got[0] == want[0] and len(got) == len(want)
-        v = [pos for pos, name in enumerate(want[0]) if name.startswith("V_")]
-        assert len(v) == 3
-        for got_row, want_row in zip(got[1:], want[1:]):
-            assert got_row[: v[0]] == want_row[: v[0]]
-            np.testing.assert_allclose(np.array(got_row[v[0]:], dtype=float),
-                                       np.array(want_row[v[0]:], dtype=float),
-                                       rtol=1e-12, atol=0.0)
+
+# Single integrators on `THREE_PATHS`, sampled at dt = 0.5: a disagreement of
+# a few subnormal units often underflows to exactly 0 within the run, and
+# from there every row formats agent N's block once.  An interval of 0.1
+# holds one sample, its end, so a block that starts there has a switch on
+# its first sample; every block but the last ends on a switch.
+SCALAR = {"a": ((0.0,),), "b": ((1.0,),), "dt": 0.5}
+LENGTHS = [0.1, 0.5, 0.7, 1.0, 1.5]
+
+
+@pytest.fixture(scope="module")
+def scalar_report(tmp_path_factory):
+    """The synthesis report of `SCALAR` on `THREE_PATHS`."""
+    root = tmp_path_factory.mktemp("scalar")
+    config = root / "config.json"
+    config.write_text(json.dumps(_config(SCHEDULE, THREE_PATHS, **SCALAR)))
+    assert cli.main(["synthesize", "--config", str(config), "--out", str(root)]) == 0
+    return root / cli.REPORT_NAME
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=st.sampled_from([1, 2, 3]), cpus=st.sampled_from([1, 2]),
+       lengths=st.lists(st.sampled_from(LENGTHS), min_size=1, max_size=7),
+       steps=st.lists(st.integers(1, 2), min_size=7, max_size=7),
+       units=st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+       unit=st.sampled_from([5e-324, 0.25]))
+# Blocks of 2 intervals: the second starts with the switch at t = 1.1, the
+# one sample of [1.0, 1.1), and ends with the switch at t = 2.1; the third
+# holds one interval.  e is exactly 0 from t = 2.0 on.
+@example(block=2, cpus=2, lengths=[0.5, 0.5, 0.1, 1.0, 0.5], steps=[1] * 7,
+         units=[7, -3, 12], unit=5e-324)
+def test_streamed_csv_is_the_whole_run_csv(scalar_report, tmp_path_factory, block,
+                                           cpus, lengths, steps, units, unit):
+    root = tmp_path_factory.mktemp("case")
+    switching = {"breakpoints": np.cumsum([0.0, *lengths[:-1]]).tolist(),
+                 "indices": (np.cumsum(steps[: len(lengths)]) % 3 + 1).tolist(),
+                 "horizon": float(np.sum(lengths))}
+    doc = _config(switching, THREE_PATHS, **SCALAR)
+    del doc["simulation"]["seed"]
+    doc["simulation"]["x0"] = [k * unit for k in units]
+    config = root / "config.json"
+    config.write_text(json.dumps(doc))
+    out = _out_dir(root, scalar_report)
+    record, design, rc = _whole_run(config, out)
+    monitor = simulator.lyapunov_monitor(record, design.certificates, design.p)
+    verdict, ratio = simulator.consensus_verdict(record, rc.tolerance, rc.window)
+    oracle = root / "oracle.csv"
+    single_process_csv(record, oracle, monitor)
+
+    jumps = []
+    add = simulator.EnergyMonitor.add
+
+    def recording_add(monitor, block):
+        # e and x_N are column views of the one array of the block's samples.
+        assert block.errors.base is block.agreement.base is not None
+        result = add(monitor, block)
+        jumps.extend(result.switch_jumps)
+        return result
+
+    printed = io.StringIO()
+    with mock.patch.object(simulator.EnergyMonitor, "add", recording_add), \
+            mock.patch.object(simulator, "BLOCK_INTERVALS", block), \
+            mock.patch.object(simulator, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(simulator, "MIN_PART_VALUES", 1), \
+            contextlib.redirect_stdout(printed):
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == (cli.EXIT_OK if verdict else cli.EXIT_VERDICT)
+    path = out / cli.TRAJECTORY_NAME
+    assert printed.getvalue() == _printed(path, record, rc, verdict, ratio)
+    _assert_jumps_match(jumps, monitor.switch_jumps)
+    _no_child_left()
+    _assert_csv_matches(path, oracle)
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,12 +254,12 @@ def test_verdict_over_blocks_is_the_whole_run_verdict(seed, size, cuts, window,
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.uniform(0.01, 0.5, size))
     norms = rng.choice([0.0, 0.5, 1.0, 2.0], size) * (rng.random(size) > zeros)
-    record = simulator.TrajectoryRecord(times, np.zeros((size, 2)), norms[:, None],
+    record = simulator.TrajectoryRecord(times, norms[:, None], np.zeros((size, 1)),
                                         norms, np.ones(size, dtype=int), [], 2, 1)
     check = simulator.ConsensusCheck(times[-1], 0.6, window)
     for lo, hi in zip([0, *sorted(set(cuts))], [*sorted(set(cuts)), size]):
         check.add(simulator.TrajectoryRecord(
-            times[lo:hi], np.zeros((max(hi - lo, 0), 2)), norms[lo:hi, None],
+            times[lo:hi], norms[lo:hi, None], np.zeros((max(hi - lo, 0), 1)),
             norms[lo:hi], np.ones(max(hi - lo, 0), dtype=int), [], 2, 1))
     assert check.verdict() == simulator.consensus_verdict(record, 0.6, window)
 
