@@ -31,6 +31,7 @@ them for output, and only the CSV writer forks (see `TrajectoryCsv`).
 
 import contextlib
 import functools
+import itertools
 import os
 import shutil
 import sys
@@ -45,6 +46,8 @@ from . import linalg, synthesis, topology
 # Abort threshold for diverging disagreement (infeasible designs blow up in
 # finite time at double precision).
 DIVERGENCE_CUTOFF = 1e12
+# The smallest magnitude whose square is a normal double, about 1.5e-154.
+TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
 # Switching intervals propagated together: their transition matrices are
 # exponentiated together, and a run consumed block by block holds one
 # block's samples at a time.
@@ -230,6 +233,25 @@ def _check_divergence(block, times, m):
         raise SimulationDiverged(float(times[bad[0]]), float(peaks[bad[0]]))
 
 
+def _norms(errors):
+    """Euclidean norm of each row of `errors`.
+
+    ``np.linalg.norm`` squares each entry, so a row whose entries are all
+    below ``TINY_NORM`` loses its squares to underflow, and reads 0 once
+    they all flush.  Such a row is scaled by its largest ``|e_i|`` first;
+    every other row keeps ``np.linalg.norm``'s bits.  Only a row whose norm
+    reads below ``2 sqrt(m) TINY_NORM`` can be one, so only those are
+    searched.
+    """
+    norms = np.linalg.norm(errors, axis=1)
+    rows = np.flatnonzero(norms < 2.0 * np.sqrt(errors.shape[1]) * TINY_NORM)
+    peaks = np.abs(errors[rows]).max(axis=1, initial=0.0)
+    small = (peaks < TINY_NORM) & (peaks > 0.0)
+    rows, peaks = rows[small], peaks[small, None]
+    norms[rows] = np.linalg.norm(errors[rows] / peaks, axis=1) * peaks[:, 0]
+    return norms
+
+
 def _flows(modes, keys, m):
     """``{(mode, h): expm(mode * h)}`` for the distinct ``(mode, h)`` `keys`.
 
@@ -287,7 +309,7 @@ def _propagate(closed_loop, z, lo, dt, m):
         times=times[first:],
         errors=errors,
         agreement=samples[first:, m:],
-        error_norms=np.linalg.norm(errors, axis=1),
+        error_norms=_norms(errors),
         indices=indices[first:],
         switches=list(zip(times[ends[: incoming.size]].tolist(),
                           modes[lo : lo + incoming.size].tolist(),
@@ -535,25 +557,69 @@ def _part_bounds(count, units):
 def _write_rows(fh, record, data, agree, lo, hi):
     """Write the CSV rows of samples ``lo .. hi - 1`` of a block; see `TrajectoryCsv`.
 
-    ``data`` holds each sample's values after ``t`` and the topology; a
-    sample flagged in ``agree`` formats agent N's block once (see `_split`).
+    ``data`` holds each sample's values after ``t`` and the topology, and
+    ``agree`` flags the samples whose agent blocks all equal agent N's (see
+    `_split`).  Rows are CRLF-terminated, as csv.writer emits them, and each
+    float is its ``repr``, the shortest round-trip form.  The samples are
+    taken in runs of equal flags.  A run that agrees is formatted a column
+    at a time (see `_agreeing_rows`); a row that does not is formatted on
+    its own.  Each row is written as soon as it is formatted, so a run's
+    short columns are held, never its text.
+    """
+    if lo == hi:
+        return
+    switch_at = {t: (old, new) for t, old, new in record.switches}
+    cuts = np.flatnonzero(np.diff(agree[lo:hi])) + lo + 1
+    for p, q in zip([lo, *cuts.tolist()], [*cuts.tolist(), hi]):
+        times = record.times[p:q].tolist()
+        # The topologies of each sample's rows: a switch's outgoing, then
+        # its incoming one.
+        labels = list(map(switch_at.get, times, zip(record.indices[p:q].tolist())))
+        if agree[p]:
+            fh.writelines(_agreeing_rows(record, data, p, q, labels))
+            continue
+        for t, pair, row in zip(times, labels, data[p:q]):
+            body = ",".join(map(repr, row.tolist()))
+            for i in pair:
+                fh.write(f"{t!r},{i},{body}\r\n")
+
+
+def _agreeing_rows(record, data, p, q, labels):
+    """The CSV rows of the agreeing samples ``p .. q - 1``, made one at a time.
+
+    Formatted a column at a time: one pass of `_reprs` over the times, over
+    each of agent N's n columns and over each column after the agent blocks
+    (``e_norm``, ``V_i``).  Agent N's formatted block is joined once per
+    row and repeated N times.  `labels` holds each sample's topologies (see
+    `_write_rows`); a switch's two rows repeat its sample, whose values
+    `_reprs` formats once.
     """
     n_nodes, n = record.node_count, record.state_dim
-    last, tail = slice((n_nodes - 1) * n, n_nodes * n), n_nodes * n
-    switch_at = {t: (old, new) for t, old, new in record.switches}
-    # CRLF rows as csv.writer emits them; repr is the shortest round-trip
-    # float form.  Rows are formatted and written one at a time.
-    rows = zip(record.times[lo:hi].tolist(), record.indices[lo:hi].tolist(),
-               data[lo:hi], agree[lo:hi])
-    for t, index, row, same in rows:
-        values = row.tolist()
-        if same:
-            block = ",".join(map(repr, values[last]))
-            body = ",".join([block] * n_nodes + [repr(v) for v in values[tail:]])
-        else:
-            body = ",".join(map(repr, values))
-        for i in switch_at.get(t, (index,)):
-            fh.write(f"{t!r},{i},{body}\r\n")
+    at = np.repeat(np.arange(p, q), list(map(len, labels)))
+    *columns, last = data[at, (n_nodes - 1) * n :].T
+    columns = [_reprs(c) for c in columns]
+    agent = list(map(",".join, zip(*columns[:n])))
+    return map(",".join, zip(
+        _reprs(record.times[at]),
+        map(str, itertools.chain.from_iterable(labels)),
+        *[agent] * n_nodes,
+        *columns[n:],
+        _reprs(last, "%r\r\n".__mod__),
+    ))
+
+
+def _reprs(column, form=repr):
+    """`form` of each float of `column`, lazily.
+
+    Each run of equal bits is formatted once, so a value that repeats from
+    the sample before, a constant velocity or a zero energy say, costs no
+    ``repr``; bits, not values, are compared, so ``-0.0`` never stands in
+    for ``0.0``.
+    """
+    bits = column.view(np.int64)
+    head = np.concatenate(([True], bits[1:] != bits[:-1]))
+    text = list(map(form, column[head].tolist()))
+    return map(text.__getitem__, (np.cumsum(head) - 1).tolist())
 
 
 @contextlib.contextmanager
@@ -625,7 +691,7 @@ def _split(record, data):
     blocks = data[:, : n_nodes * n].view(np.int64).reshape(size, n_nodes, n)
     agree = (blocks == blocks[:, -1:]).all(axis=(1, 2))
     skipped = (n_nodes - 1) * n * int(agree.sum())
-    return agree.tolist(), _part_bounds(size, data.size - skipped)
+    return agree, _part_bounds(size, data.size - skipped)
 
 
 class TrajectoryCsv:
@@ -636,7 +702,10 @@ class TrajectoryCsv:
     appends a block's rows, with its energies as `values` when there are
     ``V_i`` columns.  Switch instants produce two rows sharing t and x:
     first the outgoing topology, then the incoming one.  Floats are written
-    with full round-trip precision.
+    with full round-trip precision.  A sample whose agents all agree bit for
+    bit takes the column path of `_write_rows`; any other is formatted a row
+    at a time.  Beyond the block's one array of values, a part holds its
+    short formatted columns, never its text.
 
     A block's samples are split into contiguous parts (see `_split`); one
     child is forked per part after the first (see `_parts`).  The parent

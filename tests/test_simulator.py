@@ -1,20 +1,23 @@
 import csv
 import io
+import math
 import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switched_consensus import linalg, simulator, synthesis, topology, vtol
 from switched_consensus.simulator import (
+    LyapunovMonitor,
     SimulationDiverged,
     TrajectoryRecord,
     agent_states,
@@ -33,6 +36,7 @@ from conftest import (
     dense_simulate,
     disagreement_transform,
     grid_targets,
+    pencil_max,
     random_spd,
     random_stable,
     reference_switch_jumps,
@@ -824,7 +828,7 @@ class TestLyapunovMonitor:
         for _, old, new, ratio, bound in monitor.switch_jumps:
             assert ratio is not None
             assert ratio <= bound * (1 + 1e-9)
-            assert bound == linalg.max_generalized_eigenvalue(q[old], q[new])
+            assert bound == pencil_max(q[old], q[new])
 
     def test_jump_ratio_tight_for_extremal_disagreement(self, vtol_design):
         certs = vtol_design.certificates
@@ -1202,3 +1206,115 @@ class TestParallelTrajectoryCsv:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert made == []
+
+
+class TestErrorNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 12),
+           exponents=st.lists(st.integers(-330, 12), min_size=1, max_size=20))
+    def test_norms_do_not_underflow(self, seed, width, exponents):
+        # Rows from 1e-330 (all entries zero or subnormal) up to the
+        # divergence cutoff, 1e12, which no stored e exceeds.  A row
+        # whose entries all lie below sqrt(tiny) is scaled first, and reads
+        # its hypot to 1e-13 relative, or to a few subnormal ulps; every
+        # other row keeps np.linalg.norm's bits.
+        rng = np.random.default_rng(seed)
+        errors = rng.uniform(-1.0, 1.0, (len(exponents), width)) * np.power(
+            10.0, exponents)[:, None]
+        norms = simulator._norms(errors)
+        plain = np.linalg.norm(errors, axis=1)
+        for row, got, old in zip(errors.tolist(), norms.tolist(), plain.tolist()):
+            want = math.hypot(*row)
+            if max(map(abs, row)) >= simulator.TINY_NORM:
+                assert got == old
+            assert abs(got - want) <= 1e-13 * want + 4 * 5e-324
+            assert (got > 0.0) == any(row)
+
+
+# Values of agent N: with e_i = 0, a -0.0 of agent N sits beside a +0.0 of
+# agent i, which does not agree; subnormal, huge and plain values besides.
+AGENT_N_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1.5, -2.0, 1e300, 0.1]
+
+
+class TestColumnWriter:
+    """Agreeing rows are formatted a column at a time, others a row at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_nodes=st.integers(2, 6), n=st.integers(1, 4),
+           lengths=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+           steps=st.lists(st.integers(1, 2), min_size=8, max_size=8),
+           block=st.integers(1, 3), cpus=st.integers(1, 2),
+           extra=st.integers(0, 3), agree=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    # One-sample intervals in blocks of one: the second block's only
+    # sample is a switch, so the switch is its first and its last sample.
+    @example(n_nodes=3, n=2, lengths=[1, 1, 2], steps=[1] * 8, block=1, cpus=2,
+             extra=2, agree=1.0, seed=0)
+    def test_blocks_write_the_one_pass_oracle_bytes(
+            self, tmp_path_factory, n_nodes, n, lengths, steps, block, cpus, extra,
+            agree, seed):
+        rng = np.random.default_rng(seed)
+        size, m = 1 + sum(lengths), (n_nodes - 1) * n
+        ends = np.cumsum(lengths)
+        # Interval j holds samples ends[j-1] + 1 .. ends[j]; a switch's
+        # sample stores the incoming topology.
+        topologies = np.cumsum(steps[: len(lengths)]) % 3 + 1
+        indices = np.repeat(topologies, np.diff(ends, prepend=-1))
+        indices[ends[:-1]] = topologies[1:]
+        times = np.cumsum(rng.uniform(0.01, 1.0, size))
+        switches = list(zip(times[ends[:-1]].tolist(), topologies[:-1].tolist(),
+                            topologies[1:].tolist()))
+        agreement = np.where(rng.random((size, n)) < 0.5,
+                             rng.choice(AGENT_N_VALUES, (size, n)),
+                             rng.normal(size=(size, n)) * 10.0 ** rng.integers(-3, 4))
+        # A random subset of the samples has e = 0, so its agents agree
+        # unless agent N holds a -0.0; the rest mostly do not.
+        errors = rng.normal(size=(size, m)) * (rng.random(size) >= agree)[:, None]
+        # Repeated values, so runs of equal bits occur in the columns, and
+        # signed zeros that are equal only as floats.
+        norms = rng.choice([0.0, -0.0, 2.5e-320, 0.75, rng.random()], size)
+        values = rng.choice([0.0, -0.0, 1e-300, 3.0, rng.random()], (size, extra))
+        record = TrajectoryRecord(times, errors, agreement, norms, indices, switches,
+                                  n_nodes, n)
+        monitor = LyapunovMonitor(list(range(1, extra + 1)), values, [])
+        root = tmp_path_factory.mktemp("columns")
+        single_process_csv(record, root / "oracle.csv", monitor if extra else None)
+
+        starts = [0, *(ends[block - 1 : -1 : block] + 1).tolist()]
+        stops = [*starts[1:], size]
+        with mock.patch.object(simulator, "_usable_cpus", lambda: cpus), \
+                mock.patch.object(simulator, "MIN_PART_VALUES", 1), \
+                open(root / "blocks.csv", "w", newline="") as fh:
+            writer = simulator.TrajectoryCsv(fh, "blocks.csv", n_nodes, n,
+                                             monitor.topology_indices or None)
+            for lo, hi in zip(starts, stops):
+                part = slice(lo, hi)
+                writer.add(TrajectoryRecord(
+                    times[part], errors[part], agreement[part], norms[part],
+                    indices[part], [s for s in switches if times[lo] <= s[0] <= times[hi - 1]],
+                    n_nodes, n), values[part] if extra else None)
+        assert (root / "blocks.csv").read_bytes() == (root / "oracle.csv").read_bytes()
+
+    def test_memory_holds_no_block_text(self, tmp_path, monkeypatch):
+        # 1 000 rows of 402 values, none agreeing: each row is written as it
+        # is formatted, so the peak stays near the data array; the block's
+        # text, about 7.6 MB, would not fit below twice its 3.2 MB.
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+        rng = np.random.default_rng(41)
+        size, n_nodes, n = 1_000, 100, 4
+        record = TrajectoryRecord(
+            np.arange(size) * 0.01, rng.normal(size=(size, (n_nodes - 1) * n)),
+            rng.normal(size=(size, n)), rng.random(size), np.ones(size, dtype=int),
+            [], n_nodes, n)
+        values = rng.random((size, 1))
+        data_bytes = size * (n_nodes * n + 2) * 8
+        with open(tmp_path / "trajectory.csv", "w", newline="") as fh:
+            writer = simulator.TrajectoryCsv(fh, "trajectory.csv", n_nodes, n, [1])
+            tracemalloc.start()
+            try:
+                writer.add(record, values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "trajectory.csv").stat().st_size > 2 * data_bytes
+        assert peak < 2 * data_bytes

@@ -264,6 +264,31 @@ def test_verdict_over_blocks_is_the_whole_run_verdict(seed, size, cuts, window,
     assert check.verdict() == simulator.consensus_verdict(record, 0.6, window)
 
 
+def test_tiny_disagreement_keeps_its_verdict(designed):
+    # e_norm squared each entry, so a run started at x0 = s u with s <=
+    # 1e-170 read e_norm 0 from its first sample and passed as a run that
+    # starts in consensus.  Scaled, its verdict and ratio are those at s = 1
+    # down to 1e-300; at 1e-320 e is subnormal, and the run still fails.
+    config, report = designed
+    rc = load_config(str(config))
+    design = cli._load_report(rc, str(report.parent))
+    cl = simulator.build_closed_loop(rc.a, rc.b, design.k, design.alpha, rc.graphs,
+                                     build_signal(rc))
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, cl.node_count * cl.state_dim)
+
+    def verdict(scale):
+        record = simulator.simulate(cl, scale * u, rc.dt)
+        return simulator.consensus_verdict(record, rc.tolerance, rc.window)
+
+    want, ratio = verdict(1.0)
+    assert rc.dt == 0.25 and not want
+    for scale in (1e-170, 1e-300):
+        got, got_ratio = verdict(scale)
+        assert got == want
+        assert got_ratio == pytest.approx(ratio, rel=1e-12)
+    assert verdict(1e-320)[0] is False
+
+
 class TestFailurePaths:
     """A run that fails leaves no partial file, and an older trajectory as it was."""
 
