@@ -52,7 +52,6 @@ TAYLOR_MAX_SCALE = 2.0**50
 FLUSH_MIN_ORDER = 100
 
 __all__ = [
-    "PencilError",
     "definite_check",
     "eigenvalues",
     "expm",
@@ -357,84 +356,38 @@ def expm(mode, steps):
     return flows
 
 
-class PencilError(ValueError):
-    """A pencil of `max_generalized_eigenvalue` that cannot be solved;
-    `pair` is its ``(a, b)``, so its q1 is ``qs[a]`` and its q2 ``qs[b]``."""
+def max_generalized_eigenvalue(q1, q2):
+    """Largest lambda with  q2 v = lambda q1 v  for SPD q1, q2.
 
-    def __init__(self, pair, message):
-        super().__init__(message)
-        self.pair = pair
+    Equals the largest eigenvalue of ``inv(q1) @ q2``.  Computed by Cholesky
+    reduction of the symmetric-definite pencil (Golub and Van Loan, Matrix
+    Computations, 8.7): with ``q1 = L L^T``, the pencil's eigenvalues are
+    those of the symmetric ``C = inv(L) q2 inv(L)^T``, so the result is a
+    real scalar with no complex round-off.  The solve itself tests both
+    inputs: q1 is positive definite iff its Cholesky factorization exists,
+    and q2 iff C's smallest eigenvalue is positive (Sylvester's law of
+    inertia).  A failed test raises ValueError naming the matrix.
 
-
-def max_generalized_eigenvalue(qs):
-    """``lam[a, b]``, the largest lambda with ``qs[b] v = lambda qs[a] v``,
-    for every ordered pair of the SPD matrices `qs`.
-
-    Equals the largest eigenvalue of ``inv(qs[a]) @ qs[b]``; ``lam[a, a]``
-    is 1.0 exactly, with no solve.  Computed by Cholesky reduction of the
-    symmetric-definite pencil (Golub and Van Loan, Matrix Computations,
-    8.7): with ``q1 = L L^T``, the pencil's eigenvalues are those of the
-    symmetric ``C = inv(L) q2 inv(L)^T``, so each is a real scalar with no
-    complex round-off.  Each matrix is symmetrized and factored once, and
-    every pencil is solved in one stacked ``eigvalsh``.  The solve itself
-    tests both inputs: q1 is positive definite iff its Cholesky
-    factorization exists, and q2 iff C's smallest eigenvalue is positive
-    (Sylvester's law of inertia).  C's smallest eigenvalue is exact only to
-    round-off of C's largest, so when its sign fails, q2's own smallest
-    eigenvalue decides; a pencil spread wider than 1 / eps does not reject
-    a positive definite q2.
-
-    A failed test raises `PencilError` naming the matrix, at the first pair
-    in row-major order that fails, as a solve of one pair at a time would.
+    C's smallest eigenvalue is exact only to round-off of C's largest, so
+    when its sign fails, q2's own smallest eigenvalue decides; a pencil
+    spread wider than 1 / eps does not reject a positive definite q2.
     """
-    lam = np.ones((len(qs), len(qs)))
-    a, b = np.nonzero(~np.eye(len(qs), dtype=bool))
-    if not a.size:
-        return lam
+    q1 = _symmetrize(q1, "q1")
+    q2 = _symmetrize(q2, "q2")
+    if q1.shape != q2.shape:
+        raise ValueError(f"dimension mismatch: q1 is {q1.shape}, q2 is {q2.shape}")
     try:
-        sym = np.stack([_symmetrize(q) for q in qs])
-        # inv(L)^T = inv(L^T), and numpy's LU of the upper triangular L^T
-        # neither pivots nor eliminates, so its inverse is back-substitution.
-        z = np.linalg.inv(np.linalg.cholesky(sym).swapaxes(1, 2))
-    except (ValueError, np.linalg.LinAlgError):
-        _raise_first_failure(qs, zip(a.tolist(), b.tolist()))
-        raise
-    spectra = _pencil_spectra(z[a], sym[b])
-    for p in np.flatnonzero(~(spectra[:, 0] > 0.0)).tolist():
-        ok, detail, _ = definite_check(sym[b[p]])
+        chol = np.linalg.cholesky(q1)
+    except np.linalg.LinAlgError:
+        detail = definite_check(q1)[1]
+        raise ValueError(f"q1 is not positive definite ({detail})") from None
+    # inv(L)^T = inv(L^T), and numpy's LU of the upper triangular L^T
+    # neither pivots nor eliminates, so its inverse is back-substitution.
+    z = np.linalg.inv(chol.T)
+    c = z.T @ q2 @ z
+    spectrum = np.linalg.eigvalsh((c + c.T) / 2.0)
+    if not spectrum[0] > 0.0:
+        ok, detail, _ = definite_check(q2)
         if not ok:
-            raise PencilError((int(a[p]), int(b[p])),
-                              f"q2 is not positive definite ({detail})")
-    lam[a, b] = spectra[:, -1]
-    return lam
-
-
-def _pencil_spectra(z, q2):
-    """Ascending eigenvalues of each pencil ``(q1, q2)``, stacked, given
-    ``z = inv(L^T)`` of each ``q1 = L L^T``."""
-    c = z.swapaxes(1, 2) @ q2 @ z
-    return np.linalg.eigvalsh((c + c.swapaxes(1, 2)) / 2.0)
-
-
-def _raise_first_failure(qs, pairs):
-    """Raise the `PencilError` of the first of `pairs` whose pencil cannot
-    be solved, checking each pair on its own as `max_generalized_eigenvalue`
-    orders its tests."""
-    for a, b in pairs:
-        try:
-            q1, q2 = _symmetrize(qs[a], "q1"), _symmetrize(qs[b], "q2")
-            if q1.shape != q2.shape:
-                raise ValueError(f"dimension mismatch: q1 is {q1.shape}, "
-                                 f"q2 is {q2.shape}")
-            try:
-                chol = np.linalg.cholesky(q1)
-            except np.linalg.LinAlgError:
-                detail = definite_check(q1)[1]
-                raise ValueError(f"q1 is not positive definite ({detail})") from None
-            spectrum = _pencil_spectra(np.linalg.inv(chol.T)[None], q2[None])[0]
-            if not spectrum[0] > 0.0:
-                ok, detail, _ = definite_check(q2)
-                if not ok:
-                    raise ValueError(f"q2 is not positive definite ({detail})")
-        except ValueError as exc:
-            raise PencilError((a, b), str(exc)) from None
+            raise ValueError(f"q2 is not positive definite ({detail})")
+    return float(spectrum[-1])

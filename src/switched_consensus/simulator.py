@@ -614,7 +614,9 @@ def _reprs(column, form=repr):
     Each run of equal bits is formatted once, so a value that repeats from
     the sample before, a constant velocity or a zero energy say, costs no
     ``repr``; bits, not values, are compared, so ``-0.0`` never stands in
-    for ``0.0``.
+    for ``0.0``.  Once a run has converged most of its velocities,
+    ``e_norm`` and ``V_i`` repeat, and their ``repr`` was most of the
+    writer's time (README, "Trajectory CSV").
     """
     bits = column.view(np.int64)
     head = np.concatenate(([True], bits[1:] != bits[:-1]))

@@ -377,19 +377,20 @@ def pair_lambdas(certificates):
     index, the last certificate counts.  ``lam[a, b]`` is ``lambda_ij``, the
     largest generalized eigenvalue of ``(Q_i, Q_j)`` for ``i = indices[a]``,
     ``j = indices[b]``; it bounds the energy jump ``V_j / V_i`` at a switch
-    from i to j.  The table is one `linalg.max_generalized_eigenvalue` call,
-    which factors each ``Q_i`` once.  ``lambda_ii`` is 1.0 exactly, with no
-    solve (no switch of energy), so round-off on an ill-conditioned ``Q_i``
-    cannot move it.  A pair that cannot be solved raises ValueError naming
-    it.
+    from i to j.  Each pair is solved once.  ``lambda_ii`` is 1.0 exactly,
+    with no solve (no switch of energy), so round-off on an ill-conditioned
+    ``Q_i`` cannot move it.  A pair that cannot be solved raises ValueError
+    naming it.
     """
     q = {cert.index: cert.q for cert in certificates}
     indices = sorted(q)
-    try:
-        lam = linalg.max_generalized_eigenvalue([q[i] for i in indices])
-    except linalg.PencilError as exc:
-        i, j = (indices[p] for p in exc.pair)
-        raise ValueError(f"topologies {i} -> {j}: {exc}") from None
+    lam = np.ones((len(indices), len(indices)))
+    for a, b in np.argwhere(~np.eye(len(indices), dtype=bool)).tolist():
+        i, j = indices[a], indices[b]
+        try:
+            lam[a, b] = linalg.max_generalized_eigenvalue(q[i], q[j])
+        except ValueError as exc:
+            raise ValueError(f"topologies {i} -> {j}: {exc}") from None
     return indices, lam
 
 

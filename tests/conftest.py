@@ -338,45 +338,6 @@ def single_process_csv(record, path, monitor=None):
                 fh.write(f"{t!r},{i},{body}\r\n")
 
 
-def pencil_max(q1, q2):
-    """Oracle: the largest lambda with ``q2 v = lambda q1 v``, one pencil
-    solved on its own, as `linalg.max_generalized_eigenvalue` solved each
-    pair before it factored each matrix once.  Raises ValueError as it
-    does, without the pair."""
-    q1 = linalg._symmetrize(q1, "q1")
-    q2 = linalg._symmetrize(q2, "q2")
-    if q1.shape != q2.shape:
-        raise ValueError(f"dimension mismatch: q1 is {q1.shape}, q2 is {q2.shape}")
-    try:
-        chol = np.linalg.cholesky(q1)
-    except np.linalg.LinAlgError:
-        detail = linalg.definite_check(q1)[1]
-        raise ValueError(f"q1 is not positive definite ({detail})") from None
-    z = np.linalg.inv(chol.T)
-    c = z.T @ q2 @ z
-    spectrum = np.linalg.eigvalsh((c + c.T) / 2.0)
-    if not spectrum[0] > 0.0:
-        ok, detail, _ = linalg.definite_check(q2)
-        if not ok:
-            raise ValueError(f"q2 is not positive definite ({detail})")
-    return float(spectrum[-1])
-
-
-def per_pair_lambdas(certificates):
-    """Oracle: the `synthesis.pair_lambdas` table, one `pencil_max` per
-    ordered pair in row-major order, as the table was built before."""
-    q = {cert.index: cert.q for cert in certificates}
-    indices = sorted(q)
-    lam = np.ones((len(indices), len(indices)))
-    for a, b in np.argwhere(~np.eye(len(indices), dtype=bool)).tolist():
-        i, j = indices[a], indices[b]
-        try:
-            lam[a, b] = pencil_max(q[i], q[j])
-        except ValueError as exc:
-            raise ValueError(f"topologies {i} -> {j}: {exc}") from None
-    return indices, lam
-
-
 def reference_schedule(signal, certificates, beta, kappa0):
     """Oracle: the per-interval loop the column `check_schedule` replaced.
 

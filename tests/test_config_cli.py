@@ -695,9 +695,9 @@ class TestCommandExitCodes:
 
         solves, solve = [], linalg.max_generalized_eigenvalue
         out = _verify_tampered(str(path), tmp_path, capsys, understate)
-        # The six ordered pairs are one table of the three certificates; the
-        # schedule's margins and lambda_max read it.
-        assert [len(qs) for qs, in solves] == [3]
+        # Each of the six ordered pairs is solved once; the schedule's margins
+        # and lambda_max read the same table.
+        assert len(solves) == 6
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert fails == ["FAIL  report lambda_max = max lambda_ij over ordered "
                          "pairs  [stored 12.6589, derived 81.1286]"]
@@ -907,8 +907,8 @@ class TestCommandExitCodes:
     ], ids=["indefinite-q", "topology-without-certificate"])
     def test_simulate_refuses_an_unusable_report_before_propagating(
             self, tmp_path, demo_doc, capsys, monkeypatch, index, q, scheduled, reason):
-        # The pair table is solved, once, before the run: a 500 s horizon is
-        # refused without one matrix exponential.
+        # The pair table is solved, once per ordered pair, before the run: a
+        # 500 s horizon is refused without one matrix exponential.
         demo_doc["switching"] = {"explicit": {"breakpoints": [0.0],
                                               "indices": [scheduled],
                                               "horizon": 500.0}}
@@ -931,7 +931,8 @@ class TestCommandExitCodes:
         assert cli.main(["simulate", "--config", str(config),
                          "--out", str(out)]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == f"error: {report_path}: {reason}\n"
-        assert calls == ["max_generalized_eigenvalue"]
+        # An indefinite Q_2 stops the table at its first pencil.
+        assert calls == ["max_generalized_eigenvalue"] * (1 if q is not None else 2)
         assert not (out / "trajectory.csv").exists()
 
     def test_verify_error_path_solves_each_pair_once(self, demo_config_file,
@@ -946,7 +947,7 @@ class TestCommandExitCodes:
         solves, solve = [], linalg.max_generalized_eigenvalue
         out = _verify_tampered(demo_config_file, tmp_path, capsys,
                                misfile_certificate_2)
-        assert [len(qs) for qs, in solves] == [2]
+        assert len(solves) == 2
         assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
             "FAIL  certificate 3: topology exists  [index not in config]",
             "FAIL  certificate 2: one per topology  [0 found]",
@@ -1355,26 +1356,25 @@ class TestSpectralFacts:
                                 calls.append(name) or fn(*a))
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(
-            np.shape(m)) or eigvalsh(m))
-        tables, solve = [], linalg.max_generalized_eigenvalue
-        monkeypatch.setattr(linalg, "max_generalized_eigenvalue", lambda qs: (
-            tables.append([q.tobytes() for q in qs]) or solve(qs)))
+            len(m)) or eigvalsh(m))
+        pairs, solve = [], linalg.max_generalized_eigenvalue
+        monkeypatch.setattr(linalg, "max_generalized_eigenvalue", lambda q1, q2: (
+            pairs.append((q1.tobytes(), q2.tobytes())) or solve(q1, q2)))
         checks = ["certificate_checks"] * 2 + ["gain_checks"]
         # Order N-1 = 5: Q > 0 and the inequality margin per topology (not in
-        # simulate), then the two ordered pencils in one stacked solve, for
-        # tau*, the switch margins or the monitor's jump bounds; the pencils
-        # read both definiteness facts from their own solve.
-        for command, names, order_5 in (("synthesize", checks, 4),
-                                        ("verify", checks, 4), ("simulate", [], 0)):
+        # simulate), then one pencil per ordered pair, for tau*, the switch
+        # margins or the monitor's jump bounds; the pencil reads both
+        # definiteness facts from its own solve.
+        for command, names, order_5 in (("synthesize", checks, 6),
+                                        ("verify", checks, 6), ("simulate", [], 2)):
             calls.clear()
-            tables.clear()
+            pairs.clear()
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / "out")]) == 0, command
             assert [c for c in calls if isinstance(c, str)] == names, command
-            assert [c for c in calls if c == (5, 5)] == [(5, 5)] * order_5, command
-            assert [c for c in calls if c == (2, 5, 5)] == [(2, 5, 5)], command
-            [(q1, q2)] = tables
-            assert q1 != q2, command
+            assert [c for c in calls if c == 5] == [5] * order_5, command
+            (q1, q2), *_ = pairs
+            assert q1 != q2 and sorted(pairs) == sorted([(q1, q2), (q2, q1)]), command
 
     def test_analysis_spectrum_is_laplacian_spectrum(self, tmp_path):
         rng = np.random.default_rng(11)

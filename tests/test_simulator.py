@@ -36,7 +36,6 @@ from conftest import (
     dense_simulate,
     disagreement_transform,
     grid_targets,
-    pencil_max,
     random_spd,
     random_stable,
     reference_switch_jumps,
@@ -828,7 +827,7 @@ class TestLyapunovMonitor:
         for _, old, new, ratio, bound in monitor.switch_jumps:
             assert ratio is not None
             assert ratio <= bound * (1 + 1e-9)
-            assert bound == pencil_max(q[old], q[new])
+            assert bound == linalg.max_generalized_eigenvalue(q[old], q[new])
 
     def test_jump_ratio_tight_for_extremal_disagreement(self, vtol_design):
         certs = vtol_design.certificates
