@@ -212,13 +212,13 @@ def cmd_simulate(rc, out_dir):
 
     A report is checked before the run: `gain.p` must be positive definite,
     every pair of its certificates must solve, and every scheduled topology
-    must have one; the monitor reads that one pair table.  The run is
-    consumed block by block (see `simulator.simulate_blocks`): each block's
-    energies, verdict windows and CSV rows are taken before the next block
-    is propagated, so one block is held at a time.
+    must have one in the monitor's pair table.  The run is consumed block by
+    block (see `simulator.simulate_blocks`): each block's energies, verdict
+    windows and CSV rows are taken before the next block is propagated, so
+    one block is held at a time.
     """
     signal = cfg.build_signal(rc)
-    design, table, report_path = None, None, os.path.join(out_dir, REPORT_NAME)
+    monitor, report_path = None, os.path.join(out_dir, REPORT_NAME)
     if rc.gain is not None:
         k_gain, alpha = rc.gain["k"], rc.gain["alpha"]
     else:
@@ -229,8 +229,8 @@ def cmd_simulate(rc, out_dir):
             raise cfg.ConfigError(f"{report_path}: gain.p: not positive definite "
                                   f"({detail})")
         try:  # a Q_i that cannot be paired, or a topology without one
-            table = synthesis.pair_lambdas(design.certificates)
-            synthesis.pair_rows(table[0], signal.indices)
+            monitor = simulator.EnergyMonitor(design.certificates, design.p)
+            monitor.table.rows(signal.indices)
         except ValueError as exc:
             raise cfg.ConfigError(f"{report_path}: {exc}") from None
     closed_loop = simulator.build_closed_loop(
@@ -242,15 +242,13 @@ def cmd_simulate(rc, out_dir):
     # through, so a run that fails leaves no partial file and an older
     # trajectory as it was.
     partial = os.path.join(out_dir, f".{TRAJECTORY_NAME}.{os.getpid()}.tmp")
-    monitor = None if design is None else simulator.EnergyMonitor(
-        design.certificates, design.p, table)
     check = simulator.ConsensusCheck(signal.horizon, rc.tolerance, rc.window)
     samples = 0
     try:
         with open(partial, "w", newline="") as fh:
             writer = simulator.TrajectoryCsv(
                 fh, path, closed_loop.node_count, closed_loop.state_dim,
-                None if monitor is None else monitor.order)
+                None if monitor is None else monitor.table.indices)
             for block in simulator.simulate_blocks(closed_loop, x0, rc.dt):
                 values = None if monitor is None else monitor.add(block).values
                 check.add(block)

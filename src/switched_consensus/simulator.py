@@ -341,7 +341,7 @@ def simulate_blocks(closed_loop, x0, dt):
     n_nodes = closed_loop.node_count
     n = closed_loop.state_dim
     m = (n_nodes - 1) * n
-    e0, _ = disagreement(x0, n_nodes, n)
+    e0 = disagreement(x0, n_nodes, n)
     z = np.concatenate([e0, np.asarray(x0, dtype=float).ravel()[m:]])
     for lo in range(0, closed_loop.signal.indices.size, BLOCK_INTERVALS):
         block, z = _propagate(closed_loop, z, lo, dt, m)
@@ -382,19 +382,16 @@ def agent_states(record, out=None):
 
 
 def disagreement(x, node_count, state_dim):
-    """Blockwise offsets from the last agent and their Euclidean norm.
+    """Blockwise offsets from the last agent (their norm is `_norms`').
 
     ``e_i = x_i - x_N`` for i < N; equals ``(Xi kron I_n) x``.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != node_count * state_dim:
-        raise ValueError(
-            f"state length {x.size} != node_count*state_dim = "
-            f"{node_count * state_dim}"
-        )
+        raise ValueError(f"state length {x.size} != node_count*state_dim = "
+                         f"{node_count * state_dim}")
     blocks = x.reshape(node_count, state_dim)
-    e = (blocks[:-1] - blocks[-1]).ravel()
-    return e, float(np.linalg.norm(e))
+    return (blocks[:-1] - blocks[-1]).ravel()
 
 
 class ConsensusCheck:
@@ -461,38 +458,27 @@ def consensus_verdict(record, tol, window):
 class EnergyMonitor:
     """`lyapunov_monitor` of the blocks of a run, one block at a time.
 
-    Columns follow the rows of the `synthesis.pair_lambdas` table of
-    `certificates` (solved here unless the caller has it as `lambdas`), which
-    every topology of the run needs.  The weights ``Q_i kron inv(P)`` are
-    formed once.  `add` gives a block's `LyapunovMonitor`: its energies, and
-    each switch's observed jump ratio checked against its bound there, all
-    at once; a violation indicates corrupted inputs and raises RuntimeError
-    at the first switch that breaks its bound.  A switch is a sample of its
-    block, and both its energies are read off that sample, so each block is
-    checked on its own.
+    Columns, rows and jump bounds are those of `table`, the
+    `synthesis.PairTable` of `certificates` solved here, which every topology
+    of the run needs.  The weights ``Q_i kron inv(P)`` are formed once, each
+    at its certificate's row.  `add` gives a block's `LyapunovMonitor`: its
+    energies, and each switch's observed jump ratio checked against its
+    bound there, all at once; a violation indicates corrupted inputs and
+    raises RuntimeError at the first switch that breaks its bound.  A switch
+    is a sample of its block, and both its energies are read off that
+    sample, so each block is checked on its own.
     """
 
-    def __init__(self, certificates, p, lambdas=None):
-        self.order, self.lam = lambdas or synthesis.pair_lambdas(certificates)
-        q = {cert.index: cert.q for cert in certificates}
+    def __init__(self, certificates, p):
+        self.table = synthesis.pair_lambdas(certificates)
+        rows = self.table.rows([cert.index for cert in certificates]).tolist()
+        q = dict(zip(rows, (cert.q for cert in certificates)))
         p_inv = np.linalg.inv(np.asarray(p, dtype=float))
         p_inv = (p_inv + p_inv.T) / 2.0
-        self.weights = [np.kron(q[i], p_inv) for i in self.order]
-        # The table row of each topology index; -1 for an index with no
-        # certificate, past the largest one too.
-        self.row_of = np.full(max(self.order, default=0) + 2, -1)
-        self.row_of[self.order] = np.arange(len(self.order))
-
-    def _rows(self, topologies):
-        """Table rows of the (1-based) `topologies`; an index with no
-        certificate raises the ValueError of `synthesis.pair_rows`."""
-        rows = self.row_of.take(np.asarray(topologies, dtype=np.int64), mode="clip")
-        if rows.min(initial=0) < 0:
-            synthesis.pair_rows(self.order, topologies)
-        return rows
+        self.weights = [np.kron(q[row], p_inv) for row in range(len(q))]
 
     def add(self, block):
-        cols = self._rows(block.indices)
+        cols = self.table.rows(block.indices)
         errors = block.errors
         values = np.column_stack(
             [np.einsum("sj,sj->s", errors @ w, errors) for w in self.weights]
@@ -500,8 +486,8 @@ class EnergyMonitor:
         t_switch, outgoing, incoming = list(zip(*block.switches)) or ((), (), ())
         t_switch = [float(t) for t in t_switch]
         at = np.searchsorted(block.times, t_switch)
-        old, new = self._rows(outgoing), cols[at]
-        bounds = self.lam[old, new]
+        old, new = self.table.rows(outgoing), cols[at]
+        bounds = self.table.lam[old, new]
         v_old, v_new = values[at, old], values[at, new]
         observed = v_old > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -516,13 +502,13 @@ class EnergyMonitor:
             )
         seen = [r if ok else None for r, ok in zip(ratios.tolist(), observed.tolist())]
         jumps = list(zip(t_switch, outgoing, incoming, seen, bounds.tolist()))
-        return LyapunovMonitor(self.order, values, jumps)
+        return LyapunovMonitor(self.table.indices, values, jumps)
 
 
-def lyapunov_monitor(record, certificates, p, lambdas=None):
-    """Per-topology energy traces and switch-jump ratios of a whole run; see
-    `EnergyMonitor`."""
-    return EnergyMonitor(certificates, p, lambdas).add(record)
+def lyapunov_monitor(record, certificates, p):
+    """Per-topology energy traces and switch-jump ratios of a whole run, with
+    the pair table of `certificates` solved once; see `EnergyMonitor`."""
+    return EnergyMonitor(certificates, p).add(record)
 
 
 def _usable_cpus():

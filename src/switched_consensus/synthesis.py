@@ -4,8 +4,8 @@ Builds the full certificate chain: a per-topology matrix inequality solved
 through a shifted Lyapunov equation, a gain matrix obtained from an algebraic
 Riccati reduction of the design inequality, the coupling-strength threshold,
 the dwell-time threshold, and a per-switch margin check for an explicit
-schedule.  Every jump bound is an entry of the one table `pair_lambdas`
-solves, lambda_ij for each ordered pair of topologies.
+schedule.  Every jump bound is an entry of the one :class:`PairTable`
+`pair_lambdas` solves, lambda_ij for each ordered pair of topologies.
 
 Both matrix inequalities are solved constructively rather than through a
 general-purpose SDP solver:
@@ -26,6 +26,8 @@ raises on the first failed check and the CLI's ``verify`` reports them all.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,7 @@ CHECK_RTOL = 1e-6
 __all__ = [
     "GainDesign",
     "InfeasibleError",
+    "PairTable",
     "ScheduleReport",
     "TopologyCertificate",
     "certificate_checks",
@@ -53,7 +56,6 @@ __all__ = [
     "gain_checks",
     "max_feasible_beta",
     "pair_lambdas",
-    "pair_rows",
     "solve_gain_lmi",
     "solve_topology_lmi",
     "synthesize",
@@ -122,6 +124,35 @@ class ScheduleReport:
     margin: np.ndarray
     checks: np.ndarray
     passed: bool
+
+
+class PairTable(NamedTuple("PairTable", [("indices", list), ("lam", np.ndarray)])):
+    """The table of :func:`pair_lambdas`, with its one topology -> row lookup."""
+
+    def rows(self, topologies):
+        """Table rows of `topologies` (any shape); one with no row raises ValueError."""
+        t = np.asarray(topologies, dtype=np.int64)
+        rows = self._lookup.take(t, mode="clip")
+        if rows.min(initial=0) < 0:  # no certificate, or one past the lookup
+            known = np.isin(t, self.indices)
+            if not known.all():
+                raise ValueError(f"no certificate for topology index {t[~known][0]}")
+            rows = np.searchsorted(self.indices, t)
+        return rows
+
+    @cached_property
+    def _lookup(self):
+        """Topology i's row at ``[i]`` for ``0 < i <= len(indices)``, else -1."""
+        lookup = np.full(len(self.indices) + 2, -1)  # -1 at the ends `take` clips to
+        near = [i for i in self.indices if 0 < i <= len(self.indices)]
+        lookup[near] = np.searchsorted(self.indices, near)
+        return lookup
+
+    @property
+    def lambda_max(self):
+        """Largest off-diagonal entry; 1.0 with one topology."""
+        off = self.lam[~np.eye(len(self.lam), dtype=bool)]
+        return float(off.max()) if off.size else 1.0
 
 
 def choose_c(margin, fraction=DEFAULT_C_FRACTION):
@@ -292,7 +323,7 @@ def design_checks(design, a, b, reduced, signal, kappa0):
     and its stored `lmi_margin` against the recomputed one; a failed row per
     topology of `reduced` without exactly one certificate; :func:`gain_checks`;
     the design's stored numbers re-derived, `lambda_max` from the one
-    :func:`pair_lambdas` table that :func:`check_schedule` reads for `signal`;
+    :class:`PairTable` that :func:`check_schedule` reads for `signal`;
     then one row per switch whose margin is not above `kappa0` and one summary
     row that passes iff none is, naming the number of switches and the
     smallest margin with its interval and pair (no row for a schedule without
@@ -328,7 +359,7 @@ def design_checks(design, a, b, reduced, signal, kappa0):
     checks += [(f"certificate {i}: one per topology", False, f"{found.count(i)} found")
                for i in by_index if found.count(i) != 1]
     # A Q that is not positive definite leaves no table; it fails its own row.
-    lam = math.nan if table is None else _lambda_max(table[1])
+    lam = math.nan if table is None else table.lambda_max
     derived = {"alpha_min": coupling_threshold(design.certificates),
                "c0": min(cert.c for cert in design.certificates),
                "beta_bound": max_feasible_beta(a, b),
@@ -371,7 +402,7 @@ def coupling_threshold(certificates):
 
 
 def pair_lambdas(certificates):
-    """The jump bound of every ordered topology pair, as ``(indices, lam)``.
+    """The jump bound of every ordered topology pair, as a :class:`PairTable`.
 
     `indices` are the certificates' topology indices, sorted; of a repeated
     index, the last certificate counts.  ``lam[a, b]`` is ``lambda_ij``, the
@@ -380,7 +411,7 @@ def pair_lambdas(certificates):
     from i to j.  Each pair is solved once.  ``lambda_ii`` is 1.0 exactly,
     with no solve (no switch of energy), so round-off on an ill-conditioned
     ``Q_i`` cannot move it.  A pair that cannot be solved raises ValueError
-    naming it.
+    naming it.  `rows` maps topology indices to rows of ``lam``.
     """
     q = {cert.index: cert.q for cert in certificates}
     indices = sorted(q)
@@ -391,38 +422,22 @@ def pair_lambdas(certificates):
             lam[a, b] = linalg.max_generalized_eigenvalue(q[i], q[j])
         except ValueError as exc:
             raise ValueError(f"topologies {i} -> {j}: {exc}") from None
-    return indices, lam
-
-
-def pair_rows(indices, topologies):
-    """Rows of the :func:`pair_lambdas` table `indices` for `topologies` (any
-    shape); a topology index with no certificate raises ValueError."""
-    topologies = np.asarray(topologies, dtype=np.int64)
-    unknown = topologies[~np.isin(topologies, indices)]
-    if unknown.size:
-        raise ValueError(f"no certificate for topology index {int(unknown[0])}")
-    return np.searchsorted(indices, topologies)
+    return PairTable(indices, lam)
 
 
 def dwell_threshold(certificates, beta):
     """Dwell-time threshold from the worst certificate-pair eigenvalue ratio.
 
-    Returns ``(lambda_max, tau_star)``: the largest lambda_ij, i != j, of the
-    :func:`pair_lambdas` table and ``tau_star = ln(lambda_max) / beta``.  A
-    single topology (or lambda_max <= 1) needs no dwell bound: tau_star = 0.
+    Returns ``(lambda_max, tau_star)``: the :func:`pair_lambdas` table's
+    `lambda_max` and ``tau_star = ln(lambda_max) / beta``.  A single
+    topology (or lambda_max <= 1) needs no dwell bound: tau_star = 0.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if not certificates:
         raise ValueError("need at least one topology certificate")
-    lam = _lambda_max(pair_lambdas(certificates)[1])
+    lam = pair_lambdas(certificates).lambda_max
     return lam, _tau_star(lam, beta)
-
-
-def _lambda_max(lam):
-    """Largest off-diagonal entry of a pair table; 1.0 with one topology."""
-    off = lam[~np.eye(len(lam), dtype=bool)]
-    return float(off.max()) if off.size else 1.0
 
 
 def _tau_star(lam, beta):
@@ -430,19 +445,20 @@ def _tau_star(lam, beta):
     return float(math.log(lam) / beta) if lam > 1.0 + 1e-12 else 0.0
 
 
-def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0, lambdas=None):
+def check_schedule(signal, certificates, beta, kappa0=DEFAULT_KAPPA0, table=None):
     """The per-switch condition of an explicit signal, as a :class:`ScheduleReport`.
 
     Switch k at breakpoint k + 1 has margin ``beta * (t_{k+1} - t_k) -
     ln lambda_k``, with ``lambda_k`` and its log (one ``math.log`` per entry)
-    read from the :func:`pair_lambdas` table of `certificates`, solved here
-    unless the caller has it as `lambdas`; the report passes iff every margin
-    strictly exceeds kappa0.
+    read from `table`, the :class:`PairTable` of `certificates`, solved here
+    by :func:`pair_lambdas` when not given; its `rows` name a topology with no
+    certificate.  The report passes iff every margin strictly exceeds kappa0.
     """
     t = signal.breakpoints
     outgoing, incoming = signal.indices[:-1], signal.indices[1:]
-    indices, lam = lambdas or pair_lambdas(certificates)
-    out, into = pair_rows(indices, [outgoing, incoming])
+    table = pair_lambdas(certificates) if table is None else table
+    out, into = table.rows([outgoing, incoming])
+    lam = table.lam
     log_lam = np.reshape([math.log(v) for v in lam.ravel().tolist()], lam.shape)
     margin = beta * np.diff(t) - log_lam[out, into]
     checks = margin > kappa0

@@ -214,7 +214,7 @@ def cached_simulate(closed_loop, x0, dt):
     n_nodes = closed_loop.node_count
     n = closed_loop.state_dim
     m = (n_nodes - 1) * n
-    e0, _ = simulator.disagreement(x0, n_nodes, n)
+    e0 = simulator.disagreement(x0, n_nodes, n)
     z = np.concatenate([e0, np.asarray(x0, dtype=float).ravel()[m:]])
     signal = closed_loop.signal
     edges = signal.breakpoints.tolist() + [signal.horizon]

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -125,22 +126,19 @@ class TestBuildClosedLoop:
 class TestDisagreement:
     def test_identical_blocks(self):
         x = np.tile([1.0, -2.0], 4)
-        e, norm = disagreement(x, 4, 2)
+        e = disagreement(x, 4, 2)
         assert np.array_equal(e, np.zeros(6))
-        assert norm == 0.0
 
     def test_two_agents_scalar(self):
-        e, norm = disagreement(np.array([3.0, 1.0]), 2, 1)
+        e = disagreement(np.array([3.0, 1.0]), 2, 1)
         assert np.array_equal(e, [2.0])
-        assert norm == 2.0
 
     def test_matches_matrix_form(self):
         rng = np.random.default_rng(20)
         x = rng.normal(size=15)
-        e, norm = disagreement(x, 5, 3)
+        e = disagreement(x, 5, 3)
         expected = np.kron(xi_matrix(5), np.eye(3)) @ x
         assert np.allclose(e, expected, atol=1e-14)
-        assert norm == pytest.approx(np.linalg.norm(expected))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -873,7 +871,7 @@ class TestLyapunovMonitor:
 
         def halved(certs):
             indices, lam = pair_lambdas(certs)
-            return indices, 0.5 * lam
+            return synthesis.PairTable(indices, 0.5 * lam)
 
         monkeypatch.setattr(simulator.synthesis, "pair_lambdas", halved)
         with pytest.raises(RuntimeError, match="exceeds its algebraic bound"):
@@ -902,6 +900,37 @@ class TestLyapunovMonitor:
         with pytest.raises(ValueError) as got:
             lyapunov_monitor(record, three_certificates(), np.array([[2.0]]))
         assert str(got.value) == f"no certificate for topology index {missing}"
+        # `check_schedule` looks the same indices up in the same table.  It
+        # reads only a signal's two arrays, so indices below 1, which a
+        # `SwitchingSignal` refuses, reach it too.
+        signal = SimpleNamespace(breakpoints=np.arange(4.0),
+                                 indices=np.array(indices + [outgoing]))
+        with pytest.raises(ValueError) as got:
+            synthesis.check_schedule(signal, three_certificates(), beta=1.0)
+        assert str(got.value) == f"no certificate for topology index {missing}"
+
+    def test_repeated_index_weighs_the_certificate_the_table_keeps(self):
+        # `stale` and `two` share index 2; like the pair table, the monitor
+        # keeps the last, so V_2 and every jump bound are `two`'s.
+        one, two, _ = three_certificates()
+        stale = synthesis.TopologyCertificate(2, 0.5, 3.0 * two.q, 1.0)
+        errors = np.random.default_rng(29).normal(size=(3, 4))
+        record = TrajectoryRecord(
+            times=np.array([0.0, 1.0, 2.0]), errors=errors,
+            agreement=np.zeros((3, 1)), error_norms=np.linalg.norm(errors, axis=1),
+            indices=np.array([1, 2, 2]), switches=[(1.0, 1, 2)],
+            node_count=5, state_dim=1,
+        )
+        p = np.array([[2.0]])
+        monitor = lyapunov_monitor(record, [one, stale, two], p)
+        assert monitor.topology_indices == [1, 2]
+        want = [e @ np.kron(two.q, np.linalg.inv(p)) @ e for e in errors]
+        assert monitor.values[:, 1] == pytest.approx(want, rel=1e-12)
+        fresh = lyapunov_monitor(record, [one, two], p)
+        assert monitor.values.tolist() == fresh.values.tolist()
+        assert monitor.switch_jumps == fresh.switch_jumps
+        (_, _, _, _, bound), = monitor.switch_jumps
+        assert bound == linalg.max_generalized_eigenvalue(one.q, two.q)
 
     @settings(max_examples=150, deadline=None)
     @given(indices=st.lists(st.integers(1, 3), min_size=1, max_size=30),
@@ -935,7 +964,7 @@ class TestLyapunovMonitor:
 
         def scaled(certificates):
             indices, lam = pair_lambdas(certificates)
-            return indices, shrink * lam
+            return synthesis.PairTable(indices, shrink * lam)
 
         with mock.patch.object(synthesis, "pair_lambdas", scaled):
             try:

@@ -1,4 +1,5 @@
-"""Start-up cost: only `synthesize` loads scipy.
+"""Start-up cost: only `synthesize` loads scipy, and importing the CLI loads
+nothing beyond numpy but the standard library.
 
 Each case runs in a fresh interpreter, because this test process has scipy
 loaded already (`conftest.py` imports it for its oracles).
@@ -25,13 +26,22 @@ print(json.dumps({"code": globals().get("code"), "scipy": sorted(
     m for m in sys.modules if m.partition(".")[0] == "scipy")}))
 """
 
+# Run after code that kept `before`, a copy of `sys.modules`: the packages
+# loaded since that are neither the standard library's nor this one.
+FOREIGN = """
+import json, sys
+print(json.dumps(sorted({m.partition(".")[0] for m in set(sys.modules) - before}
+                        - sys.stdlib_module_names - {"switched_consensus"})))
+"""
 
-def fresh_run(code, cwd):
-    """``{"code": ..., "scipy": [...]}`` from a new interpreter that ran `code`."""
+
+def fresh_run(code, cwd, report=REPORT):
+    """The last line `report` prints, as JSON, from a new interpreter that ran
+    `code`; by default ``{"code": ..., "scipy": [...]}``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code + REPORT], cwd=cwd, env=env,
+    done = subprocess.run([sys.executable, "-c", code + report], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -50,6 +60,15 @@ def demo_dir(tmp_path_factory):
 @pytest.mark.parametrize("module", ["switched_consensus", "switched_consensus.cli"])
 def test_import_loads_no_scipy(module, tmp_path):
     assert fresh_run(f"import {module}", tmp_path)["scipy"] == []
+
+
+def test_cli_import_loads_nothing_foreign_beyond_numpy(tmp_path):
+    # The benchmark's `setup_s` is this import's time in a fresh interpreter.
+    # numpy's own imports are its floor; beyond them only standard-library
+    # modules may load.
+    code = ("import sys\nimport numpy\nbefore = set(sys.modules)\n"
+            "import switched_consensus.cli\n")
+    assert fresh_run(code, tmp_path, FOREIGN) == []
 
 
 def _command(command, root):

@@ -340,7 +340,7 @@ class TestFailurePaths:
             indices, lam = pair_lambdas(certificates)
             lam = lam.copy()
             lam[indices.index(2), indices.index(3)] = 1e-6
-            return indices, lam
+            return synthesis.PairTable(indices, lam)
 
         monkeypatch.setattr(synthesis, "pair_lambdas", tampered)
         with pytest.raises(RuntimeError) as want:

@@ -393,6 +393,38 @@ class TestPairLambdas:
         assert indices == [1, 2, 3]
         assert lam.tolist() == synthesis.pair_lambdas([one, two, three])[1].tolist()
 
+    def test_table_is_a_pair_table(self):
+        table = synthesis.pair_lambdas(three_certificates())
+        assert isinstance(table, synthesis.PairTable)
+        assert table._fields == ("indices", "lam")
+        assert table.lambda_max == table.lam[~np.eye(3, dtype=bool)].max()
+        assert synthesis.pair_lambdas(three_certificates()[:1]).lambda_max == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(indices=st.sets(st.one_of(st.integers(-3, 12),
+                                     st.sampled_from([10**6, 2**62])), max_size=6),
+           topologies=st.lists(st.one_of(st.integers(-4, 14),
+                                         st.sampled_from([10**6, 2**62])),
+                               max_size=12))
+    def test_rows_are_the_sorted_positions(self, indices, topologies):
+        # Indices 1..len(indices) are looked up in a dense array and any
+        # other by search; either way a row is the index's sorted position,
+        # and the first topology without one, in row-major order, is named.
+        indices = sorted(indices)
+        table = synthesis.PairTable(indices, np.ones((len(indices),) * 2))
+        half = len(topologies) // 2
+        for query in (np.array(topologies, dtype=np.int64),
+                      np.reshape(topologies[: 2 * half], (2, half))):
+            flat = query.ravel().tolist()
+            missing = [i for i in flat if i not in indices]
+            if missing:
+                with pytest.raises(ValueError, match="^no certificate for topology "
+                                                     f"index {missing[0]}$"):
+                    table.rows(query)
+            else:
+                want = np.reshape([indices.index(i) for i in flat], query.shape)
+                assert table.rows(query).tolist() == want.tolist()
+
     def test_unpairable_q_names_the_pair(self):
         one, two, _ = three_certificates()
         bad = TopologyCertificate(2, 0.5, -two.q, 1.0)
